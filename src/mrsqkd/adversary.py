@@ -150,12 +150,14 @@ class TpStrategy:
             return NaiveMeasureHooks(rng)
         if self.kind is StrategyKind.PARITY_AWARE_MEASURE:
             return ParityAwareMeasureHooks(rng)
-        assert self.gate is not None and self.m is not None
+        if self.gate is None or self.m is None:
+            raise ValueError("modification strategy needs a gate and m")
         return ModificationHooks(rng, self.gate, self.m)
 
     def describe(self) -> str:
         if self.kind is StrategyKind.MODIFICATION:
-            assert self.gate is not None
+            if self.gate is None:
+                raise ValueError("modification strategy needs a gate")
             return f"modify:gate={self.gate.value},m={self.m}"
         return self.kind.value
 

@@ -2,8 +2,8 @@
 
 Subcommands: ``simulate`` (one verbose run, transcript on stdout),
 ``campaign`` (Monte Carlo batch with CSV output), ``verify-backends``
-(tableau vs dense cross-check), ``curves`` (analytic detection curves,
-optionally next to freshly measured campaign rates).
+(pair-block backend vs dense oracle), ``curves`` (analytic detection
+curves, optionally next to freshly measured campaign rates).
 
 Every flag can also come from a config file of flat ``key=value`` lines
 (keys are the long flag names without the dashes); command-line flags
@@ -110,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, help="worker processes (default: all cores)"
     )
 
-    ver = sub.add_parser("verify-backends", help="tableau vs dense cross-verification")
+    ver = sub.add_parser("verify-backends", help="pair-block (tableau) vs exact dense oracle")
     ver.add_argument("--config", help="flat key=value file supplying flag defaults")
-    ver.add_argument("--samples", type=int, help="tableau samples per circuit")
+    ver.add_argument("--samples", type=int, help="pair-block samples per circuit")
     ver.add_argument("--max-qubits", type=int, help="largest circuit to include")
     ver.add_argument("--seed", type=int, help="master seed")
 

@@ -1,11 +1,13 @@
 """Dense statevector backend: the exact, small-register ground truth.
 
 Keeps all 2^n complex amplitudes (qubit q maps to bit q of the index,
-least significant first) and supports the same operation set as the
-tableau backend plus exact outcome-distribution enumeration, which is
-what every brute-force oracle check in the test suite runs on.
+least significant first) and supports the register's operation set plus
+exact branch enumeration, which every brute-force oracle check runs on
+and from which the pair-block backend builds its tables.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -34,10 +36,13 @@ class DenseState:
         self.rng = rng
         self.amps = np.zeros(1 << n, dtype=np.complex128)
         self.amps[0] = 1.0
+        self._touched = 0  # bit q set once any operation has acted on qubit q
 
     # -- gates ---------------------------------------------------------
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        # Every gate and measurement on q passes here: q is no longer fresh.
+        self._touched |= 1 << q
         # View amplitudes as (high, qubit q, low); low block size 2^q.
         v = self.amps.reshape(-1, 2, 1 << q)
         return v[:, 0, :], v[:, 1, :]
@@ -69,6 +74,14 @@ class DenseState:
         src, dst = _cnot_indices(self.n, control, target)
         self.amps[src], self.amps[dst] = self.amps[dst].copy(), self.amps[src].copy()
 
+    def prepare_bell(self, a: int, b: int) -> None:
+        """phi+ on two fresh qubits: H on a, then CNOT from a to b."""
+        if (self._touched >> a) & 1 or (self._touched >> b) & 1:
+            raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
+        self._touched |= 1 << b
+        self.apply_h(a)
+        self.apply_cnot(a, b)
+
     # -- measurement ---------------------------------------------------
 
     def prob_one(self, q: int) -> float:
@@ -91,6 +104,35 @@ class DenseState:
         outcome = 1 if self.rng.random() < p1 else 0
         self.project(q, outcome)
         return outcome
+
+    def measure_bell(self, a: int, b: int) -> int:
+        """Bell-measure (a, b) by the engine's gate decomposition and
+        return the two-bit code (p << 1) | s."""
+        self.apply_cnot(a, b)
+        self.apply_h(a)
+        s = self.measure_z(a)
+        p = self.measure_z(b)
+        self.apply_h(a)
+        self.apply_cnot(a, b)
+        return (p << 1) | s
+
+    def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, int, float, "DenseState"]]:
+        """(s, p, probability, collapsed copy) for every Bell outcome of
+        (a, b) that can occur; this state is left as it is."""
+        work = self.copy()
+        work.apply_cnot(a, b)
+        work.apply_h(a)
+        joint = work.pair_probs(a, b)
+        for s in (0, 1):
+            for p in (0, 1):
+                prob = float(joint[s][p])
+                if prob <= 1e-12:
+                    continue
+                branch = work.copy()
+                branch.project_pair(a, b, s, p, prob)
+                branch.apply_h(a)
+                branch.apply_cnot(a, b)
+                yield s, p, prob, branch
 
     def pair_probs(self, a: int, b: int) -> np.ndarray:
         """Joint Z-outcome probabilities of qubits (a, b), shape (2, 2)
@@ -118,7 +160,5 @@ class DenseState:
         c.n = self.n
         c.rng = self.rng
         c.amps = self.amps.copy()
+        c._touched = self._touched
         return c
-
-    def norm(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)

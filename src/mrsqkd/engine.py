@@ -2,10 +2,11 @@
 
 DENSE keeps the full statevector and doubles as the exact oracle: its
 ``outcome_distribution`` enumerates measurement outcomes with exact
-probabilities. TABLEAU is the scalable stabilizer backend used for the
-Monte Carlo campaigns. Both expose the same operation set: phi+ pair
-preparation, the single-qubit gates X, Y (as i*sigma_y), Z, H, Z-basis
-measurement, and Bell measurement.
+probabilities. TABLEAU, the pair-block stabilizer state of
+``pairblock``, runs the Monte Carlo campaigns. Both expose the same
+operation set: phi+ pair preparation on fresh qubits, the single-qubit
+gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
+measurement.
 
 Bell measurement convention (fixed identically for both backends):
 CNOT with control a and target b, then H on a; Z-measuring a gives the
@@ -21,9 +22,12 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .bell_algebra import BellType, bell_from_code
+from .bell_algebra import BellType
 from .dense import DENSE_QUBIT_CAP, DenseState
-from .tableau import TableauState
+from .pairblock import PairBlockState
+
+
+_BELL_BY_CODE = tuple(BellType)  # index = two-bit code, (p << 1) | s
 
 
 class Backend(Enum):
@@ -61,10 +65,6 @@ PlanStep = Union[ZMeasure, BellMeasure]
 PlanOutcome = tuple  # mixed tuple of 0/1 bits and BellType values
 
 
-def _philox_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-
-
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based seed derivation: stream ``index`` of ``master_seed``.
 
@@ -89,11 +89,8 @@ class Register:
         self.size = size
         self.backend = backend
         self.seed = seed
-        rng = _philox_rng(seed)
-        if backend is Backend.DENSE:
-            self._state: DenseState | TableauState = DenseState(size, rng)
-        else:
-            self._state = TableauState(size, rng)
+        state = DenseState if backend is Backend.DENSE else PairBlockState
+        self._state = state(size, np.random.Generator(np.random.Philox(key=seed & (2**64 - 1))))
 
     # -- validation ------------------------------------------------------
 
@@ -104,30 +101,17 @@ class Register:
     # -- operations ------------------------------------------------------
 
     def prepare_bell_phi_plus(self, a: int, b: int) -> None:
-        """Entangle qubits (a, b) into phi+. Both must currently be fresh
-        |0> qubits; the result is undefined otherwise."""
+        """Entangle qubits (a, b) into phi+. Both must be fresh |0> qubits,
+        untouched since the register was made (ValueError otherwise)."""
         self._check_qubit(a)
         self._check_qubit(b)
         if a == b:
             raise ValueError("cannot prepare a Bell pair on a single qubit")
-        st = self._state
-        if isinstance(st, TableauState):
-            st.prepare_bell(a, b)
-        else:
-            st.apply_h(a)
-            st.apply_cnot(a, b)
+        self._state.prepare_bell(a, b)
 
     def apply_gate(self, gate: GateName, q: int) -> None:
         self._check_qubit(q)
-        st = self._state
-        if gate is GateName.X:
-            st.apply_x(q)
-        elif gate is GateName.Y:
-            st.apply_y(q)
-        elif gate is GateName.Z:
-            st.apply_z(q)
-        else:
-            st.apply_h(q)
+        getattr(self._state, f"apply_{gate.value}")(q)
 
     def measure_z(self, q: int) -> int:
         self._check_qubit(q)
@@ -138,22 +122,7 @@ class Register:
         self._check_qubit(b)
         if a == b:
             raise ValueError("Bell measurement needs two distinct qubits")
-        st = self._state
-        if isinstance(st, TableauState):
-            # Equivalent joint measurement of the commuting pair X_aX_b
-            # (sign bit) and Z_aZ_b (parity bit); collapses straight onto
-            # the Bell state, matching the gate decomposition below.
-            pair = (1 << a) | (1 << b)
-            s = st.measure_pauli(pair, 0)
-            p = st.measure_pauli(0, pair)
-        else:
-            st.apply_cnot(a, b)
-            st.apply_h(a)
-            s = st.measure_z(a)
-            p = st.measure_z(b)
-            st.apply_h(a)
-            st.apply_cnot(a, b)
-        return bell_from_code((p << 1) | s)
+        return _BELL_BY_CODE[self._state.measure_bell(a, b)]
 
     # -- exact oracle ------------------------------------------------------
 
@@ -161,7 +130,7 @@ class Register:
         """Exact outcome probabilities of running ``plan`` from the current
         state, computed on a copy (the live register is not collapsed).
         DENSE backend only."""
-        if self.backend is not Backend.DENSE:
+        if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"
             )
@@ -189,30 +158,13 @@ class Register:
                         branch.project(step.qubit, outcome)
                         walk(branch, idx + 1, prefix + (outcome,), prob * p)
             else:
-                work = state.copy()
-                work.apply_cnot(step.a, step.b)
-                work.apply_h(step.a)
-                joint = work.pair_probs(step.a, step.b)
-                for s in (0, 1):
-                    for pb in (0, 1):
-                        p = float(joint[s][pb])
-                        if p <= 1e-12:
-                            continue
-                        branch = work.copy()
-                        branch.project_pair(step.a, step.b, s, pb, p)
-                        branch.apply_h(step.a)
-                        branch.apply_cnot(step.a, step.b)
-                        walk(
-                            branch,
-                            idx + 1,
-                            prefix + (bell_from_code((pb << 1) | s),),
-                            prob * p,
-                        )
+                for s, pb, p, branch in state.bell_branches(step.a, step.b):
+                    walk(branch, idx + 1, prefix + (_BELL_BY_CODE[(pb << 1) | s],), prob * p)
 
-        assert isinstance(self._state, DenseState)
         walk(self._state.copy(), 0, (), 1.0)
         total = sum(dist.values())
-        assert abs(total - 1.0) < 1e-9, f"probabilities sum to {total}"
+        if abs(total - 1.0) >= 1e-9:
+            raise RuntimeError(f"outcome probabilities sum to {total}")
         return dist
 
 

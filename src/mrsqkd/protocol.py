@@ -241,9 +241,9 @@ class Outcome:
     abort_component: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.status is RunStatus.COMPLETED:
-            assert self.raw_key_alice is not None and self.raw_key_bob is not None
-            assert len(self.raw_key_alice) == len(self.raw_key_bob)
+        keys = (self.raw_key_alice, self.raw_key_bob)
+        if self.status is RunStatus.COMPLETED and (None in keys or len(keys[0]) != len(keys[1])):
+            raise ValueError("a completed outcome needs two raw keys of equal length")
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,8 @@ def classify_components(
         while q not in measured_a:
             intermediates.append(q)
             k2 = pos1_to_slot[q]
-            assert not visited[k2], "pairing graph is not degree-limited"
+            if visited[k2]:
+                raise ValueError("pairing graph is not degree-limited")
             slots.append(k2)
             visited[k2] = True
             q = order_b[k2]
@@ -403,7 +404,8 @@ def classify_components(
         q = order_b[k]
         while q != start:
             k2 = pos1_to_slot[q]
-            assert not visited[k2], "pairing graph is not degree-limited"
+            if visited[k2]:
+                raise ValueError("pairing graph is not degree-limited")
             slots.append(k2)
             visited[k2] = True
             q = order_b[k2]
@@ -433,6 +435,11 @@ def evaluate_step4(
     Key order: Case-1 bits by ascending position, then Case-3 bits by
     ascending slot.
     """
+    if any(
+        c.kind is ComponentKind.CHAIN and (c.endpoint_a is None or c.endpoint_b is None)
+        for c in classification.components
+    ):
+        raise ValueError("every chain needs both endpoints")
     phi = BellType.PHI_PLUS
     raw_a = [alice.z_results[p] for p in classification.case1_positions]
     raw_b = [bob.z_results[p] for p in classification.case1_positions]
@@ -445,7 +452,6 @@ def evaluate_step4(
         key=lambda c: c.slots[0],
     )
     for comp in case3:
-        assert comp.endpoint_a is not None and comp.endpoint_b is not None
         raw_a.append(alice.z_results[comp.endpoint_a])
         raw_b.append(
             infer_remote_bit(
@@ -464,7 +470,6 @@ def evaluate_step4(
             )
             stage = "CASE2"
         elif comp.length >= 2:
-            assert comp.endpoint_a is not None and comp.endpoint_b is not None
             za = alice.z_results[comp.endpoint_a]
             zb = bob.z_results[comp.endpoint_b]
             disclosures.append(Case4Disclose(Role.ALICE, comp.endpoint_a, za))

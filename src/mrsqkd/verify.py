@@ -3,18 +3,16 @@
 Each script prepares a few Bell pairs (optionally tampered into other
 Bell states), runs a measurement plan, and carries the algebraic
 relation its outcomes must satisfy. The dense backend enumerates the
-exact outcome distribution; the tableau backend is sampled and compared
-against it with a chi-square test. Every outcome, exact or sampled, is
-also checked against the cycle XOR rule or the generalized chain
-relation, which is what grounds the derived values used all over the
-test suite.
+exact outcome distribution; the pair-block stabilizer backend
+(``Backend.TABLEAU``) is sampled and compared against it with a
+chi-square test. Every outcome, exact or sampled, is also checked
+against the cycle XOR rule or the generalized chain relation, which is
+what grounds the derived values used all over the test suite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-from scipy.stats import chisquare
 
 from .bell_algebra import (
     BellType,
@@ -34,8 +32,8 @@ from .engine import (
     new_register,
 )
 
-# Tableau samples drawn in batches of this many shots, each shot using a
-# fresh block of qubits inside one register (lazy rows make that cheap).
+# Samples drawn in batches of this many shots, each shot using a fresh
+# block of qubits inside one register.
 _BATCH_SHOTS = 64
 
 PrepOp = tuple  # ("bell", a, b) or ("gate", GateName, q)
@@ -80,7 +78,8 @@ def make_chain(is_codes: Sequence[int], name: str) -> CircuitScript:
     pair and the last qubit of the last pair are Z-measured, then Bell
     measurements run down the line of leftover qubits."""
     k = len(is_codes)
-    assert k >= 2
+    if k < 2:
+        raise ValueError(f"a chain needs at least 2 pairs, got {k}")
     ops: list[PrepOp] = []
     for i, code in enumerate(is_codes):
         _prep_pair(ops, 2 * i, 2 * i + 1, code)
@@ -158,7 +157,7 @@ def _run_plan(reg: Register, plan: Sequence[PlanStep], offset: int) -> tuple:
 
 
 def sample_tableau(script: CircuitScript, samples: int, seed: int) -> list[tuple]:
-    """Draw outcome tuples from the tableau backend."""
+    """Draw outcome tuples from the pair-block (TABLEAU) backend."""
     outcomes: list[tuple] = []
     remaining = samples
     batch = 0
@@ -222,8 +221,12 @@ class VerifyReport:
 def verify_backends(
     max_qubits: int = 12, samples: int = 10000, seed: int = 20240
 ) -> VerifyReport:
-    """Compare tableau sampling against dense enumeration circuit by
+    """Compare pair-block sampling against dense enumeration circuit by
     circuit, and check the swap algebra on every outcome seen."""
+    # Only this command needs scipy; importing it here keeps about a
+    # second of start-up off every other command.
+    from scipy.stats import chisquare
+
     if max_qubits > 24:
         raise ValueError("max_qubits beyond the dense backend cap")
     alpha = 0.001

@@ -106,6 +106,8 @@ def test_chain_spec_validation():
         ChainSpec(PHI_P, PHI_P, (PHI_P,), zmr1=0, zmr2=0, mrs=(PHI_P,))
     with pytest.raises(ValueError):
         ChainSpec(PHI_P, PHI_P, (), zmr1=2, zmr2=0, mrs=(PHI_P,))
+    with pytest.raises(ValueError):
+        make_chain([0], "one pair")
 
 
 def test_infer_remote_bit_examples():

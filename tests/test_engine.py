@@ -1,7 +1,14 @@
 """Engine contract tests run against both backends wherever possible."""
-import pytest
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrsqkd import verify
 from mrsqkd.bell_algebra import BellType
+from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
     Backend,
     BellMeasure,
@@ -12,6 +19,7 @@ from mrsqkd.engine import (
     derive_seed,
     new_register,
 )
+from mrsqkd.pairblock import _TABLES, PairBlockState, _state
 
 BOTH = [Backend.DENSE, Backend.TABLEAU]
 
@@ -46,6 +54,23 @@ def test_register_validation(backend):
         reg.measure_bell(2, 2)
     with pytest.raises(ValueError):
         new_register(0, backend, 1)
+
+
+@pytest.mark.parametrize("backend", BOTH)
+def test_prepare_bell_needs_fresh_qubits(backend):
+    reg = new_register(6, backend, 1)
+    reg.measure_z(0)
+    with pytest.raises(ValueError):
+        reg.prepare_bell_phi_plus(0, 1)  # measured
+    reg.prepare_bell_phi_plus(1, 2)
+    with pytest.raises(ValueError):
+        reg.prepare_bell_phi_plus(3, 2)  # entangled
+    reg.apply_gate(GateName.X, 3)
+    reg.apply_gate(GateName.X, 3)
+    with pytest.raises(ValueError):
+        reg.prepare_bell_phi_plus(3, 4)  # back in |0>, but touched
+    reg.prepare_bell_phi_plus(4, 5)  # the rejected call left 4 fresh
+    assert reg.measure_bell(4, 5) is BellType.PHI_PLUS
 
 
 @pytest.mark.parametrize("backend", BOTH)
@@ -241,3 +266,143 @@ def test_distribution_validates_plan():
         reg.outcome_distribution([ZMeasure(5)])
     with pytest.raises(ValueError):
         reg.outcome_distribution([BellMeasure(1, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Pair-block backend against the dense oracle
+
+FUZZ_QUBITS = 12
+
+
+@st.composite
+def fuzz_scripts(draw):
+    """Pair preparations on fresh qubits and gates in any order, then a
+    short measurement plan; at most FUZZ_QUBITS qubits."""
+    n = draw(st.integers(2, FUZZ_QUBITS))
+    qubit = st.integers(0, n - 1)
+    fresh = list(range(n))
+    prep = []
+    for _ in range(draw(st.integers(0, 12))):
+        if len(fresh) >= 2 and draw(st.booleans()):
+            a = draw(st.sampled_from(fresh))
+            b = draw(st.sampled_from([q for q in fresh if q != a]))
+            prep.append(("bell", a, b))
+        else:
+            a = b = draw(qubit)
+            prep.append(("gate", draw(st.sampled_from(list(GateName))), a))
+        fresh = [q for q in fresh if q not in (a, b)]
+    pairs = st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1])
+    step = st.one_of(qubit.map(ZMeasure), pairs.map(lambda ab: BellMeasure(*ab)))
+    plan = draw(st.lists(step, min_size=1, max_size=4))
+    return verify.CircuitScript("fuzz", n, tuple(prep), tuple(plan), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_scripts(), st.integers(0, 2**32))
+def test_pairblock_samples_lie_in_dense_support(script, seed):
+    exact = verify.exact_distribution(script, seed)
+    for outcome in verify.sample_tableau(script, 16, seed):
+        assert outcome in exact, (outcome, sorted(exact, key=repr))
+
+
+def _block_setups():
+    """(paired, gate word) for every state a qubit's block can be in, as
+    seen from that qubit: one shortest word of gates applied to it, alone
+    or as one half of a phi+ pair."""
+    setups, seen = [], set()
+    for paired in (False, True):
+        for k in range(4):
+            for word in itertools.product("xyzh", repeat=k):
+                probe = PairBlockState(2, None)
+                if paired:
+                    probe.prepare_bell(0, 1)
+                for g in word:
+                    getattr(probe, f"apply_{g}")(0)
+                if probe._sid[0] not in seen:
+                    seen.add(probe._sid[0])
+                    setups.append((paired, word))
+    return setups
+
+
+def _pairblock_amplitudes(state, lower):
+    """Statevector of a pair-block state, rebuilt from its blocks, each
+    pair as seen from its lower or its higher qubit."""
+    blocks = []
+    for q in range(state.n):
+        p = state._partner[q]
+        if p < 0 or (q < p) == lower:
+            qubits = (q,) if p < 0 else (q, p)
+            blocks.append((_TABLES.vecs[state._sid[q]], qubits))
+    return _state(blocks).amps
+
+
+def _assert_same_state(fast, exact):
+    """Equal up to global phase, reading each pair from either half."""
+    for lower in (True, False):
+        overlap = abs(np.vdot(_pairblock_amplitudes(fast, lower), exact.amps))
+        assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pairblock_bell_measurement_of_every_block_combination():
+    """Qubit 0 (partner 2, if paired) and qubit 1 (partner 3) in every
+    combination of block states, or partners of each other; each seed's
+    Bell outcome, and then a Z outcome on qubit 2, leave the pair-block
+    state equal to the matching dense branch."""
+    setups = _block_setups()
+    assert len(setups) == 13  # fresh |0>, 4 single states, 8 pair states
+    cases = [
+        ([(0, 2)] * paired_a + [(1, 3)] * paired_b, word_a, word_b)
+        for (paired_a, word_a), (paired_b, word_b) in itertools.product(setups, repeat=2)
+    ]
+    cases += [([(0, 1)], word, ()) for paired, word in setups if paired]
+    for preps, word_a, word_b in cases:
+        for seed in range(6):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            fast, exact = PairBlockState(4, rng), DenseState(4, rng)
+            for state in (fast, exact):
+                for a, b in preps:
+                    state.prepare_bell(a, b)
+                for q, word in ((0, word_a), (1, word_b)):
+                    for g in word:
+                        getattr(state, f"apply_{g}")(q)
+            code = fast.measure_bell(0, 1)
+            branches = {(p << 1) | s: br for s, p, _, br in exact.bell_branches(0, 1)}
+            assert code in branches
+            exact = branches[code]
+            _assert_same_state(fast, exact)
+            assert exact.project(2, fast.measure_z(2)) > 1e-9
+            _assert_same_state(fast, exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pairblock_follows_dense_branch_by_branch(data):
+    """Gates and measurements interleaved: each sampled outcome has
+    nonzero exact probability, and after collapsing the dense state onto
+    it the two backends hold the same state up to global phase."""
+    n = data.draw(st.integers(2, FUZZ_QUBITS))
+    rng = np.random.Generator(np.random.Philox(key=data.draw(st.integers(0, 2**32))))
+    fast, exact = PairBlockState(n, rng), DenseState(n, rng)
+    fresh = set(range(n))
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(["bell", "gate", "z", "bell_measure"]))
+        if op == "bell" and len(fresh) >= 2:
+            a, b = data.draw(st.permutations(sorted(fresh)))[:2]
+            fast.prepare_bell(a, b)
+            exact.prepare_bell(a, b)
+        elif op == "bell_measure":
+            a, b = data.draw(st.permutations(range(n)))[:2]
+            code = fast.measure_bell(a, b)
+            branches = {(p << 1) | s: br for s, p, _, br in exact.bell_branches(a, b)}
+            assert code in branches
+            exact = branches[code]
+        else:
+            a = b = data.draw(st.integers(0, n - 1))
+            if op == "z":
+                assert exact.project(a, fast.measure_z(a)) > 1e-9
+            else:
+                gate = data.draw(st.sampled_from("xyzh"))
+                getattr(fast, f"apply_{gate}")(a)
+                getattr(exact, f"apply_{gate}")(a)
+        fresh -= {a, b}
+    _assert_same_state(fast, exact)

@@ -1,6 +1,13 @@
 """Campaign runner: accounting, CSV determinism, parallel equivalence,
 config files, and the CLI surface."""
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
+
+import mrsqkd
 
 from mrsqkd import adversary, cli
 from mrsqkd.harness import (
@@ -221,3 +228,47 @@ def test_cli_curves_with_empirical_column(tmp_path):
     assert len(lines) == 4
     for line in lines[1:]:
         assert len(line.split(",")) == 4
+
+
+# SHA-256 of outputs at fixed seeds. Rerunning the same code twice
+# (criterion 7) cannot see a change to how or in what order random bits
+# are drawn; these digests can.
+GOLDEN = [
+    (["campaign", "--attack", "honest", "--n", "64", "--seed", "101"],
+     "8f9bcf96bd260ca6768dddb4d8fc180e2ea561781b0b302f31d724829cc3a1dc"),
+    (["campaign", "--attack", "parity-measure", "--n", "64", "--seed", "7"],
+     "a1f2cf9f6cfeeb3e4dd1730e2900f1a35c3dd1e4ece1304d0ae408c91bdf1271"),
+    (["campaign", "--attack", "naive-measure", "--n", "16", "--seed", "3"],
+     "56c1d78f04fe70e1f8c0394e715db4588b10b97bbe0876b7259ce6360baf3592"),
+    (["campaign", "--attack", "modify", "--gate", "y", "--m", "5", "--n", "64", "--seed", "9"],
+     "e4143a6ca202a0aeb238078a51e7ef72b08e37049b4c661a938f14711ca80532"),
+    (["campaign", "--attack", "modify", "--gate", "h", "--m", "3", "--n", "32", "--seed", "11"],
+     "18ac9f127eab163b404b349a9b90731aa315322d0a74f52daaba3ae5512b429a"),
+    (["simulate", "--attack", "honest", "--n", "16", "--seed", "5"],
+     "5f02e3b5c3164c50268b5188cad6cd853877011fa308c6a418aabff59aee2d16"),
+    (["verify-backends", "--samples", "2000"],
+     "26b8bb3528db9fa70a9df94abf067d9be447212b64412da52f91db5fa56e8344"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=["-".join(a).replace("---", "-") for a, _ in GOLDEN]
+)
+def test_golden_output_digests(argv, digest, tmp_path, capsys):
+    """Campaign CSVs (200 trials, one worker) and the stdout of the
+    other commands hash to the pinned values."""
+    if argv[0] == "campaign":
+        out = tmp_path / "golden.csv"
+        assert cli.main(argv + ["--workers", "1", "--trials", "200", "--out", str(out)]) == 0
+        data = out.read_bytes()
+    else:
+        assert cli.main(argv) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(mrsqkd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, mrsqkd.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0

@@ -10,10 +10,12 @@ from mrsqkd import adversary
 from mrsqkd.bell_algebra import BellType
 from mrsqkd.engine import Backend, CapacityError, new_register
 from mrsqkd.protocol import (
+    Classification,
     Component,
     ComponentKind,
     MRAnnounce,
     OrderAnnounce,
+    Outcome,
     PartyState,
     ProtocolConfig,
     Role,
@@ -156,6 +158,17 @@ def _party(role, measured, order, z):
     return PartyState(role, tuple(measured), tuple(order), dict(z))
 
 
+def test_invariant_violations_raise_value_error():
+    # Explicit checks, not asserts: they hold under python -O too.
+    with pytest.raises(ValueError):
+        Outcome(RunStatus.COMPLETED, (0, 1), (0,), None, None)
+    no_ends = Classification((), (Component(ComponentKind.CHAIN, (0,)),))
+    alice = _party(Role.ALICE, (0,), (1,), {0: 0})
+    bob = _party(Role.BOB, (1,), (0,), {1: 0})
+    with pytest.raises(ValueError):
+        evaluate_step4(no_ends, (PHI_P,), alice, bob)
+
+
 def test_evaluate_cycle_check_passes_on_phi_plus():
     cls = classify_components({0}, {0}, (1,), (1,), 2)
     alice = _party(Role.ALICE, (0,), (1,), {0: 1})
@@ -250,7 +263,8 @@ def test_expected_raw_key_length():
         res = run_protocol(ProtocolConfig(n=n, seed=seed), adversary.honest())
         lens.append(res.stats.raw_key_len)
     sem = statistics.stdev(lens) / trials**0.5
-    assert abs(statistics.mean(lens) - 3 * n / 8) <= 3 * sem
+    # Exact mean, derived in perfbench/README.md; 3n/8 is its large-n limit.
+    assert abs(statistics.mean(lens) - (3 * n / 8 + n / (8 * (n - 1)))) <= 3 * sem
 
 
 def test_transcript_is_deterministic_and_ordered():
