@@ -144,22 +144,21 @@ class TpStrategy:
             raise ValueError(f"{self.kind.value} strategy carries no parameters")
 
     def instantiate(self, rng: np.random.Generator) -> TpHooks:
-        if self.kind is StrategyKind.HONEST:
-            return TpHooks(rng)
-        if self.kind is StrategyKind.NAIVE_MEASURE:
-            return NaiveMeasureHooks(rng)
-        if self.kind is StrategyKind.PARITY_AWARE_MEASURE:
-            return ParityAwareMeasureHooks(rng)
-        if self.gate is None or self.m is None:
-            raise ValueError("modification strategy needs a gate and m")
-        return ModificationHooks(rng, self.gate, self.m)
+        if self.kind is StrategyKind.MODIFICATION:
+            return ModificationHooks(rng, self.gate, self.m)
+        return _HOOKS[self.kind](rng)
 
     def describe(self) -> str:
         if self.kind is StrategyKind.MODIFICATION:
-            if self.gate is None:
-                raise ValueError("modification strategy needs a gate")
             return f"modify:gate={self.gate.value},m={self.m}"
         return self.kind.value
+
+
+_HOOKS: dict[StrategyKind, type[TpHooks]] = {
+    StrategyKind.HONEST: TpHooks,
+    StrategyKind.NAIVE_MEASURE: NaiveMeasureHooks,
+    StrategyKind.PARITY_AWARE_MEASURE: ParityAwareMeasureHooks,
+}
 
 
 def honest() -> TpStrategy:

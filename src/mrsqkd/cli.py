@@ -17,15 +17,15 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import TpStrategy, honest, modification, naive_measure, parity_aware_measure
+from .adversary import StrategyKind, TpStrategy, modification
 from .engine import Backend, CapacityError, GateName
 from .harness import CampaignConfig, default_workers, detection_curves, run_campaign
 from .protocol import ProtocolConfig, RunStatus, run_protocol
 from .verify import verify_backends
 
-ATTACKS = ("honest", "naive-measure", "parity-measure", "modify")
-GATES = ("x", "y", "z", "h")
-BACKENDS = ("dense", "tableau")
+ATTACKS = tuple(k.value for k in StrategyKind)
+GATES = tuple(g.value for g in GateName)
+BACKENDS = tuple(b.value for b in Backend)
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -53,10 +53,7 @@ class _Options:
         cli = getattr(self._args, key.replace("-", "_"), None)
         if cli is not None:
             return cli
-        if key in self._file:
-            raw = self._file[key]
-            return cast(raw)
-        return default
+        return cast(self._file[key]) if key in self._file else default
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -67,18 +64,10 @@ def _parse_ratio(text: str) -> Fraction:
 
 
 def _strategy(opts: _Options) -> TpStrategy:
-    attack = opts.get("attack", "honest", str)
-    if attack == "honest":
-        return honest()
-    if attack == "naive-measure":
-        return naive_measure()
-    if attack == "parity-measure":
-        return parity_aware_measure()
-    if attack == "modify":
-        gate = GateName(opts.get("gate", "x", str))
-        m = opts.get("m", 1, int)
-        return modification(gate, m)
-    raise ValueError(f"unknown attack {attack!r} (choose from {', '.join(ATTACKS)})")
+    kind = StrategyKind(opts.get("attack", "honest", str))
+    if kind is StrategyKind.MODIFICATION:
+        return modification(GateName(opts.get("gate", "x", str)), opts.get("m", 1, int))
+    return TpStrategy(kind)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -182,6 +171,8 @@ def cmd_verify_backends(opts: _Options) -> int:
 
 def cmd_curves(opts: _Options) -> int:
     xmax = opts.get("max", 16, int)
+    if xmax < 0:
+        raise ValueError(f"--max must be >= 0, got {xmax}")
     rows = detection_curves(range(0, xmax + 1))
     empirical_trials = opts.get("empirical-trials", 0, int)
     header = "x,detect_measure_analytic,detect_modify_analytic"
@@ -221,8 +212,8 @@ def cmd_curves(opts: _Options) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    opts = _Options(args)
     try:
+        opts = _Options(args)
         if args.command == "simulate":
             return cmd_simulate(opts)
         if args.command == "campaign":
@@ -230,7 +221,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify-backends":
             return cmd_verify_backends(opts)
         return cmd_curves(opts)
-    except (CapacityError, OSError) as exc:
+    except (CapacityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,6 +75,11 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(np.random.Generator(bg).integers(0, 2**63, dtype=np.int64))
 
 
+def philox(seed: int) -> np.random.Generator:
+    """Philox generator keyed by the low 64 bits of ``seed``."""
+    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+
+
 class Register:
     """A register of qubits on one backend. Single-threaded; independent
     registers can be used concurrently."""
@@ -90,7 +95,7 @@ class Register:
         self.backend = backend
         self.seed = seed
         state = DenseState if backend is Backend.DENSE else PairBlockState
-        self._state = state(size, np.random.Generator(np.random.Philox(key=seed & (2**64 - 1))))
+        self._state = state(size, philox(seed))
 
     # -- validation ------------------------------------------------------
 
@@ -98,15 +103,18 @@ class Register:
         if not (0 <= q < self.size):
             raise ValueError(f"qubit {q} out of range for size-{self.size} register")
 
+    def _check_pair(self, a: int, b: int) -> None:
+        if not (0 <= a < self.size and 0 <= b < self.size and a != b):
+            raise ValueError(
+                f"qubits ({a}, {b}) are not two distinct qubits of a size-{self.size} register"
+            )
+
     # -- operations ------------------------------------------------------
 
     def prepare_bell_phi_plus(self, a: int, b: int) -> None:
         """Entangle qubits (a, b) into phi+. Both must be fresh |0> qubits,
         untouched since the register was made (ValueError otherwise)."""
-        self._check_qubit(a)
-        self._check_qubit(b)
-        if a == b:
-            raise ValueError("cannot prepare a Bell pair on a single qubit")
+        self._check_pair(a, b)
         self._state.prepare_bell(a, b)
 
     def apply_gate(self, gate: GateName, q: int) -> None:
@@ -118,10 +126,7 @@ class Register:
         return self._state.measure_z(q)
 
     def measure_bell(self, a: int, b: int) -> BellType:
-        self._check_qubit(a)
-        self._check_qubit(b)
-        if a == b:
-            raise ValueError("Bell measurement needs two distinct qubits")
+        self._check_pair(a, b)
         return _BELL_BY_CODE[self._state.measure_bell(a, b)]
 
     # -- exact oracle ------------------------------------------------------
@@ -138,10 +143,7 @@ class Register:
             if isinstance(step, ZMeasure):
                 self._check_qubit(step.qubit)
             else:
-                self._check_qubit(step.a)
-                self._check_qubit(step.b)
-                if step.a == step.b:
-                    raise ValueError("Bell measurement needs two distinct qubits")
+                self._check_pair(step.a, step.b)
 
         dist: dict[PlanOutcome, float] = {}
 

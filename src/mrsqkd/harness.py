@@ -17,37 +17,20 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .adversary import TpStrategy
 from .engine import Backend, derive_seed
 from .protocol import ProtocolConfig, RunStats, RunStatus, run_protocol
 
-CSV_COLUMNS = [
-    "trial",
-    "n",
-    "strategy",
-    "status",
-    "abort_stage",
-    "abort_component",
-    "raw_key_len",
-    "final_key_len",
-    "keys_match",
-    "case1_bits",
-    "case3_bits",
-    "case4_disclosed_bits",
-    "cycle_components",
-    "chain_components",
-    "group1_checks",
-    "group1_passed",
-    "group2_checks",
-    "group2_passed",
-    "case4_checks",
-    "case4_passed",
-    "qubit_total",
-]
+# RunStats fields in order, less the per-component tuple at the end.
+CSV_COLUMNS = [f.name for f in fields(RunStats)][:-1]
+_csv_values = attrgetter(*CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -64,6 +47,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "pa_ratio", Fraction(self.pa_ratio))
 
 
@@ -123,21 +108,13 @@ def run_trial(config: CampaignConfig, trial_index: int) -> RunStats:
     return run_protocol(run_config, config.strategy, trial_id=trial_index).stats
 
 
-def _run_trial_star(args: tuple[CampaignConfig, int]) -> RunStats:
-    return run_trial(*args)
-
-
 def run_campaign(config: CampaignConfig) -> tuple[list[RunStats], CampaignSummary]:
     """Execute all trials and aggregate. Writes CSV when out_path is set."""
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            stats = list(
-                pool.map(
-                    _run_trial_star,
-                    ((config, i) for i in range(config.trials)),
-                    chunksize=max(1, config.trials // (8 * config.workers)),
-                )
-            )
+            chunksize = max(1, config.trials // (8 * config.workers))
+            trials = range(config.trials)
+            stats = list(pool.map(run_trial, repeat(config), trials, chunksize=chunksize))
     else:
         stats = [run_trial(config, i) for i in range(config.trials)]
     summary = summarize(stats)
@@ -175,31 +152,18 @@ def summarize(stats: Sequence[RunStats]) -> CampaignSummary:
     )
 
 
-def _csv_row(s: RunStats) -> list:
-    aborted = s.status is RunStatus.ABORTED
-    return [
-        s.trial_id,
-        s.n,
-        s.strategy,
-        s.status.value,
-        s.abort_stage or "",
-        s.abort_component_kind.value if s.abort_component_kind else "",
-        "" if aborted else s.raw_key_len,
-        "" if aborted else s.final_key_len,
-        "" if aborted else str(s.keys_match).lower(),
-        s.case1_bits,
-        s.case3_bits,
-        s.case4_disclosed_bits,
-        s.cycle_components,
-        s.chain_components,
-        s.group1_checks,
-        s.group1_passed,
-        s.group2_checks,
-        s.group2_passed,
-        s.case4_checks,
-        s.case4_passed,
-        s.qubit_total,
-    ]
+def _cell(value) -> object:
+    """CSV form of a RunStats value: enums by value, booleans in lower
+    case, absent values empty."""
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 def render_csv(stats: Sequence[RunStats]) -> str:
@@ -208,7 +172,7 @@ def render_csv(stats: Sequence[RunStats]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for s in stats:
-        writer.writerow(_csv_row(s))
+        writer.writerow([_cell(v) for v in _csv_values(s)])
     return buf.getvalue()
 
 

@@ -14,7 +14,6 @@ Positions, slots and qubits are 0-based throughout.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .bell_algebra import (
     infer_remote_bit,
     xor_rule_holds,
 )
-from .engine import Backend, CapacityError, Register, derive_seed, new_register
+from .engine import Backend, CapacityError, Register, derive_seed, new_register, philox
 from .privacy import PAParams, amplify, seed_length
 
 
@@ -122,7 +121,7 @@ class Transcript:
 
     The MR announcement always precedes the order announcements; that
     ordering is what the security of the checks rests on, so it is
-    enforced at append time as well as exposed for tests.
+    enforced at append time.
     """
 
     def __init__(self) -> None:
@@ -142,13 +141,6 @@ class Transcript:
     def render(self) -> str:
         """Line-oriented text form, one record per line."""
         return "\n".join(r.line() for r in self._records) + "\n"
-
-    def ordering_ok(self) -> bool:
-        mr_at = [i for i, r in enumerate(self._records) if isinstance(r, MRAnnounce)]
-        order_at = [
-            i for i, r in enumerate(self._records) if isinstance(r, OrderAnnounce)
-        ]
-        return all(m < o for m in mr_at for o in order_at)
 
 
 # --------------------------------------------------------------------------
@@ -204,13 +196,12 @@ class Component:
             return 1 if self.length == 1 else 2
         return 3 if self.length == 1 else 4
 
-    @property
-    def case(self) -> int:
-        return 2 if self.kind is ComponentKind.CYCLE else (3 if self.length == 1 else 4)
-
 
 @dataclass(frozen=True)
 class Classification:
+    """Case-1 positions in ascending order, and the components in
+    ascending order of their first slot."""
+
     case1_positions: tuple[int, ...]
     components: tuple[Component, ...]
 
@@ -248,14 +239,15 @@ class Outcome:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-trial outcome record; the CSV row schema of the harness."""
+    """Per-trial outcome record. Every field but the last is a CSV column
+    of the harness, in field order."""
 
-    trial_id: int
+    trial: int
     n: int
     strategy: str
     status: RunStatus
     abort_stage: Optional[str]
-    abort_component_kind: Optional[ComponentKind]
+    abort_component: Optional[ComponentKind]
     raw_key_len: Optional[int]
     final_key_len: Optional[int]
     keys_match: Optional[bool]
@@ -271,7 +263,6 @@ class RunStats:
     case4_checks: int
     case4_passed: int
     qubit_total: int
-    elapsed_s: float
     # (kind, length, passed) per component, for per-length rate studies;
     # not part of the CSV schema.
     component_checks: tuple[tuple[str, int, Optional[bool]], ...] = ()
@@ -294,10 +285,10 @@ def party_step2(rng: np.random.Generator, n: int, role: Role = Role.ALICE) -> Pa
     order for the retained qubits."""
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
+    half = n // 2
     perm = rng.permutation(n)
-    measured = tuple(sorted(int(p) for p in perm[: n // 2]))
-    retained = sorted(set(range(n)) - set(measured))
-    send_order = tuple(int(retained[i]) for i in rng.permutation(len(retained)))
+    measured = tuple(np.sort(perm[:half]).tolist())
+    send_order = tuple(np.sort(perm[half:])[rng.permutation(half)].tolist())
     return PartyState(role=role, measured_positions=measured, send_order=send_order)
 
 
@@ -433,61 +424,34 @@ def evaluate_step4(
     so per-component statistics stay meaningful for attack studies.
 
     Key order: Case-1 bits by ascending position, then Case-3 bits by
-    ascending slot.
+    ascending slot, which is the order of the components.
     """
-    if any(
-        c.kind is ComponentKind.CHAIN and (c.endpoint_a is None or c.endpoint_b is None)
-        for c in classification.components
-    ):
-        raise ValueError("every chain needs both endpoints")
     phi = BellType.PHI_PLUS
     raw_a = [alice.z_results[p] for p in classification.case1_positions]
     raw_b = [bob.z_results[p] for p in classification.case1_positions]
-    case3 = sorted(
-        (
-            c
-            for c in classification.components
-            if c.kind is ComponentKind.CHAIN and c.length == 1
-        ),
-        key=lambda c: c.slots[0],
-    )
-    for comp in case3:
-        raw_a.append(alice.z_results[comp.endpoint_a])
-        raw_b.append(
-            infer_remote_bit(
-                bob.z_results[comp.endpoint_b], phi, phi, (), (mr[comp.slots[0]],)
-            )
-        )
-
     checks: list[ComponentCheck] = []
     disclosures: list[Case4Disclose] = []
     abort: Optional[tuple[str, int]] = None
     for idx, comp in enumerate(classification.components):
-        passed: Optional[bool]
+        passed: Optional[bool] = None
         if comp.kind is ComponentKind.CYCLE:
-            passed = xor_rule_holds(
-                [phi] * comp.length, [mr[k] for k in comp.slots]
-            )
+            passed = xor_rule_holds([phi] * comp.length, [mr[k] for k in comp.slots])
             stage = "CASE2"
-        elif comp.length >= 2:
+        elif comp.endpoint_a is None or comp.endpoint_b is None:
+            raise ValueError("every chain needs both endpoints")
+        elif comp.length == 1:
+            raw_a.append(alice.z_results[comp.endpoint_a])
+            own = bob.z_results[comp.endpoint_b]
+            raw_b.append(infer_remote_bit(own, phi, phi, (), (mr[comp.slots[0]],)))
+        else:
             za = alice.z_results[comp.endpoint_a]
             zb = bob.z_results[comp.endpoint_b]
             disclosures.append(Case4Disclose(Role.ALICE, comp.endpoint_a, za))
             disclosures.append(Case4Disclose(Role.BOB, comp.endpoint_b, zb))
-            passed = chain_relation_holds(
-                ChainSpec(
-                    is1=phi,
-                    is2=phi,
-                    intermediates=(phi,) * len(comp.intermediates),
-                    zmr1=za,
-                    zmr2=zb,
-                    mrs=tuple(mr[k] for k in comp.slots),
-                )
-            )
+            spec = ChainSpec(is1=phi, is2=phi, intermediates=(phi,) * len(comp.intermediates),
+                             zmr1=za, zmr2=zb, mrs=tuple(mr[k] for k in comp.slots))
+            passed = chain_relation_holds(spec)
             stage = "CASE4"
-        else:
-            passed = None
-            stage = ""
         checks.append(ComponentCheck(comp, passed))
         if passed is False and abort is None:
             abort = (stage, idx)
@@ -512,19 +476,12 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     schedule itself, the transcript ordering and the evaluation are fixed
     here and identical for honest and adversarial servers.
     """
-    t0 = time.perf_counter()
     n = config.n
     half = n // 2
     engine = new_register(2 * n, config.backend, derive_seed(config.seed, 0))
-    alice_rng = np.random.Generator(
-        np.random.Philox(key=derive_seed(config.seed, 1) & (2**64 - 1))
-    )
-    bob_rng = np.random.Generator(
-        np.random.Philox(key=derive_seed(config.seed, 2) & (2**64 - 1))
-    )
-    hooks = strategy.instantiate(
-        np.random.Generator(np.random.Philox(key=derive_seed(config.seed, 3) & (2**64 - 1)))
-    )
+    alice_rng = philox(derive_seed(config.seed, 1))
+    bob_rng = philox(derive_seed(config.seed, 2))
+    hooks = strategy.instantiate(philox(derive_seed(config.seed, 3)))
     transcript = Transcript()
 
     # Step 1: prepare and send out both wires (possibly tampered).
@@ -595,10 +552,7 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
             final_key_bob=tuple(amplify(raw_b, params)),
         )
 
-    stats = _build_stats(
-        trial_id, config, strategy, classification, evaluation, outcome,
-        time.perf_counter() - t0,
-    )
+    stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
     return RunResult(outcome, transcript, stats, hooks)
 
 
@@ -609,42 +563,40 @@ def _build_stats(
     classification: Classification,
     evaluation: Step4Result,
     outcome: Outcome,
-    elapsed: float,
 ) -> RunStats:
-    comps = classification.components
-    cycles = [c for c in comps if c.kind is ComponentKind.CYCLE]
-    chains = [c for c in comps if c.kind is ComponentKind.CHAIN]
-    by_group: dict[int, list[bool]] = {1: [], 2: [], 4: []}
+    # Components and passed checks per group (index 1-4).
+    count = [0] * 5
+    passed = [0] * 5
     for check in evaluation.checks:
-        if check.passed is not None:
-            by_group[check.component.group].append(check.passed)
+        group = check.component.group
+        count[group] += 1
+        passed[group] += check.passed is True
     completed = outcome.status is RunStatus.COMPLETED
     abort_kind = None
     if outcome.abort_component is not None:
-        abort_kind = comps[outcome.abort_component].kind
+        abort_kind = evaluation.checks[outcome.abort_component].component.kind
     return RunStats(
-        trial_id=trial_id,
+        trial=trial_id,
         n=config.n,
         strategy=strategy.describe(),
         status=outcome.status,
         abort_stage=outcome.abort_stage,
-        abort_component_kind=abort_kind,
+        abort_component=abort_kind,
         raw_key_len=len(outcome.raw_key_alice) if completed else None,
         final_key_len=len(outcome.final_key_alice) if completed else None,
         keys_match=(outcome.raw_key_alice == outcome.raw_key_bob) if completed else None,
         case1_bits=len(classification.case1_positions),
-        case3_bits=sum(1 for c in chains if c.length == 1),
-        case4_disclosed_bits=2 * sum(1 for c in chains if c.length >= 2),
-        cycle_components=len(cycles),
-        chain_components=len(chains),
-        group1_checks=len(by_group[1]),
-        group1_passed=sum(by_group[1]),
-        group2_checks=len(by_group[2]),
-        group2_passed=sum(by_group[2]),
-        case4_checks=len(by_group[4]),
-        case4_passed=sum(by_group[4]),
+        case3_bits=count[3],
+        case4_disclosed_bits=2 * count[4],
+        cycle_components=count[1] + count[2],
+        chain_components=count[3] + count[4],
+        group1_checks=count[1],
+        group1_passed=passed[1],
+        group2_checks=count[2],
+        group2_passed=passed[2],
+        case4_checks=count[4],
+        case4_passed=passed[4],
         qubit_total=2 * config.n,
-        elapsed_s=elapsed,
         component_checks=tuple(
             (c.component.kind.value, c.component.length, c.passed)
             for c in evaluation.checks

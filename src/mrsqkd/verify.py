@@ -223,12 +223,12 @@ def verify_backends(
 ) -> VerifyReport:
     """Compare pair-block sampling against dense enumeration circuit by
     circuit, and check the swap algebra on every outcome seen."""
+    if max_qubits > 24:
+        raise ValueError("max_qubits beyond the dense backend cap")
     # Only this command needs scipy; importing it here keeps about a
     # second of start-up off every other command.
     from scipy.stats import chisquare
 
-    if max_qubits > 24:
-        raise ValueError("max_qubits beyond the dense backend cap")
     alpha = 0.001
     reports = []
     for idx, script in enumerate(scripted_circuits()):

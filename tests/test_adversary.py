@@ -158,7 +158,9 @@ def test_modification_h_runs_and_disturbs():
     outcomes = set()
     for seed in range(100):
         res = _run(16, seed, adversary.modification(GateName.H, 16))
-        assert res.transcript.ordering_ok()
+        kinds = [type(r) for r in res.transcript.records]
+        assert kinds.count(MRAnnounce) == 1 and kinds.count(OrderAnnounce) == 2
+        assert kinds.index(MRAnnounce) < kinds.index(OrderAnnounce)
         outcomes.add(res.outcome.status)
     assert RunStatus.ABORTED in outcomes  # H tampering is detectable
 
@@ -177,7 +179,9 @@ def test_all_strategies_emit_legal_transcripts():
     ]
     for strategy in strategies:
         res = _run(16, 77, strategy)
-        assert res.transcript.ordering_ok()
+        kinds = [type(r) for r in res.transcript.records]
+        assert kinds.count(MRAnnounce) == 1 and kinds.count(OrderAnnounce) == 2
+        assert kinds.index(MRAnnounce) < kinds.index(OrderAnnounce)
         text = res.transcript.render()
         assert text.startswith("QUANTUM_SEND dir=TP->ALICE count=16\n")
         for line in text.strip().split("\n"):

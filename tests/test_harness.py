@@ -11,7 +11,6 @@ import mrsqkd
 
 from mrsqkd import adversary, cli
 from mrsqkd.harness import (
-    CSV_COLUMNS,
     CampaignConfig,
     detection_curves,
     detected,
@@ -22,6 +21,16 @@ from mrsqkd.harness import (
     summarize,
 )
 from mrsqkd.protocol import RunStatus
+
+
+# The header documented in the README, written out so that a change to
+# RunStats cannot change it unnoticed.
+CSV_HEADER = (
+    "trial,n,strategy,status,abort_stage,abort_component,raw_key_len,final_key_len,"
+    "keys_match,case1_bits,case3_bits,case4_disclosed_bits,cycle_components,"
+    "chain_components,group1_checks,group1_passed,group2_checks,group2_passed,"
+    "case4_checks,case4_passed,qubit_total"
+)
 
 
 def _campaign(**kw):
@@ -55,7 +64,7 @@ def test_csv_layout_and_determinism(tmp_path):
     stats, _ = run_campaign(_campaign(trials=5))
     text = render_csv(stats)
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 6
     assert text.endswith("\n") and "\r" not in text
 
@@ -125,6 +134,8 @@ def test_detection_curves_reference_points():
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         _campaign(trials=0)
+    with pytest.raises(ValueError):
+        _campaign(workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +203,32 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert ",16," in lines[1]  # n came from the file
 
 
-def test_cli_config_file_rejects_garbage(tmp_path):
+def test_cli_config_file_rejects_garbage(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
-    with pytest.raises(ValueError):
-        cli.main(["campaign", "--config", str(cfg)])
+    assert cli.main(["campaign", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config line")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "7"],
+        ["campaign", "--trials", "0"],
+        ["campaign", "--workers", "0"],
+        ["campaign", "--workers", "-3"],
+        ["campaign", "--attack", "modify", "--m", "40", "--n", "16"],
+        ["verify-backends", "--max-qubits", "30"],
+        ["curves", "--max", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_bad_input_exits_2_with_one_error_line(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_cli_verify_backends_small(capsys):

@@ -5,9 +5,11 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrsqkd import adversary
-from mrsqkd.bell_algebra import BellType
+from mrsqkd.bell_algebra import BellType, bell_from_code, parity
 from mrsqkd.engine import Backend, CapacityError, new_register
 from mrsqkd.protocol import (
     Classification,
@@ -120,8 +122,8 @@ def test_classify_case1_chain_and_cycle():
         Component(ComponentKind.CYCLE, (1,)),
     )
     chain, cycle = cls.components
-    assert chain.group == 3 and chain.case == 3
-    assert cycle.group == 1 and cycle.case == 2
+    assert chain.group == 3
+    assert cycle.group == 1
 
 
 def test_classify_reorder_merges_into_group4_chain():
@@ -132,7 +134,7 @@ def test_classify_reorder_merges_into_group4_chain():
             ComponentKind.CHAIN, (1, 0), endpoint_a=1, endpoint_b=2, intermediates=(3,)
         ),
     )
-    assert cls.components[0].group == 4 and cls.components[0].case == 4
+    assert cls.components[0].group == 4
 
 
 def test_classify_forced_structure_n2():
@@ -218,6 +220,43 @@ def test_evaluate_case3_inference():
     assert result.raw_key_bob == (1, 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([4, 8, 16, 64]), seed=st.integers(0, 2**32))
+def test_raw_key_is_case1_by_position_then_case3_by_slot(n, seed):
+    """Random step-2 draws, Z results and announcements: the raw keys are
+    the Case-1 bits by ascending position, then the Case-3 bits by
+    ascending slot. The reference reads Case 3 straight off the slots: a
+    slot whose two returned qubits were both collapsed by the other user."""
+    g = rng(seed)
+    half = n // 2
+    alice = party_step2(g, n, Role.ALICE)
+    bob = party_step2(g, n, Role.BOB)
+    for party in (alice, bob):
+        bits = g.integers(0, 2, size=half).tolist()
+        party.z_results.update(zip(party.measured_positions, bits))
+    mr = tuple(bell_from_code(c) for c in g.integers(0, 4, size=half).tolist())
+    cls = classify_components(
+        alice.measured_positions, bob.measured_positions,
+        alice.send_order, bob.send_order, n,
+    )
+    result = evaluate_step4(cls, mr, alice, bob)
+
+    case1 = sorted(set(alice.measured_positions) & set(bob.measured_positions))
+    case3 = [
+        k for k in range(half)
+        if alice.send_order[k] in bob.measured_positions
+        and bob.send_order[k] in alice.measured_positions
+    ]
+    assert result.raw_key_alice == tuple(
+        [alice.z_results[p] for p in case1]
+        + [alice.z_results[bob.send_order[k]] for k in case3]
+    )
+    assert result.raw_key_bob == tuple(
+        [bob.z_results[p] for p in case1]
+        + [bob.z_results[alice.send_order[k]] ^ parity(mr[k]) for k in case3]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Whole runs
 
@@ -231,7 +270,9 @@ def test_honest_completeness_across_seeds(n):
         assert out.raw_key_alice == out.raw_key_bob
         assert out.final_key_alice == out.final_key_bob
         assert stats.keys_match is True
-        assert res.transcript.ordering_ok()
+        kinds = [type(r) for r in res.transcript.records]
+        assert kinds.count(MRAnnounce) == 1 and kinds.count(OrderAnnounce) == 2
+        assert kinds.index(MRAnnounce) < kinds.index(OrderAnnounce)
 
         # Slot conservation and chain parity.
         half = n // 2
