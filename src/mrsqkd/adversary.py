@@ -111,8 +111,6 @@ class ModificationHooks(TpHooks):
 
     def on_outbound(self, engine, wires):
         wire_a, _ = wires
-        if self.m > len(wire_a):
-            raise ValueError(f"cannot attack {self.m} of {len(wire_a)} qubits")
         picks = self.rng.choice(len(wire_a), size=self.m, replace=False)
         self.attacked = frozenset(wire_a[i] for i in picks)
         for q in sorted(self.attacked):
@@ -142,6 +140,11 @@ class TpStrategy:
                 raise ValueError(f"m must be >= 0, got {self.m}")
         elif self.gate is not None or self.m is not None:
             raise ValueError(f"{self.kind.value} strategy carries no parameters")
+
+    def check_fits(self, n: int) -> None:
+        """ValueError if the strategy attacks more qubits than a wire of n holds."""
+        if self.kind is StrategyKind.MODIFICATION and self.m > n:
+            raise ValueError(f"cannot attack {self.m} of {n} qubits")
 
     def instantiate(self, rng: np.random.Generator) -> TpHooks:
         if self.kind is StrategyKind.MODIFICATION:

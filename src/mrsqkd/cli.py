@@ -26,6 +26,8 @@ from .verify import verify_backends
 ATTACKS = tuple(k.value for k in StrategyKind)
 GATES = tuple(g.value for g in GateName)
 BACKENDS = tuple(b.value for b in Backend)
+# Config-file values get the same check as the flags' argparse choices.
+_CHOICES = {"attack": ATTACKS, "gate": GATES, "backend": BACKENDS}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -53,7 +55,13 @@ class _Options:
         cli = getattr(self._args, key.replace("-", "_"), None)
         if cli is not None:
             return cli
-        return cast(self._file[key]) if key in self._file else default
+        if key not in self._file:
+            return default
+        value = self._file[key]
+        if key in _CHOICES and value not in _CHOICES[key]:
+            choices = ", ".join(_CHOICES[key])
+            raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
+        return cast(value)
 
 
 def _parse_ratio(text: str) -> Fraction:

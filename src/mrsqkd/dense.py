@@ -4,28 +4,71 @@ Keeps all 2^n complex amplitudes (qubit q maps to bit q of the index,
 least significant first) and supports the register's operation set plus
 exact branch enumeration, which every brute-force oracle check runs on
 and from which the pair-block backend builds its tables.
+
+Enumeration (``outcome_codes``) walks a measurement plan breadth first
+over a stack of branches: one row of a (B, 2^w) array per live branch,
+with path probabilities and outcome codes in parallel arrays, so a plan
+step is a fixed number of numpy calls on the whole stack. A step takes
+the amplitudes of each outcome directly, by the overlap of every row
+with the outcome's basis state on the measured qubits: |0> and |1> for
+Z, (|0,p> + (-1)^s |1,1-p>)/sqrt(2) for Bell. Children follow their
+parent in outcome order, the depth-first order of a recursive walk, and
+branches at probability <= 1e-12 are dropped. A measured qubit is left
+in a known product state with the rest, so a step whose qubits no later
+step touches traces them out of the stack; any other step keeps the
+full-width post-measurement state.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 DENSE_QUBIT_CAP = 24
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
+_MIN_PROB = 1e-12
 
-_cnot_cache: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+# Basis states of a measurement, one row per outcome over the measured
+# bits, first bit major, with the outcome codes: Z outcome j is |j>;
+# Bell outcome 2s + p is sign bit s and parity bit p, code (p << 1) | s.
+_Z_BASIS = (np.eye(2), np.array([0, 1]))
+_BELL_BASIS = (
+    np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]) * _SQRT1_2,
+    np.array([0, 2, 1, 3]),
+)
 
 
-def _cnot_indices(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (n, control, target)
-    cached = _cnot_cache.get(key)
-    if cached is None:
-        idx = np.arange(1 << n)
-        src = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-        cached = _cnot_cache[key] = (src, src | (1 << target))
-    return cached
+def _bits_first(stack: np.ndarray, bits: Sequence[int]) -> np.ndarray:
+    """View of ``stack`` (rows of 2^w amplitudes) as a (rows, 2, ..., 2)
+    tensor with index bits ``bits`` on axes 1, 2, ..."""
+    w = stack.shape[1].bit_length() - 1
+    tensor = stack.reshape((len(stack),) + (2,) * w)
+    return np.moveaxis(tensor, [w - b for b in bits], range(1, len(bits) + 1))
+
+
+def _measure(
+    stack: np.ndarray, bits: tuple[int, ...], trace: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Z-measure index bit ``bits[0]``, or Bell-measure bits (a, b), in
+    every row of ``stack`` (normalized statevectors). Returns each kept
+    child's parent row, outcome code, probability given its parent and
+    normalized state, with the measured bits removed if ``trace``."""
+    basis, codes = _Z_BASIS if len(bits) == 1 else _BELL_BASIS
+    outcomes = len(codes)
+    front = _bits_first(stack, bits).reshape(len(stack), outcomes, -1)
+    parts = (basis @ front).reshape(len(stack) * outcomes, -1)
+    probs = (parts.real**2 + parts.imag**2).sum(axis=1)
+    kept = np.flatnonzero(probs > _MIN_PROB)
+    outcome = kept % outcomes
+    children = parts[kept] / np.sqrt(probs[kept])[:, None]
+    if not trace:
+        # Full width again: the measured bits in the outcome's basis state.
+        full = np.empty((len(kept), stack.shape[1]), dtype=stack.dtype)
+        view = _bits_first(full, bits)
+        view[...] = (basis[outcome][:, :, None] * children[:, None, :]).reshape(view.shape)
+        children = full
+    return kept // outcomes, codes[outcome], probs[kept], children
 
 
 class DenseState:
@@ -71,14 +114,16 @@ class DenseState:
         a1[:] = d
 
     def apply_cnot(self, control: int, target: int) -> None:
-        src, dst = _cnot_indices(self.n, control, target)
-        self.amps[src], self.amps[dst] = self.amps[dst].copy(), self.amps[src].copy()
+        self._touched |= (1 << control) | (1 << target)
+        flip = _bits_first(self.amps[None], (control, target))[0, 1]
+        tmp = flip[0].copy()
+        flip[0] = flip[1]
+        flip[1] = tmp
 
     def prepare_bell(self, a: int, b: int) -> None:
         """phi+ on two fresh qubits: H on a, then CNOT from a to b."""
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
-        self._touched |= 1 << b
         self.apply_h(a)
         self.apply_cnot(a, b)
 
@@ -94,7 +139,7 @@ class DenseState:
         a0, a1 = self._halves(q)
         keep, kill = (a1, a0) if outcome else (a0, a1)
         p = float(np.vdot(keep, keep).real)
-        if p > 1e-12:
+        if p > _MIN_PROB:
             kill[:] = 0.0
             self.amps /= np.sqrt(p)
         return p
@@ -119,46 +164,41 @@ class DenseState:
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, int, float, "DenseState"]]:
         """(s, p, probability, collapsed copy) for every Bell outcome of
         (a, b) that can occur; this state is left as it is."""
-        work = self.copy()
-        work.apply_cnot(a, b)
-        work.apply_h(a)
-        joint = work.pair_probs(a, b)
-        for s in (0, 1):
-            for p in (0, 1):
-                prob = float(joint[s][p])
-                if prob <= 1e-12:
-                    continue
-                branch = work.copy()
-                branch.project_pair(a, b, s, p, prob)
-                branch.apply_h(a)
-                branch.apply_cnot(a, b)
-                yield s, p, prob, branch
+        _, codes, probs, children = _measure(self.amps[None], (a, b), trace=False)
+        for code, prob, amps in zip(codes.tolist(), probs.tolist(), children):
+            branch = self._with(amps)
+            branch._touched |= (1 << a) | (1 << b)
+            yield code & 1, code >> 1, prob, branch
 
-    def pair_probs(self, a: int, b: int) -> np.ndarray:
-        """Joint Z-outcome probabilities of qubits (a, b), shape (2, 2)
-        indexed [value_a][value_b]."""
-        n = self.n
-        p = (self.amps.real**2 + self.amps.imag**2).reshape([2] * n)
-        axes = tuple(ax for ax in range(n) if ax not in (n - 1 - a, n - 1 - b))
-        p = p.sum(axis=axes)
-        return p if a > b else p.T
+    # -- exact enumeration ---------------------------------------------
 
-    def project_pair(self, a: int, b: int, va: int, vb: int, prob: float) -> None:
-        """Collapse qubits (a, b) onto |va vb> given the sector probability."""
-        n = self.n
-        v = self.amps.reshape([2] * n)
-        idx: list = [slice(None)] * n
-        idx[n - 1 - a] = 1 - va
-        v[tuple(idx)] = 0.0
-        idx = [slice(None)] * n
-        idx[n - 1 - b] = 1 - vb
-        v[tuple(idx)] = 0.0
-        self.amps /= np.sqrt(prob)
+    def outcome_codes(self, steps: Sequence[tuple[int, ...]]) -> tuple[list[float], list[list[int]]]:
+        """Every outcome of measuring ``steps`` in turn, each (q,) for a Z
+        measurement or (a, b) for a Bell measurement: the outcome
+        probabilities and, per outcome, one code per step (the Z bit, or
+        the Bell code (p << 1) | s), in depth-first order with outcome 0
+        (Z) or sign bit, then parity bit (Bell) first. This state is left
+        as it is."""
+        live = list(range(self.n))  # qubit at each index bit of the stack
+        stack = self.amps[None]
+        probs = np.ones(1)
+        codes = np.zeros((1, 0), dtype=np.int64)
+        for i, qubits in enumerate(steps):
+            trace = not any(q in later for later in steps[i + 1:] for q in qubits)
+            parent, code, cond, stack = _measure(stack, tuple(map(live.index, qubits)), trace)
+            probs = probs[parent] * cond
+            codes = np.column_stack((codes[parent], code))
+            if trace:
+                live = [q for q in live if q not in qubits]
+        return probs.tolist(), codes.tolist()
 
-    def copy(self) -> "DenseState":
+    def _with(self, amps: np.ndarray) -> "DenseState":
         c = DenseState.__new__(DenseState)
         c.n = self.n
         c.rng = self.rng
-        c.amps = self.amps.copy()
+        c.amps = amps
         c._touched = self._touched
         return c
+
+    def copy(self) -> "DenseState":
+        return self._with(self.amps.copy())

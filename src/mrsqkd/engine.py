@@ -2,11 +2,14 @@
 
 DENSE keeps the full statevector and doubles as the exact oracle: its
 ``outcome_distribution`` enumerates measurement outcomes with exact
-probabilities. TABLEAU, the pair-block stabilizer state of
-``pairblock``, runs the Monte Carlo campaigns. Both expose the same
-operation set: phi+ pair preparation on fresh qubits, the single-qubit
-gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
-measurement.
+probabilities, by one breadth-first walk over a stack of branches that
+traces each step's qubits out of the stack once no later step touches
+them (see ``dense``); the walk yields int outcome codes, mapped to
+``BellType`` only when the distribution is keyed. TABLEAU, the
+pair-block stabilizer state of ``pairblock``, runs the Monte Carlo
+campaigns. Both expose the same operation set: phi+ pair preparation on
+fresh qubits, the single-qubit gates X, Y (as i*sigma_y), Z, H, Z-basis
+measurement, and Bell measurement.
 
 Bell measurement convention (fixed identically for both backends):
 CNOT with control a and target b, then H on a; Z-measuring a gives the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -131,10 +134,10 @@ class Register:
 
     # -- exact oracle ------------------------------------------------------
 
-    def outcome_distribution(self, plan: Sequence[PlanStep]) -> Mapping[PlanOutcome, float]:
+    def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[PlanOutcome, float]:
         """Exact outcome probabilities of running ``plan`` from the current
-        state, computed on a copy (the live register is not collapsed).
-        DENSE backend only."""
+        state, keyed in depth-first order; the live register is not
+        collapsed. DENSE backend only."""
         if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"
@@ -145,25 +148,14 @@ class Register:
             else:
                 self._check_pair(step.a, step.b)
 
-        dist: dict[PlanOutcome, float] = {}
-
-        def walk(state: DenseState, idx: int, prefix: PlanOutcome, prob: float) -> None:
-            if idx == len(plan):
-                dist[prefix] = dist.get(prefix, 0.0) + prob
-                return
-            step = plan[idx]
-            if isinstance(step, ZMeasure):
-                p1 = state.prob_one(step.qubit)
-                for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p > 1e-12:
-                        branch = state.copy()
-                        branch.project(step.qubit, outcome)
-                        walk(branch, idx + 1, prefix + (outcome,), prob * p)
-            else:
-                for s, pb, p, branch in state.bell_branches(step.a, step.b):
-                    walk(branch, idx + 1, prefix + (_BELL_BY_CODE[(pb << 1) | s],), prob * p)
-
-        walk(self._state.copy(), 0, (), 1.0)
+        steps = [(s.qubit,) if isinstance(s, ZMeasure) else (s.a, s.b) for s in plan]
+        probs, codes = self._state.outcome_codes(steps)
+        # One column of values per step: the Z bit as it is, a Bell code as its type.
+        columns = [
+            col if len(qubits) == 1 else list(map(_BELL_BY_CODE.__getitem__, col))
+            for qubits, col in zip(steps, zip(*codes))
+        ]
+        dist = dict(zip(zip(*columns) if steps else [()], probs))
         total = sum(dist.values())
         if abs(total - 1.0) >= 1e-9:
             raise RuntimeError(f"outcome probabilities sum to {total}")

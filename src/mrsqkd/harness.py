@@ -49,6 +49,7 @@ class CampaignConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        self.strategy.check_fits(self.n)
         object.__setattr__(self, "pa_ratio", Fraction(self.pa_ratio))
 
 

@@ -478,6 +478,7 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     """
     n = config.n
     half = n // 2
+    strategy.check_fits(n)
     engine = new_register(2 * n, config.backend, derive_seed(config.seed, 0))
     alice_rng = philox(derive_seed(config.seed, 1))
     bob_rng = philox(derive_seed(config.seed, 2))

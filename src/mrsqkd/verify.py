@@ -176,7 +176,7 @@ def sample_tableau(script: CircuitScript, samples: int, seed: int) -> list[tuple
 def exact_distribution(script: CircuitScript, seed: int) -> dict[tuple, float]:
     reg = new_register(script.qubits, Backend.DENSE, seed)
     _apply_prep(reg, script.prep, 0)
-    return dict(reg.outcome_distribution(script.plan))
+    return reg.outcome_distribution(script.plan)
 
 
 @dataclass(frozen=True)

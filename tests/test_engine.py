@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrsqkd import verify
-from mrsqkd.bell_algebra import BellType
+from mrsqkd.bell_algebra import BellType, bell_from_code
 from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
     Backend,
@@ -258,6 +258,83 @@ def test_distribution_rejects_tableau():
     reg = new_register(2, Backend.TABLEAU, 1)
     with pytest.raises(UnsupportedOperationError):
         reg.outcome_distribution([ZMeasure(0)])
+
+
+def _bell_project(state, a, b, s, p):
+    """Collapsed copy of ``state`` (None if it cannot occur) and the
+    probability of Bell outcome (s, p) on (a, b), straight from the
+    definition: the overlap with (|0,p> + (-1)^s |1,1-p>)/sqrt(2) on the
+    pair's tensor axes."""
+    n = state.n
+    t = np.moveaxis(state.amps.reshape([2] * n), (n - 1 - a, n - 1 - b), (0, 1))
+    rest = (t[0, p] + (-1) ** s * t[1, 1 - p]) / np.sqrt(2)
+    prob = float(np.sum(np.abs(rest) ** 2))
+    if prob <= 1e-12:
+        return None, prob
+    out = np.zeros_like(t)
+    out[0, p] = rest / np.sqrt(2 * prob)
+    out[1, 1 - p] = (-1) ** s * rest / np.sqrt(2 * prob)
+    branch = state.copy()
+    branch.amps = np.moveaxis(out, (0, 1), (n - 1 - a, n - 1 - b)).reshape(-1)
+    return branch, prob
+
+
+def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
+    """Recursive depth-first enumeration, one branch copy at a time."""
+    dist = {} if dist is None else dist
+    if not plan:
+        dist[prefix] = prob
+        return dist
+    step, rest = plan[0], plan[1:]
+    if isinstance(step, ZMeasure):
+        p1 = state.prob_one(step.qubit)
+        for outcome, p in ((0, 1.0 - p1), (1, p1)):
+            if p > 1e-12:
+                branch = state.copy()
+                branch.project(step.qubit, outcome)
+                _reference_distribution(branch, rest, prefix + (outcome,), prob * p, dist)
+    else:
+        for s in (0, 1):
+            for p in (0, 1):
+                branch, q = _bell_project(state, step.a, step.b, s, p)
+                if q > 1e-12:
+                    bell = bell_from_code((p << 1) | s)
+                    _reference_distribution(branch, rest, prefix + (bell,), prob * q, dist)
+    return dist
+
+
+@st.composite
+def oracle_cases(draw):
+    """Bell pairs and gates on at most 6 qubits, then 1 to 6 Z and Bell
+    steps on any qubits, so a qubit may be measured again after its
+    first measurement."""
+    n = draw(st.integers(2, 6))
+    reg = new_register(n, Backend.DENSE, 1)
+    fresh = list(range(n))
+    for _ in range(draw(st.integers(0, 8))):
+        if len(fresh) >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(fresh))[:2]
+            reg.prepare_bell_phi_plus(a, b)
+            fresh = [q for q in fresh if q not in (a, b)]
+        else:
+            q = draw(st.integers(0, n - 1))
+            reg.apply_gate(draw(st.sampled_from(list(GateName))), q)
+            fresh = [f for f in fresh if f != q]
+    qubit = st.integers(0, n - 1)
+    pairs = st.permutations(range(n)).map(lambda qs: BellMeasure(qs[0], qs[1]))
+    plan = draw(st.lists(st.one_of(qubit.map(ZMeasure), pairs), min_size=1, max_size=6))
+    return reg, plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_outcome_distribution_matches_recursive_reference(case):
+    reg, plan = case
+    dist = reg.outcome_distribution(plan)
+    ref = _reference_distribution(reg._state.copy(), plan)
+    assert list(dist) == list(ref)
+    for key, p in ref.items():
+        assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
 def test_distribution_validates_plan():

@@ -20,7 +20,8 @@ from mrsqkd.harness import (
     run_trial,
     summarize,
 )
-from mrsqkd.protocol import RunStatus
+from mrsqkd.engine import GateName
+from mrsqkd.protocol import ProtocolConfig, RunStatus, run_protocol
 
 
 # The header documented in the README, written out so that a change to
@@ -136,6 +137,12 @@ def test_campaign_config_validation():
         _campaign(trials=0)
     with pytest.raises(ValueError):
         _campaign(workers=0)
+    too_many = adversary.modification(GateName.X, 17)
+    with pytest.raises(ValueError, match="cannot attack 17 of 16 qubits"):
+        _campaign(strategy=too_many)
+    with pytest.raises(ValueError, match="cannot attack 17 of 16 qubits"):
+        run_protocol(ProtocolConfig(n=16, seed=1), too_many)
+    _campaign(strategy=adversary.modification(GateName.X, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +227,31 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["campaign", "--attack", "modify", "--m", "40", "--n", "16"],
         ["verify-backends", "--max-qubits", "30"],
         ["curves", "--max", "-1"],
+        # The value after --config is written to a file, whose path replaces it.
+        ["campaign", "--config", "attack=bogus"],
+        ["campaign", "--config", "attack=modify\ngate=cnot"],
+        ["simulate", "--config", "backend=gpu"],
     ],
     ids=" ".join,
 )
-def test_cli_bad_input_exits_2_with_one_error_line(argv, capsys):
+def test_cli_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    config = None
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        config = argv[at]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv[:at] + [str(cfg)] + argv[at + 1:]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if config is not None:
+        # The last line of each file holds the bad value.
+        key, value = config.splitlines()[-1].split("=")
+        allowed = ", ".join({"attack": cli.ATTACKS, "gate": cli.GATES, "backend": cli.BACKENDS}[key])
+        assert lines[0] == f"error: config file: invalid {key} {value!r} (choose from {allowed})"
 
 
 def test_cli_verify_backends_small(capsys):
