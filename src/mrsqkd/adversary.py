@@ -4,9 +4,8 @@ measure-and-fake attacks, and the gate modification attack.
 A strategy is an immutable description; instantiating it yields per-run
 hooks whose state never leaks across runs. The hook order mirrors the
 protocol schedule: prepare, on_outbound (before the wires leave the
-server), on_return (must commit the announced results before any order
-is revealed), on_orders_revealed (side information only; the engine and
-the transcript are out of reach by then).
+server), and on_return (must commit the announced results before any
+order is revealed).
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bell_algebra import BellType, bell_from_code
+from .bell_algebra import BellType
 from .engine import GateName, Register
 from .protocol import tp_step1, tp_step3_honest
 
@@ -47,15 +46,6 @@ class TpHooks:
     ) -> tuple[BellType, ...]:
         return tp_step3_honest(engine, q1, q2)
 
-    def on_orders_revealed(
-        self,
-        alice_order: Sequence[int],
-        alice_measured: Sequence[int],
-        bob_order: Sequence[int],
-        bob_measured: Sequence[int],
-    ) -> None:
-        pass
-
 
 class _MeasureHooks(TpHooks):
     """Shared machinery of the measure-and-fake attacks: Z-measure every
@@ -79,7 +69,7 @@ class NaiveMeasureHooks(_MeasureHooks):
     def on_return(self, engine, q1, q2):
         self._measure_all(engine, q1, q2)
         codes = self.rng.integers(0, 4, size=len(q1))
-        return tuple(bell_from_code(int(c)) for c in codes)
+        return tuple(map(BellType, codes.tolist()))
 
 
 class ParityAwareMeasureHooks(_MeasureHooks):
@@ -93,8 +83,8 @@ class ParityAwareMeasureHooks(_MeasureHooks):
         self._measure_all(engine, q1, q2)
         signs = self.rng.integers(0, 2, size=len(q1))
         return tuple(
-            bell_from_code(((b1 ^ b2) << 1) | int(s))
-            for b1, b2, s in zip(self.z_q1, self.z_q2, signs)
+            BellType(((b1 ^ b2) << 1) | s)
+            for b1, b2, s in zip(self.z_q1, self.z_q2, signs.tolist())
         )
 
 

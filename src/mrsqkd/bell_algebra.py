@@ -1,52 +1,66 @@
 """Classical algebra of Bell-state codes and entanglement-swapping identities.
 
-Every function here is pure bit arithmetic. The four Bell states carry a
-two-bit code (sign bit low, psi/phi bit high) and a one-bit parity code
-(1 for psi-type, 0 for phi-type). Bell measurements over reordered pairs
-obey XOR rules: cycles of swapped pairs preserve the XOR of two-bit codes,
-and chains terminated by Z-collapsed qubits relate the two Z results
-through the XOR of all parity codes along the chain.
+Every function here is pure bit arithmetic on two-bit codes (p << 1) | s,
+which ``BellType`` members are: sign bit s low, parity bit p high (1 for
+psi-type, 0 for phi-type). The identities take members and plain codes
+alike. Cycles of swapped pairs preserve the XOR of two-bit codes, and
+chains terminated by Z-collapsed qubits relate the two Z results through
+the XOR of all parity bits along the chain: the high bit of one XOR.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from enum import Enum, IntEnum
+from functools import reduce
+from itertools import chain
+from operator import xor
+from typing import Iterable, Sequence
 
 
-class BellType(Enum):
-    """The four Bell states. Enum values are the two-bit classical codes."""
+class BellType(IntEnum):
+    """The four Bell states. Each member is its two-bit code."""
 
     PHI_PLUS = 0b00
     PHI_MINUS = 0b01
     PSI_PLUS = 0b10
     PSI_MINUS = 0b11
 
+    __str__ = Enum.__str__  # "BellType.PSI_PLUS", not the int's "2"
 
-def code2(v: BellType) -> int:
+
+def code2(v: int) -> int:
     """Two-bit code of a Bell state: phi+ 00, phi- 01, psi+ 10, psi- 11."""
-    return v.value
+    return int(v)
 
 
 def bell_from_code(code: int) -> BellType:
-    """Inverse of code2."""
-    if code not in (0, 1, 2, 3):
-        raise ValueError(f"bell code must be in 0..3, got {code}")
+    """Inverse of code2; ValueError outside 0..3."""
     return BellType(code)
 
 
-def parity(v: BellType) -> int:
+def parity(v: int) -> int:
     """One-bit code: 1 for psi-type, 0 for phi-type (the high bit of code2)."""
-    return v.value >> 1
+    return v >> 1
 
 
-def _check_bit(b: int, name: str) -> int:
+def _check_bit(b: int, name: str) -> None:
     if b not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {b!r}")
-    return b
 
 
-def xor_rule_holds(initials: Sequence[BellType], results: Sequence[BellType]) -> bool:
+def _check_chain(intermediates: Sequence[int], mrs: Sequence[int]) -> None:
+    if len(mrs) != len(intermediates) + 1:
+        raise ValueError(
+            f"need len(mrs) == len(intermediates) + 1, got {len(mrs)} vs {len(intermediates)}"
+        )
+
+
+def _xor_codes(*groups: Iterable[int]) -> int:
+    """XOR of every Bell code in ``groups``."""
+    return reduce(xor, chain(*groups), 0)
+
+
+def xor_rule_holds(initials: Sequence[int], results: Sequence[int]) -> bool:
     """Swapping rule for a cycle of Bell pairs: XOR of result codes equals
     XOR of initial-state codes. With a single pair this reduces to
     result == initial.
@@ -57,15 +71,10 @@ def xor_rule_holds(initials: Sequence[BellType], results: Sequence[BellType]) ->
         raise ValueError(
             f"length mismatch: {len(initials)} initials vs {len(results)} results"
         )
-    acc = 0
-    for v in initials:
-        acc ^= v.value
-    for v in results:
-        acc ^= v.value
-    return acc == 0
+    return _xor_codes(initials, results) == 0
 
 
-def collapse_partner(is_: BellType, measured: int) -> int:
+def collapse_partner(is_: int, measured: int) -> int:
     """Z value of the surviving qubit after one qubit of the pair is Z-measured.
 
     phi-type pairs are Z-correlated, psi-type anti-correlated; the sign bit
@@ -96,23 +105,19 @@ class ChainSpec:
     the chain (one more than there are intermediate pairs).
     """
 
-    is1: BellType
-    is2: BellType
-    intermediates: tuple[BellType, ...]
+    is1: int
+    is2: int
+    intermediates: tuple[int, ...]
     zmr1: int
     zmr2: int
-    mrs: tuple[BellType, ...]
+    mrs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intermediates", tuple(self.intermediates))
         object.__setattr__(self, "mrs", tuple(self.mrs))
         _check_bit(self.zmr1, "zmr1")
         _check_bit(self.zmr2, "zmr2")
-        if len(self.mrs) != len(self.intermediates) + 1:
-            raise ValueError(
-                f"need len(mrs) == len(intermediates) + 1, got "
-                f"{len(self.mrs)} vs {len(self.intermediates)}"
-            )
+        _check_chain(self.intermediates, self.mrs)
 
 
 def chain_relation_holds(spec: ChainSpec) -> bool:
@@ -125,17 +130,16 @@ def chain_relation_holds(spec: ChainSpec) -> bool:
     an honest protocol run ever produces; the general form also covers
     adversarially prepared pairs.
     """
-    return spec.zmr2 == infer_remote_bit(
-        spec.zmr1, spec.is1, spec.is2, spec.intermediates, spec.mrs
-    )
+    codes = _xor_codes((spec.is1, spec.is2), spec.intermediates, spec.mrs)
+    return spec.zmr2 == spec.zmr1 ^ (codes >> 1)
 
 
 def infer_remote_bit(
     own_zmr: int,
-    is_own: BellType,
-    is_remote: BellType,
-    intermediates: Sequence[BellType],
-    mrs: Sequence[BellType],
+    is_own: int,
+    is_remote: int,
+    intermediates: Sequence[int],
+    mrs: Sequence[int],
 ) -> int:
     """Compute the far endpoint's Z result from one's own Z result and the
     published Bell measurement results of the chain in between.
@@ -144,14 +148,5 @@ def infer_remote_bit(
     remote result makes the chain relation true.
     """
     _check_bit(own_zmr, "own_zmr")
-    if len(mrs) != len(intermediates) + 1:
-        raise ValueError(
-            f"need len(mrs) == len(intermediates) + 1, got "
-            f"{len(mrs)} vs {len(intermediates)}"
-        )
-    bit = own_zmr ^ parity(is_own) ^ parity(is_remote)
-    for v in intermediates:
-        bit ^= parity(v)
-    for v in mrs:
-        bit ^= parity(v)
-    return bit
+    _check_chain(intermediates, mrs)
+    return own_zmr ^ (_xor_codes((is_own, is_remote), intermediates, mrs) >> 1)

@@ -5,17 +5,21 @@ least significant first) and supports the register's operation set plus
 exact branch enumeration, which every brute-force oracle check runs on
 and from which the pair-block backend builds its tables.
 
+A Bell outcome of the pair (a, b) is the Bell state
+(|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
+samples it by projection and ``prepare_bell`` writes phi+ in place.
+
 Enumeration (``outcome_codes``) walks a measurement plan breadth first
 over a stack of branches: one row of a (B, 2^w) array per live branch,
 with path probabilities and outcome codes in parallel arrays, so a plan
 step is a fixed number of numpy calls on the whole stack. A step takes
 the amplitudes of each outcome directly, by the overlap of every row
 with the outcome's basis state on the measured qubits: |0> and |1> for
-Z, (|0,p> + (-1)^s |1,1-p>)/sqrt(2) for Bell. Children follow their
-parent in outcome order, the depth-first order of a recursive walk, and
-branches at probability <= 1e-12 are dropped. A measured qubit is left
-in a known product state with the rest, so a step whose qubits no later
-step touches traces them out of the stack; any other step keeps the
+Z, the Bell state for Bell. Children follow their parent in outcome
+order, the depth-first order of a recursive walk, and branches at
+probability <= 1e-12 are dropped. A measured qubit is left in a known
+product state with the rest, so a step whose qubits no later step
+touches traces them out of the stack; any other step keeps the
 full-width post-measurement state.
 """
 from __future__ import annotations
@@ -71,6 +75,15 @@ def _measure(
     return kept // outcomes, codes[outcome], probs[kept], children
 
 
+def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
+    """Overlap of a ``_pair`` view with the ``_BELL_BASIS`` state (s, p),
+    (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2), and its squared norm."""
+    x, y = pair[0, p, ...], pair[1, 1 - p, ...]
+    out = x - y if s else x + y
+    out *= _SQRT1_2
+    return out, float(np.vdot(out, out).real)
+
+
 class DenseState:
     """Pure statevector of up to DENSE_QUBIT_CAP qubits."""
 
@@ -113,19 +126,18 @@ class DenseState:
         a0[:] = s
         a1[:] = d
 
-    def apply_cnot(self, control: int, target: int) -> None:
-        self._touched |= (1 << control) | (1 << target)
-        flip = _bits_first(self.amps[None], (control, target))[0, 1]
-        tmp = flip[0].copy()
-        flip[0] = flip[1]
-        flip[1] = tmp
+    def _pair(self, a: int, b: int) -> np.ndarray:
+        """The state as a (2, 2, ...) view, bits a and b first; both now used."""
+        self._touched |= (1 << a) | (1 << b)
+        return _bits_first(self.amps[None], (a, b))[0]
 
     def prepare_bell(self, a: int, b: int) -> None:
-        """phi+ on two fresh qubits: H on a, then CNOT from a to b."""
+        """phi+ on two fresh qubits, written in place."""
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
-        self.apply_h(a)
-        self.apply_cnot(a, b)
+        pair = self._pair(a, b)
+        pair[0, 0, ...] *= _SQRT1_2
+        pair[1, 1, ...] = pair[0, 0, ...]
 
     # -- measurement ---------------------------------------------------
 
@@ -151,24 +163,29 @@ class DenseState:
         return outcome
 
     def measure_bell(self, a: int, b: int) -> int:
-        """Bell-measure (a, b) by the engine's gate decomposition and
-        return the two-bit code (p << 1) | s."""
-        self.apply_cnot(a, b)
-        self.apply_h(a)
-        s = self.measure_z(a)
-        p = self.measure_z(b)
-        self.apply_h(a)
-        self.apply_cnot(a, b)
+        """Bell-measure (a, b) by projection and return the code (p << 1) | s.
+        One draw gives the sign bit s, a second the parity bit p given s;
+        the pair is left, in place, on the reported Bell state."""
+        pair = self._pair(a, b)
+        joint = [[_bell_overlap(pair, s, p)[1] for p in (0, 1)] for s in (0, 1)]
+        sign = sum(joint[1])
+        s = int(self.rng.random() < sign / (sign + sum(joint[0])))
+        p = int(self.rng.random() < joint[s][1] / sum(joint[s]))
+        rest, prob = _bell_overlap(pair, s, p)
+        rest *= _SQRT1_2 / np.sqrt(prob)
+        pair[...] = 0.0
+        pair[0, p, ...] = rest
+        pair[1, 1 - p, ...] = -rest if s else rest
         return (p << 1) | s
 
-    def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, int, float, "DenseState"]]:
-        """(s, p, probability, collapsed copy) for every Bell outcome of
-        (a, b) that can occur; this state is left as it is."""
+    def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
+        """(code (p << 1) | s, probability, collapsed copy) for every Bell
+        outcome of (a, b) that can occur; this state is left as it is."""
         _, codes, probs, children = _measure(self.amps[None], (a, b), trace=False)
         for code, prob, amps in zip(codes.tolist(), probs.tolist(), children):
             branch = self._with(amps)
             branch._touched |= (1 << a) | (1 << b)
-            yield code & 1, code >> 1, prob, branch
+            yield code, prob, branch
 
     # -- exact enumeration ---------------------------------------------
 

@@ -4,18 +4,19 @@ DENSE keeps the full statevector and doubles as the exact oracle: its
 ``outcome_distribution`` enumerates measurement outcomes with exact
 probabilities, by one breadth-first walk over a stack of branches that
 traces each step's qubits out of the stack once no later step touches
-them (see ``dense``); the walk yields int outcome codes, mapped to
-``BellType`` only when the distribution is keyed. TABLEAU, the
-pair-block stabilizer state of ``pairblock``, runs the Monte Carlo
-campaigns. Both expose the same operation set: phi+ pair preparation on
-fresh qubits, the single-qubit gates X, Y (as i*sigma_y), Z, H, Z-basis
-measurement, and Bell measurement.
+them (see ``dense``). TABLEAU, the pair-block stabilizer state of
+``pairblock``, runs the Monte Carlo campaigns. Both expose the same
+operation set: phi+ pair preparation on fresh qubits, the single-qubit
+gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
+measurement.
 
 Bell measurement convention (fixed identically for both backends):
-CNOT with control a and target b, then H on a; Z-measuring a gives the
-sign bit s and Z-measuring b the parity bit p, and (p, s) indexes the
-Bell types as (0,0) phi+, (0,1) phi-, (1,0) psi+, (1,1) psi-. The
-measured pair is left collapsed onto the reported Bell state.
+measuring (a, b) projects the pair onto the Bell state
+(|0,p> + (-1)^s |1,1-p>)/sqrt(2) of sign bit s and parity bit p. The
+sign bit is drawn first and the parity bit given it. The outcome is the
+code (p << 1) | s, which is the ``BellType`` member itself: 0 phi+,
+1 phi-, 2 psi+, 3 psi-. The measured pair is left collapsed onto the
+reported Bell state.
 """
 from __future__ import annotations
 

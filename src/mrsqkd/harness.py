@@ -49,8 +49,9 @@ class CampaignConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # Fail here on what would fail every trial's ProtocolConfig.
+        object.__setattr__(self, "pa_ratio", _protocol_config(self, self.master_seed).pa_ratio)
         self.strategy.check_fits(self.n)
-        object.__setattr__(self, "pa_ratio", Fraction(self.pa_ratio))
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,12 @@ def detected(stats: RunStats) -> bool:
     return stats.status is RunStatus.ABORTED or stats.keys_match is False
 
 
+def _protocol_config(config: CampaignConfig, seed: int) -> ProtocolConfig:
+    return ProtocolConfig(n=config.n, seed=seed, backend=config.backend, pa_ratio=config.pa_ratio)
+
+
 def run_trial(config: CampaignConfig, trial_index: int) -> RunStats:
-    trial_seed = derive_seed(config.master_seed, trial_index)
-    run_config = ProtocolConfig(
-        n=config.n,
-        seed=trial_seed,
-        backend=config.backend,
-        pa_ratio=config.pa_ratio,
-    )
+    run_config = _protocol_config(config, derive_seed(config.master_seed, trial_index))
     return run_protocol(run_config, config.strategy, trial_id=trial_index).stats
 
 

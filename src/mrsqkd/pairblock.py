@@ -147,12 +147,12 @@ class _Tables:
                         rest += (2 + len(rest),)
                     parts.append((vec, (q, rest[-1]) if vec.size == 4 else (q,)))
             blocks = ((0, 1), rest) if rest else ((0, 1),)
-            sign, joint, results = [0.0, 0.0], {}, [None] * 4
-            for s, p, prob, branch in _state(parts).bell_branches(0, 1):
-                sign[s] += prob
-                joint[s, p] = prob
-                results[(p << 1) | s] = self._split(branch, blocks)
-            parity = [_det(joint.get((s, 1), 0.0) / sign[s]) if sign[s] else -1 for s in (0, 1)]
+            joint, results = [0.0] * 4, [None] * 4
+            for code, prob, branch in _state(parts).bell_branches(0, 1):
+                joint[code] = prob
+                results[code] = self._split(branch, blocks)
+            sign = [joint[s] + joint[2 | s] for s in (0, 1)]
+            parity = [_det(joint[2 | s] / sign[s]) if sign[s] else -1 for s in (0, 1)]
             entry = self.bell[sa, sb] = (_det(sign[1]), parity, results)
         return entry
 

@@ -512,9 +512,6 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     # Step 4: orders out, classification, checks.
     transcript._append(OrderAnnounce(Role.ALICE, alice.send_order, alice.measured_positions))
     transcript._append(OrderAnnounce(Role.BOB, bob.send_order, bob.measured_positions))
-    hooks.on_orders_revealed(
-        alice.send_order, alice.measured_positions, bob.send_order, bob.measured_positions
-    )
     classification = classify_components(
         alice.measured_positions, bob.measured_positions,
         alice.send_order, bob.send_order, n,
@@ -540,9 +537,7 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
         raw_a = evaluation.raw_key_alice
         raw_b = evaluation.raw_key_bob
         n_seed = seed_length(len(raw_a), config.pa_ratio)
-        seed_bits = tuple(
-            int(b) for b in alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8)
-        )
+        seed_bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8).tolist())
         transcript._append(PASeed(config.pa_ratio, seed_bits))
         params = PAParams(config.pa_ratio, seed_bits)
         outcome = Outcome(

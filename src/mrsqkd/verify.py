@@ -48,29 +48,31 @@ class CircuitScript:
     relation: Optional[Callable[[tuple], bool]]
 
 
-def _prep_pair(ops: list[PrepOp], a: int, b: int, code: int) -> None:
-    """phi+ on (a, b), then gates mapping it to the Bell state ``code``."""
-    ops.append(("bell", a, b))
-    if code & 2:
-        ops.append(("gate", GateName.X, b))
-    if code & 1:
-        ops.append(("gate", GateName.Z, a))
+def _prep_pairs(is_codes: Sequence[int]) -> tuple[PrepOp, ...]:
+    """phi+ on each pair (2i, 2i+1), then gates mapping it to the Bell
+    state of code ``is_codes[i]`` (ValueError outside 0..3)."""
+    ops: list[PrepOp] = []
+    for i, code in enumerate(map(bell_from_code, is_codes)):
+        ops.append(("bell", 2 * i, 2 * i + 1))
+        if code & 2:
+            ops.append(("gate", GateName.X, 2 * i + 1))
+        if code & 1:
+            ops.append(("gate", GateName.Z, 2 * i))
+    return tuple(ops)
 
 
 def make_cycle(is_codes: Sequence[int], name: str) -> CircuitScript:
     """k pairs Bell-measured in a ring: slot i joins the first qubit of
     pair i with the second qubit of pair i+1 (mod k)."""
     k = len(is_codes)
-    ops: list[PrepOp] = []
-    for i, code in enumerate(is_codes):
-        _prep_pair(ops, 2 * i, 2 * i + 1, code)
+    prep = _prep_pairs(is_codes)
     plan = tuple(BellMeasure(2 * i, 2 * ((i + 1) % k) + 1) for i in range(k))
-    initials = [bell_from_code(c) for c in is_codes]
+    initials = tuple(is_codes)
 
     def relation(outcome: tuple) -> bool:
-        return xor_rule_holds(initials, list(outcome))
+        return xor_rule_holds(initials, outcome)
 
-    return CircuitScript(name, 2 * k, tuple(ops), plan, relation)
+    return CircuitScript(name, 2 * k, prep, plan, relation)
 
 
 def make_chain(is_codes: Sequence[int], name: str) -> CircuitScript:
@@ -80,23 +82,16 @@ def make_chain(is_codes: Sequence[int], name: str) -> CircuitScript:
     k = len(is_codes)
     if k < 2:
         raise ValueError(f"a chain needs at least 2 pairs, got {k}")
-    ops: list[PrepOp] = []
-    for i, code in enumerate(is_codes):
-        _prep_pair(ops, 2 * i, 2 * i + 1, code)
+    prep = _prep_pairs(is_codes)
     plan: tuple[PlanStep, ...] = (ZMeasure(0), ZMeasure(2 * k - 1)) + tuple(
         BellMeasure(2 * i + 1, 2 * i + 2) for i in range(k - 1)
     )
-    is1 = bell_from_code(is_codes[0])
-    is2 = bell_from_code(is_codes[-1])
-    mids = tuple(bell_from_code(c) for c in is_codes[1:-1])
+    is1, *mids, is2 = is_codes
 
     def relation(outcome: tuple) -> bool:
-        zmr1, zmr2 = outcome[0], outcome[1]
-        return chain_relation_holds(
-            ChainSpec(is1, is2, mids, zmr1, zmr2, tuple(outcome[2:]))
-        )
+        return chain_relation_holds(ChainSpec(is1, is2, mids, outcome[0], outcome[1], outcome[2:]))
 
-    return CircuitScript(name, 2 * k, tuple(ops), plan, relation)
+    return CircuitScript(name, 2 * k, prep, plan, relation)
 
 
 def _gate_on_half(gate: GateName, expected: Optional[BellType]) -> CircuitScript:
@@ -223,15 +218,19 @@ def verify_backends(
 ) -> VerifyReport:
     """Compare pair-block sampling against dense enumeration circuit by
     circuit, and check the swap algebra on every outcome seen."""
-    if max_qubits > 24:
-        raise ValueError("max_qubits beyond the dense backend cap")
+    scripts = scripted_circuits()
+    smallest = min(script.qubits for script in scripts)
+    if not smallest <= max_qubits <= 24:
+        raise ValueError(f"max_qubits must be in {smallest}..24, got {max_qubits}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     # Only this command needs scipy; importing it here keeps about a
     # second of start-up off every other command.
     from scipy.stats import chisquare
 
     alpha = 0.001
     reports = []
-    for idx, script in enumerate(scripted_circuits()):
+    for idx, script in enumerate(scripts):
         if script.qubits > max_qubits:
             continue
         circuit_seed = derive_seed(seed, idx)

@@ -151,6 +151,61 @@ def test_chain_relation_matches_inference(z1, z2, is1, is2, mids, data):
 
 
 # ---------------------------------------------------------------------------
+# The identities as one XOR over codes, against per-element loops over
+# the old definitions: BellType(v).value for the code, its high bit for
+# the parity.
+
+
+def _ref_xor_rule(initials, results):
+    acc = 0
+    for v in initials:
+        acc ^= BellType(v).value
+    for v in results:
+        acc ^= BellType(v).value
+    return acc == 0
+
+
+def _ref_remote_bit(own, is_own, is_remote, mids, mrs):
+    bit = own ^ (BellType(is_own).value >> 1) ^ (BellType(is_remote).value >> 1)
+    for v in mids:
+        bit ^= BellType(v).value >> 1
+    for v in mrs:
+        bit ^= BellType(v).value >> 1
+    return bit
+
+
+@st.composite
+def code_seqs(draw, size):
+    """``size`` codes given as members, as plain ints, or as a mix."""
+    codes = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    form = draw(st.sampled_from(["members", "ints", "mix"]))
+    if form == "mix":
+        return [BellType(c) if draw(st.booleans()) else c for c in codes]
+    return [BellType(c) for c in codes] if form == "members" else codes
+
+
+@given(st.data())
+def test_identities_match_per_element_reference(data):
+    k = data.draw(st.integers(1, 6))
+    initials, results = data.draw(code_seqs(k)), data.draw(code_seqs(k))
+    assert xor_rule_holds(initials, results) == _ref_xor_rule(initials, results)
+    mids = data.draw(code_seqs(data.draw(st.integers(0, 4))))
+    mrs = data.draw(code_seqs(len(mids) + 1))
+    is1, is2 = data.draw(code_seqs(2))
+    z1, z2 = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    remote = _ref_remote_bit(z1, is1, is2, mids, mrs)
+    assert infer_remote_bit(z1, is1, is2, mids, mrs) == remote
+    assert chain_relation_holds(ChainSpec(is1, is2, mids, z1, z2, mrs)) == (z2 == remote)
+
+
+@pytest.mark.parametrize("c", range(4))
+def test_bell_type_is_its_code(c):
+    assert BellType(c) == c
+    assert parity(c) == c >> 1
+    assert parity(BellType(c)) == c >> 1
+
+
+# ---------------------------------------------------------------------------
 # Oracle soundness: dense enumeration of every structure up to 5 pairs.
 
 

@@ -18,6 +18,7 @@ from mrsqkd.engine import (
     ZMeasure,
     derive_seed,
     new_register,
+    philox,
 )
 from mrsqkd.pairblock import _TABLES, PairBlockState, _state
 
@@ -304,10 +305,8 @@ def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
 
 
 @st.composite
-def oracle_cases(draw):
-    """Bell pairs and gates on at most 6 qubits, then 1 to 6 Z and Bell
-    steps on any qubits, so a qubit may be measured again after its
-    first measurement."""
+def prepared_registers(draw):
+    """A DENSE register of 2 to 6 qubits holding Bell pairs and gates."""
     n = draw(st.integers(2, 6))
     reg = new_register(n, Backend.DENSE, 1)
     fresh = list(range(n))
@@ -320,6 +319,16 @@ def oracle_cases(draw):
             q = draw(st.integers(0, n - 1))
             reg.apply_gate(draw(st.sampled_from(list(GateName))), q)
             fresh = [f for f in fresh if f != q]
+    return reg
+
+
+@st.composite
+def oracle_cases(draw):
+    """Bell pairs and gates on at most 6 qubits, then 1 to 6 Z and Bell
+    steps on any qubits, so a qubit may be measured again after its
+    first measurement."""
+    reg = draw(prepared_registers())
+    n = reg.size
     qubit = st.integers(0, n - 1)
     pairs = st.permutations(range(n)).map(lambda qs: BellMeasure(qs[0], qs[1]))
     plan = draw(st.lists(st.one_of(qubit.map(ZMeasure), pairs), min_size=1, max_size=6))
@@ -335,6 +344,25 @@ def test_outcome_distribution_matches_recursive_reference(case):
     assert list(dist) == list(ref)
     for key, p in ref.items():
         assert dist[key] == pytest.approx(p, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prepared_registers(), st.integers(0, 2**32), st.data())
+def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed, data):
+    """Each of 1 to 3 Bell measurements in a row draws exactly two
+    numbers (a twin generator advanced twice gives the next draw), and
+    leaves the state of the bell_branches branch of the code it returns,
+    up to global phase."""
+    state = reg._state
+    state.rng, twin = philox(seed), philox(seed)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = data.draw(st.permutations(range(state.n)))[:2]
+        branches = {c: br for c, _, br in state.bell_branches(a, b)}
+        code = state.measure_bell(a, b)
+        twin.random(), twin.random()
+        assert state.rng.random() == twin.random()
+        assert code in branches
+        assert abs(np.vdot(branches[code].amps, state.amps)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_distribution_validates_plan():
@@ -443,7 +471,7 @@ def test_pairblock_bell_measurement_of_every_block_combination():
                     for g in word:
                         getattr(state, f"apply_{g}")(q)
             code = fast.measure_bell(0, 1)
-            branches = {(p << 1) | s: br for s, p, _, br in exact.bell_branches(0, 1)}
+            branches = {c: br for c, _, br in exact.bell_branches(0, 1)}
             assert code in branches
             exact = branches[code]
             _assert_same_state(fast, exact)
@@ -470,7 +498,7 @@ def test_pairblock_follows_dense_branch_by_branch(data):
         elif op == "bell_measure":
             a, b = data.draw(st.permutations(range(n)))[:2]
             code = fast.measure_bell(a, b)
-            branches = {(p << 1) | s: br for s, p, _, br in exact.bell_branches(a, b)}
+            branches = {c: br for c, _, br in exact.bell_branches(a, b)}
             assert code in branches
             exact = branches[code]
         else:

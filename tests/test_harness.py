@@ -1,7 +1,9 @@
 """Campaign runner: accounting, CSV determinism, parallel equivalence,
 config files, and the CLI surface."""
+import ast
 import hashlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -143,6 +145,10 @@ def test_campaign_config_validation():
     with pytest.raises(ValueError, match="cannot attack 17 of 16 qubits"):
         run_protocol(ProtocolConfig(n=16, seed=1), too_many)
     _campaign(strategy=adversary.modification(GateName.X, 16))
+    # What a trial's ProtocolConfig rejects fails when the campaign is built.
+    for bad in (dict(n=7), dict(n=-4), dict(pa_ratio=2)):
+        with pytest.raises(ValueError):
+            _campaign(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +232,10 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["campaign", "--workers", "-3"],
         ["campaign", "--attack", "modify", "--m", "40", "--n", "16"],
         ["verify-backends", "--max-qubits", "30"],
+        ["verify-backends", "--max-qubits", "0"],
+        ["verify-backends", "--max-qubits", "1"],
+        ["verify-backends", "--samples", "0"],
+        ["verify-backends", "--samples", "-5"],
         ["curves", "--max", "-1"],
         # The value after --config is written to a file, whose path replaces it.
         ["campaign", "--config", "attack=bogus"],
@@ -320,6 +330,19 @@ def test_golden_output_digests(argv, digest, tmp_path, capsys):
         assert cli.main(argv) == 0
         data = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_library_has_no_bare_assert():
+    """``python -O`` strips assert statements, so no library invariant
+    may rest on one."""
+    src = pathlib.Path(mrsqkd.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
