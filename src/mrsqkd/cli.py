@@ -64,13 +64,6 @@ class _Options:
         return cast(value)
 
 
-def _parse_ratio(text: str) -> Fraction:
-    ratio = Fraction(text)
-    if not (0 < ratio <= 1):
-        raise argparse.ArgumentTypeError(f"pa-ratio must be in (0, 1], got {text}")
-    return ratio
-
-
 def _strategy(opts: _Options) -> TpStrategy:
     kind = StrategyKind(opts.get("attack", "honest", str))
     if kind is StrategyKind.MODIFICATION:
@@ -86,7 +79,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, help="attacked qubit count for --attack modify")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--backend", choices=BACKENDS, help="quantum backend")
-    parser.add_argument("--pa-ratio", type=_parse_ratio, help="privacy amplification ratio, e.g. 1/2")
+    parser.add_argument("--pa-ratio", type=Fraction, help="privacy amplification ratio, e.g. 1/2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, help="worker processes (default: all cores)"
     )
 
-    ver = sub.add_parser("verify-backends", help="pair-block (tableau) vs exact dense oracle")
+    ver = sub.add_parser("verify-backends", help="exact pair-block law vs exact dense oracle")
     ver.add_argument("--config", help="flat key=value file supplying flag defaults")
-    ver.add_argument("--samples", type=int, help="pair-block samples per circuit")
+    ver.add_argument("--samples", type=int, help="seeded pair-block shots per circuit")
     ver.add_argument("--max-qubits", type=int, help="largest circuit to include")
-    ver.add_argument("--seed", type=int, help="master seed")
+    ver.add_argument("--seed", type=int, help="master seed of the shots")
 
     cur = sub.add_parser("curves", help="analytic detection curves (CSV)")
     cur.add_argument("--config", help="flat key=value file supplying flag defaults")
@@ -129,7 +122,7 @@ def cmd_simulate(opts: _Options) -> int:
         n=opts.get("n", 16, int),
         seed=opts.get("seed", 1, int),
         backend=Backend(opts.get("backend", "tableau", str)),
-        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), _parse_ratio),
+        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), Fraction),
     )
     result = run_protocol(config, _strategy(opts))
     sys.stdout.write(result.transcript.render())
@@ -153,7 +146,7 @@ def cmd_campaign(opts: _Options) -> int:
         strategy=_strategy(opts),
         master_seed=opts.get("seed", 1, int),
         backend=Backend(opts.get("backend", "tableau", str)),
-        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), _parse_ratio),
+        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), Fraction),
         out_path=opts.get("out", None, str),
         workers=opts.get("workers", default_workers(), int),
     )
@@ -183,6 +176,8 @@ def cmd_curves(opts: _Options) -> int:
         raise ValueError(f"--max must be >= 0, got {xmax}")
     rows = detection_curves(range(0, xmax + 1))
     empirical_trials = opts.get("empirical-trials", 0, int)
+    if empirical_trials < 0:
+        raise ValueError(f"--empirical-trials must be >= 0, got {empirical_trials}")
     header = "x,detect_measure_analytic,detect_modify_analytic"
     lines = []
     if empirical_trials > 0:

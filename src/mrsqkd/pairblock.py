@@ -15,7 +15,8 @@ raises. States are identified up to global phase.
 Random bits follow a fixed order, so a seed fixes every outcome: one bit
 per random outcome and none for a deterministic one, popped from the end
 of a batch of 512, and a Bell measurement draws its X(x)X sign bit before
-its Z(x)Z parity bit. Bit 0 is the +1 eigenvalue.
+its Z(x)Z parity bit. Bit 0 is the +1 eigenvalue. ``verify`` replays every
+bit string under this contract and compares the law with the dense oracle.
 """
 from __future__ import annotations
 

@@ -92,9 +92,14 @@ def test_criterion_3_backend_equivalence(capsys):
         assert rc == 0, text
         assert "overall: PASS" in text
         assert "outside=0" in text and "FAIL" not in text
-        n_circuits = text.count("pass ")
+        circuits = text.splitlines()[:-1]
+        assert len(circuits) == 16
+        for line in circuits:
+            assert "same_support=yes max_dp<=1e-12 " in line, line
         assert elapsed < 300
-        notes.append(f"{n_circuits} circuits, chi-square alpha 0.001, {elapsed:.1f}s")
+        notes.append(
+            f"{len(circuits)} circuits, exact law: same support, max |dp| <= 1e-12, {elapsed:.1f}s"
+        )
 
 
 def test_criterion_4_modification_attack():

@@ -408,6 +408,40 @@ def test_pairblock_samples_lie_in_dense_support(script, seed):
     exact = verify.exact_distribution(script, seed)
     for outcome in verify.sample_tableau(script, 16, seed):
         assert outcome in exact, (outcome, sorted(exact, key=repr))
+    law = verify.tableau_distribution(script)
+    assert law.keys() == exact.keys()
+    assert max(abs(law[o] - exact[o]) for o in exact) <= verify.TOLERANCE
+
+
+def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):
+    """Flipping the sign bit of chain_3_between's last Bell result on the
+    all-ones bit path moves one 2^-9 leaf onto an outcome in the dense
+    support that keeps the chain relation: every sample still passes, and
+    only the exact law can fail the circuit."""
+
+    def tracked(draw):
+        def rand_bit(self):
+            bit = draw(self)
+            self.all_ones = getattr(self, "all_ones", True) and bit == 1
+            return bit
+        return rand_bit
+
+    for cls in (PairBlockState, verify._Replay):
+        monkeypatch.setattr(cls, "_rand_bit", tracked(cls._rand_bit))
+    measure = PairBlockState.measure_bell
+
+    def measure_bell(self, a, b):
+        code = measure(self, a, b)
+        return code ^ 1 if (a, b) == (7, 8) and self.all_ones else code
+
+    monkeypatch.setattr(PairBlockState, "measure_bell", measure_bell)
+    report = verify.verify_backends(max_qubits=10, samples=500, seed=3)
+    assert not report.passed
+    (faulty,) = [c for c in report.circuits if not c.passed]
+    assert faulty.name == "chain_3_between"
+    assert faulty.outside_support == 0 and faulty.relation_failures == 0
+    assert not faulty.same_support and abs(faulty.max_dp - 2**-9) <= verify.TOLERANCE
+    assert faulty.line().startswith("FAIL")
 
 
 def _block_setups():

@@ -237,6 +237,9 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["verify-backends", "--samples", "0"],
         ["verify-backends", "--samples", "-5"],
         ["curves", "--max", "-1"],
+        ["curves", "--empirical-trials", "-3"],
+        ["simulate", "--pa-ratio", "2"],
+        ["campaign", "--pa-ratio", "0"],
         # The value after --config is written to a file, whose path replaces it.
         ["campaign", "--config", "attack=bogus"],
         ["campaign", "--config", "attack=modify\ngate=cnot"],
@@ -262,6 +265,16 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
         key, value = config.splitlines()[-1].split("=")
         allowed = ", ".join({"attack": cli.ATTACKS, "gate": cli.GATES, "backend": cli.BACKENDS}[key])
         assert lines[0] == f"error: config file: invalid {key} {value!r} (choose from {allowed})"
+
+
+@pytest.mark.parametrize("ratio", ["2", "0", "-1/2"])
+def test_cli_config_file_pa_ratio_out_of_range_exits_2(ratio, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"pa-ratio={ratio}\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: pa_ratio must be in (0, 1], got {ratio}"]
 
 
 def test_cli_verify_backends_small(capsys):
@@ -312,7 +325,7 @@ GOLDEN = [
     (["simulate", "--attack", "honest", "--n", "16", "--seed", "5"],
      "5f02e3b5c3164c50268b5188cad6cd853877011fa308c6a418aabff59aee2d16"),
     (["verify-backends", "--samples", "2000"],
-     "26b8bb3528db9fa70a9df94abf067d9be447212b64412da52f91db5fa56e8344"),
+     "9dc1d1eecf2cb96914dda1f04c7c95733477bd939b634be466e7d7666f906be6"),
 ]
 
 
@@ -350,3 +363,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, mrsqkd.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+
+
+def test_verify_backends_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(mrsqkd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys; sys.modules['scipy'] = None; import mrsqkd.cli; "
+        "sys.exit(mrsqkd.cli.main(['verify-backends', '--max-qubits', '4', '--samples', '10']))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
