@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bell_algebra import BellType
+from .bell_algebra import _BELL_BY_CODE, BellType
 from .engine import GateName, Register
 from .protocol import tp_step1, tp_step3_honest
 
@@ -59,8 +59,8 @@ class _MeasureHooks(TpHooks):
     def _measure_all(
         self, engine: Register, q1: Sequence[int], q2: Sequence[int]
     ) -> None:
-        self.z_q1 = tuple(engine.measure_z(q) for q in q1)
-        self.z_q2 = tuple(engine.measure_z(q) for q in q2)
+        self.z_q1 = tuple(map(engine.measure_z, q1))
+        self.z_q2 = tuple(map(engine.measure_z, q2))
 
 
 class NaiveMeasureHooks(_MeasureHooks):
@@ -69,7 +69,7 @@ class NaiveMeasureHooks(_MeasureHooks):
     def on_return(self, engine, q1, q2):
         self._measure_all(engine, q1, q2)
         codes = self.rng.integers(0, 4, size=len(q1))
-        return tuple(map(BellType, codes.tolist()))
+        return tuple(map(_BELL_BY_CODE.__getitem__, codes.tolist()))
 
 
 class ParityAwareMeasureHooks(_MeasureHooks):
@@ -83,7 +83,7 @@ class ParityAwareMeasureHooks(_MeasureHooks):
         self._measure_all(engine, q1, q2)
         signs = self.rng.integers(0, 2, size=len(q1))
         return tuple(
-            BellType(((b1 ^ b2) << 1) | s)
+            _BELL_BY_CODE[((b1 ^ b2) << 1) | s]
             for b1, b2, s in zip(self.z_q1, self.z_q2, signs.tolist())
         )
 

@@ -9,12 +9,8 @@ the XOR of all parity bits along the chain: the high bit of one XOR.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import reduce
-from itertools import chain
-from operator import xor
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 
 class BellType(IntEnum):
@@ -26,6 +22,9 @@ class BellType(IntEnum):
     PSI_MINUS = 0b11
 
     __str__ = Enum.__str__  # "BellType.PSI_PLUS", not the int's "2"
+
+
+_BELL_BY_CODE = tuple(BellType)  # index = two-bit code; faster than BellType(code)
 
 
 def code2(v: int) -> int:
@@ -55,9 +54,12 @@ def _check_chain(intermediates: Sequence[int], mrs: Sequence[int]) -> None:
         )
 
 
-def _xor_codes(*groups: Iterable[int]) -> int:
-    """XOR of every Bell code in ``groups``."""
-    return reduce(xor, chain(*groups), 0)
+def _xor_codes(codes: int, *groups: Sequence[int]) -> int:
+    """``codes`` XOR every Bell code in ``groups``."""
+    for group in groups:
+        for c in group:
+            codes ^= c
+    return codes
 
 
 def xor_rule_holds(initials: Sequence[int], results: Sequence[int]) -> bool:
@@ -71,7 +73,7 @@ def xor_rule_holds(initials: Sequence[int], results: Sequence[int]) -> bool:
         raise ValueError(
             f"length mismatch: {len(initials)} initials vs {len(results)} results"
         )
-    return _xor_codes(initials, results) == 0
+    return _xor_codes(0, initials, results) == 0
 
 
 def collapse_partner(is_: int, measured: int) -> int:
@@ -95,16 +97,7 @@ def bm_parity(z1: int, z2: int) -> int:
     return z1 ^ z2
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """A chain of Bell measurements between two Z-collapsed endpoint qubits.
-
-    ``is1``/``is2`` are the endpoint pairs' initial states, ``intermediates``
-    the initial states of the pairs strung between them, ``zmr1``/``zmr2``
-    the endpoint Z results, and ``mrs`` the Bell measurement results along
-    the chain (one more than there are intermediate pairs).
-    """
-
+class _ChainFields(NamedTuple):
     is1: int
     is2: int
     intermediates: tuple[int, ...]
@@ -112,12 +105,26 @@ class ChainSpec:
     zmr2: int
     mrs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intermediates", tuple(self.intermediates))
-        object.__setattr__(self, "mrs", tuple(self.mrs))
-        _check_bit(self.zmr1, "zmr1")
-        _check_bit(self.zmr2, "zmr2")
-        _check_chain(self.intermediates, self.mrs)
+
+class ChainSpec(_ChainFields):
+    """A chain of Bell measurements between two Z-collapsed endpoint qubits.
+
+    ``is1``/``is2`` are the endpoint pairs' initial states, ``intermediates``
+    the initial states of the pairs strung between them, ``zmr1``/``zmr2``
+    the endpoint Z results, and ``mrs`` the Bell measurement results along
+    the chain (one more than there are intermediate pairs). A named tuple,
+    checked when built, with both sequences stored as tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, is1: int, is2: int, intermediates: Sequence[int],
+                zmr1: int, zmr2: int, mrs: Sequence[int]) -> "ChainSpec":
+        intermediates, mrs = tuple(intermediates), tuple(mrs)
+        _check_bit(zmr1, "zmr1")
+        _check_bit(zmr2, "zmr2")
+        _check_chain(intermediates, mrs)
+        return tuple.__new__(cls, (is1, is2, intermediates, zmr1, zmr2, mrs))
 
 
 def chain_relation_holds(spec: ChainSpec) -> bool:
@@ -130,8 +137,8 @@ def chain_relation_holds(spec: ChainSpec) -> bool:
     an honest protocol run ever produces; the general form also covers
     adversarially prepared pairs.
     """
-    codes = _xor_codes((spec.is1, spec.is2), spec.intermediates, spec.mrs)
-    return spec.zmr2 == spec.zmr1 ^ (codes >> 1)
+    is1, is2, intermediates, zmr1, zmr2, mrs = spec
+    return zmr2 == zmr1 ^ (_xor_codes(is1 ^ is2, intermediates, mrs) >> 1)
 
 
 def infer_remote_bit(
@@ -149,4 +156,4 @@ def infer_remote_bit(
     """
     _check_bit(own_zmr, "own_zmr")
     _check_chain(intermediates, mrs)
-    return own_zmr ^ (_xor_codes((is_own, is_remote), intermediates, mrs) >> 1)
+    return own_zmr ^ (_xor_codes(is_own ^ is_remote, intermediates, mrs) >> 1)

@@ -75,6 +75,14 @@ def _measure(
     return kept // outcomes, codes[outcome], probs[kept], children
 
 
+def _norm2(half: np.ndarray) -> float:
+    """Squared norm of a half of the state. ``np.vdot(half, half)`` would
+    flatten each argument, copying the half twice; flattening it once as
+    vdot does (a view where one exists) keeps the sum's rounding."""
+    flat = half.reshape(-1)
+    return float(np.vdot(flat, flat).real)
+
+
 def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
     """Overlap of a ``_pair`` view with the ``_BELL_BASIS`` state (s, p),
     (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2), and its squared norm."""
@@ -142,24 +150,26 @@ class DenseState:
     # -- measurement ---------------------------------------------------
 
     def prob_one(self, q: int) -> float:
-        a0, a1 = self._halves(q)
-        return float(np.vdot(a1, a1).real)
+        return _norm2(self._halves(q)[1])
 
-    def project(self, q: int, outcome: int) -> float:
+    def project(self, q: int, outcome: int, p: float | None = None) -> float:
         """Project qubit q onto |outcome> and renormalize; returns the
-        branch probability (state left untouched if probability ~ 0)."""
-        a0, a1 = self._halves(q)
-        keep, kill = (a1, a0) if outcome else (a0, a1)
-        p = float(np.vdot(keep, keep).real)
+        branch probability ``p``, computed unless given (state left
+        untouched if it is ~ 0). Only the kept half is rescaled."""
+        halves = self._halves(q)
+        keep, kill = halves[outcome], halves[1 - outcome]
+        if p is None:
+            p = _norm2(keep)
         if p > _MIN_PROB:
             kill[:] = 0.0
-            self.amps /= np.sqrt(p)
+            keep /= np.sqrt(p)
         return p
 
     def measure_z(self, q: int) -> int:
+        """One norm for the draw, a second only for outcome 0."""
         p1 = self.prob_one(q)
         outcome = 1 if self.rng.random() < p1 else 0
-        self.project(q, outcome)
+        self.project(q, outcome, p1 if outcome else None)
         return outcome
 
     def measure_bell(self, a: int, b: int) -> int:

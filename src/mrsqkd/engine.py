@@ -22,16 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence, Union
 
 import numpy as np
 
-from .bell_algebra import BellType
+from .bell_algebra import _BELL_BY_CODE, BellType
 from .dense import DENSE_QUBIT_CAP, DenseState
 from .pairblock import PairBlockState
-
-
-_BELL_BY_CODE = tuple(BellType)  # index = two-bit code, (p << 1) | s
 
 
 class Backend(Enum):
@@ -44,6 +42,11 @@ class GateName(Enum):
     Y = "y"
     Z = "z"
     H = "h"
+
+
+# The state's method for each gate, looked up on the state of the call.
+_APPLY = {g: attrgetter("apply_" + g.value) for g in GateName}
+_PAIR_ERROR = "qubits ({}, {}) are not two distinct qubits of a size-{} register"
 
 
 class CapacityError(Exception):
@@ -101,36 +104,30 @@ class Register:
         state = DenseState if backend is Backend.DENSE else PairBlockState
         self._state = state(size, philox(seed))
 
-    # -- validation ------------------------------------------------------
-
-    def _check_qubit(self, q: int) -> None:
-        if not (0 <= q < self.size):
-            raise ValueError(f"qubit {q} out of range for size-{self.size} register")
-
-    def _check_pair(self, a: int, b: int) -> None:
-        if not (0 <= a < self.size and 0 <= b < self.size and a != b):
-            raise ValueError(
-                f"qubits ({a}, {b}) are not two distinct qubits of a size-{self.size} register"
-            )
-
     # -- operations ------------------------------------------------------
+    # Each op checks its qubits inline (ValueError if out of range) and
+    # reads ``self._state`` afresh, which ``verify`` swaps for a replay.
 
     def prepare_bell_phi_plus(self, a: int, b: int) -> None:
         """Entangle qubits (a, b) into phi+. Both must be fresh |0> qubits,
         untouched since the register was made (ValueError otherwise)."""
-        self._check_pair(a, b)
+        if not (0 <= a < self.size and 0 <= b < self.size and a != b):
+            raise ValueError(_PAIR_ERROR.format(a, b, self.size))
         self._state.prepare_bell(a, b)
 
     def apply_gate(self, gate: GateName, q: int) -> None:
-        self._check_qubit(q)
-        getattr(self._state, f"apply_{gate.value}")(q)
+        if not 0 <= q < self.size:
+            raise ValueError(f"qubit {q} out of range for size-{self.size} register")
+        _APPLY[gate](self._state)(q)
 
     def measure_z(self, q: int) -> int:
-        self._check_qubit(q)
+        if not 0 <= q < self.size:
+            raise ValueError(f"qubit {q} out of range for size-{self.size} register")
         return self._state.measure_z(q)
 
     def measure_bell(self, a: int, b: int) -> BellType:
-        self._check_pair(a, b)
+        if not (0 <= a < self.size and 0 <= b < self.size and a != b):
+            raise ValueError(_PAIR_ERROR.format(a, b, self.size))
         return _BELL_BY_CODE[self._state.measure_bell(a, b)]
 
     # -- exact oracle ------------------------------------------------------
@@ -143,13 +140,10 @@ class Register:
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"
             )
-        for step in plan:
-            if isinstance(step, ZMeasure):
-                self._check_qubit(step.qubit)
-            else:
-                self._check_pair(step.a, step.b)
-
         steps = [(s.qubit,) if isinstance(s, ZMeasure) else (s.a, s.b) for s in plan]
+        for qubits in steps:
+            if not all(0 <= q < self.size for q in qubits) or len(set(qubits)) < len(qubits):
+                raise ValueError(f"plan step {qubits}: not distinct qubits of 0..{self.size - 1}")
         probs, codes = self._state.outcome_codes(steps)
         # One column of values per step: the Z bit as it is, a Bell code as its type.
         columns = [

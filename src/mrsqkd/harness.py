@@ -110,9 +110,11 @@ def run_trial(config: CampaignConfig, trial_index: int) -> RunStats:
 
 def run_campaign(config: CampaignConfig) -> tuple[list[RunStats], CampaignSummary]:
     """Execute all trials and aggregate. Writes CSV when out_path is set."""
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunksize = max(1, config.trials // (8 * config.workers))
+    # A fork pool starts all its workers at once: no more than there are trials.
+    workers = min(config.workers, config.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, config.trials // (8 * workers))
             trials = range(config.trials)
             stats = list(pool.map(run_trial, repeat(config), trials, chunksize=chunksize))
     else:

@@ -8,29 +8,47 @@ the first row and higher indexes run down the first column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack(bits: Sequence[int], what: str) -> int:
+    """``bits`` as the digits of a binary number, bits[0] the most
+    significant; ValueError unless every bit is 0 or 1."""
+    try:  # bytes() of a numpy array would read its raw buffer, so list it
+        raw = bytes(bits if isinstance(bits, (list, tuple)) else list(bits))
+    except (TypeError, ValueError):  # an item that is no int in 0..255
+        raw = b"?"
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError(f"{what} must be 0/1")
+    return int(b"0" + raw.translate(_DIGITS), 2)
+
+
 @dataclass(frozen=True)
 class PAParams:
-    """Compression ratio plus the Toeplitz seed bits for one application."""
+    """Compression ratio plus the Toeplitz seed bits for one application.
+    The seed is also kept packed, seed_bits[k] at bit k, for ``amplify``."""
 
     ratio: Fraction
     seed_bits: tuple[int, ...]
+    seed_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         object.__setattr__(self, "seed_bits", tuple(self.seed_bits))
         if not (0 < self.ratio <= 1):
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        if any(b not in (0, 1) for b in self.seed_bits):
-            raise ValueError("seed bits must be 0/1")
+        object.__setattr__(self, "seed_int", _pack(self.seed_bits[::-1], "seed bits"))
 
 
 def output_length(input_len: int, ratio: Fraction) -> int:
-    return int(input_len * Fraction(ratio))  # floor for non-negative values
+    """floor(input_len * ratio), for a length ``input_len`` >= 0."""
+    ratio = Fraction(ratio)
+    return input_len * ratio.numerator // ratio.denominator
 
 
 def seed_length(input_len: int, ratio: Fraction) -> int:
@@ -49,17 +67,11 @@ def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
             f"seed has {len(params.seed_bits)} bits, "
             f"need {seed_length(inp, params.ratio)} for input length {inp}"
         )
-    if inp == 0 or out == 0:
+    raw_rev = _pack(raw, "raw key bits")
+    if out == 0:
         return []
-    # Row i of T reads seed bits inp-1+i down to i; packing the seed and the
-    # reversed key into integers turns each row into one AND + popcount.
-    seed_int = 0
-    for k, b in enumerate(params.seed_bits):
-        seed_int |= b << k
-    raw_rev = 0
-    for j, b in enumerate(raw):
-        if b not in (0, 1):
-            raise ValueError("raw key bits must be 0/1")
-        raw_rev |= b << (inp - 1 - j)
-    mask = (1 << inp) - 1
-    return [(((seed_int >> i) & mask) & raw_rev).bit_count() & 1 for i in range(out)]
+    # Row i of T reads seed bits inp-1+i down to i: shifting the packed
+    # seed right by i lines them up with the packed key, raw[0] highest,
+    # so each row is one AND and a popcount.
+    seed_int = params.seed_int
+    return [((seed_int >> i) & raw_rev).bit_count() & 1 for i in range(out)]

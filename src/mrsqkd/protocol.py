@@ -10,14 +10,18 @@ qubits), run the consistency checks, and distill a raw key from doubly
 measured positions and single-slot chains. Completed runs finish with
 Toeplitz privacy amplification under a transcript-carried seed.
 
-Positions, slots and qubits are 0-based throughout.
+Positions, slots and qubits are 0-based throughout. The records a run
+makes by the dozen, ``Component`` and ``Case4Disclose`` (and
+``ChainSpec`` of ``bell_algebra``), are named tuples, about 130 at
+n=256: a frozen dataclass costs several times as much to build.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,9 +41,15 @@ class Role(Enum):
     BOB = "BOB"
 
 
+_ALICE, _BOB = Role.ALICE, Role.BOB
+
+
 class ComponentKind(Enum):
     CYCLE = "CYCLE"
     CHAIN = "CHAIN"
+
+
+_CYCLE, _CHAIN = ComponentKind.CYCLE, ComponentKind.CHAIN
 
 
 class RunStatus(Enum):
@@ -80,17 +90,15 @@ class OrderAnnounce:
         return f"ORDER_ANNOUNCE role={self.role.value} order={order} measured={measured}"
 
 
-@dataclass(frozen=True)
-class Case4Disclose:
+class Case4Disclose(NamedTuple):
+    """One endpoint bit of a multi-slot chain, disclosed for its check."""
+
     role: Role
     position: int
     bit: int
 
     def line(self) -> str:
-        return (
-            f"CASE4_DISCLOSE role={self.role.value} "
-            f"position={self.position} bit={self.bit}"
-        )
+        return f"CASE4_DISCLOSE role={self.role.value} position={self.position} bit={self.bit}"
 
 
 @dataclass(frozen=True)
@@ -127,12 +135,13 @@ class Transcript:
     def __init__(self) -> None:
         self._records: list[TranscriptRecord] = []
 
-    def _append(self, record: TranscriptRecord) -> None:
-        if isinstance(record, OrderAnnounce) and not any(
-            isinstance(r, MRAnnounce) for r in self._records
-        ):
-            raise ValueError("order announcement before MR announcement")
-        self._records.append(record)
+    def _append(self, *records: TranscriptRecord) -> None:
+        for record in records:
+            if isinstance(record, OrderAnnounce) and not any(
+                isinstance(r, MRAnnounce) for r in self._records
+            ):
+                raise ValueError("order announcement before MR announcement")
+            self._records.append(record)
 
     @property
     def records(self) -> tuple[TranscriptRecord, ...]:
@@ -170,8 +179,7 @@ class PartyState:
     z_results: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected piece of the pairing graph.
 
     Cycles consist purely of surviving pairs; chains run between two
@@ -192,9 +200,11 @@ class Component:
 
     @property
     def group(self) -> int:
-        if self.kind is ComponentKind.CYCLE:
-            return 1 if self.length == 1 else 2
-        return 3 if self.length == 1 else 4
+        """1/2: cycle of one/more slots; 3/4: chain of one/more slots."""
+        return (2 if self.kind is _CYCLE else 4) - (len(self.slots) == 1)
+
+
+_GROUP_KIND = (None, _CYCLE.value, _CYCLE.value, _CHAIN.value, _CHAIN.value)  # by group
 
 
 @dataclass(frozen=True)
@@ -207,14 +217,10 @@ class Classification:
 
 
 @dataclass(frozen=True)
-class ComponentCheck:
-    component: Component
-    passed: Optional[bool]  # None for single-slot chains (nothing to check)
-
-
-@dataclass(frozen=True)
 class Step4Result:
-    checks: tuple[ComponentCheck, ...]
+    # Per component, in the classification's order: whether its check
+    # passed, or None for a single-slot chain (nothing to check).
+    verdicts: tuple[Optional[bool], ...]
     disclosures: tuple[Case4Disclose, ...]
     raw_key_alice: tuple[int, ...]
     raw_key_bob: tuple[int, ...]
@@ -298,8 +304,8 @@ def tp_step1(engine: Register, n: int) -> tuple[tuple[int, ...], tuple[int, ...]
         raise CapacityError(f"register of {engine.size} qubits cannot hold {n} pairs")
     wire_a = tuple(range(n))
     wire_b = tuple(range(n, 2 * n))
-    for i in range(n):
-        engine.prepare_bell_phi_plus(wire_a[i], wire_b[i])
+    for a, b in zip(wire_a, wire_b):
+        engine.prepare_bell_phi_plus(a, b)
     return wire_a, wire_b
 
 
@@ -309,27 +315,7 @@ def tp_step3_honest(
     """Bell-measure slot k of both returned wires, in ascending k."""
     if len(q1) != len(q2):
         raise ValueError(f"wire length mismatch: {len(q1)} vs {len(q2)}")
-    return tuple(engine.measure_bell(a, b) for a, b in zip(q1, q2))
-
-
-def _validate_step2_inputs(
-    measured_a: set[int],
-    measured_b: set[int],
-    order_a: Sequence[int],
-    order_b: Sequence[int],
-    n: int,
-) -> None:
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    half = n // 2
-    for name, measured, order in (
-        ("A", measured_a, order_a),
-        ("B", measured_b, order_b),
-    ):
-        if len(measured) != half or not all(0 <= p < n for p in measured):
-            raise ValueError(f"measured set {name} is not an n/2 subset of 0..n-1")
-        if sorted(order) != sorted(set(range(n)) - measured):
-            raise ValueError(f"order {name} is not a permutation of the retained positions")
+    return tuple(map(engine.measure_bell, q1, q2))
 
 
 def classify_components(
@@ -347,62 +333,55 @@ def classify_components(
     """
     measured_a = set(measured_a)
     measured_b = set(measured_b)
-    _validate_step2_inputs(measured_a, measured_b, order_a, order_b, n)
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be even and >= 2, got {n}")
     half = n // 2
-    pos1_to_slot = {p: k for k, p in enumerate(order_a)}
+    positions = set(range(n))
+    for name, measured, order in (("A", measured_a, order_a), ("B", measured_b, order_b)):
+        if len(measured) != half or not measured <= positions:
+            raise ValueError(f"measured set {name} is not an n/2 subset of 0..n-1")
+        # The retained set has n/2 members, so n/2 distinct entries cover it.
+        if len(order) != half or set(order) != positions - measured:
+            raise ValueError(f"order {name} is not a permutation of the retained positions")
     case1 = tuple(sorted(measured_a & measured_b))
-
+    # The slot after slot k: the one whose wire-A qubit shares a pair with
+    # slot k's wire-B qubit, or -1 if Alice measured that pair's qubit.
+    # The orders are permutations, so no two slots share a successor.
+    slot_of = {p: k for k, p in enumerate(order_a)}
+    succ = [slot_of.get(q, -1) for q in order_b]
     visited = [False] * half
     components: list[Component] = []
 
     # Chains: walk from every slot whose wire-A member is a collapsed qubit
     # (position measured by Bob) to the opposite collapsed end.
-    for k in range(half):
-        if visited[k]:
-            continue
-        p1 = order_a[k]
+    for k, p1 in enumerate(order_a):
         if p1 not in measured_b:
             continue
         slots = [k]
         visited[k] = True
         intermediates: list[int] = []
-        q = order_b[k]
-        while q not in measured_a:
-            intermediates.append(q)
-            k2 = pos1_to_slot[q]
-            if visited[k2]:
-                raise ValueError("pairing graph is not degree-limited")
+        k2 = succ[k]
+        while k2 >= 0:
+            intermediates.append(order_a[k2])
             slots.append(k2)
             visited[k2] = True
-            q = order_b[k2]
-        components.append(
-            Component(
-                ComponentKind.CHAIN,
-                tuple(slots),
-                endpoint_a=q,
-                endpoint_b=p1,
-                intermediates=tuple(intermediates),
-            )
-        )
+            k2 = succ[k2]
+        endpoint_a = order_b[slots[-1]]
+        components.append(Component(_CHAIN, tuple(slots), endpoint_a, p1, tuple(intermediates)))
 
     # Everything left closes into cycles of surviving pairs.
     for k in range(half):
         if visited[k]:
             continue
-        start = order_a[k]
         slots = [k]
-        visited[k] = True
-        q = order_b[k]
-        while q != start:
-            k2 = pos1_to_slot[q]
-            if visited[k2]:
-                raise ValueError("pairing graph is not degree-limited")
+        k2 = succ[k]
+        while k2 != k:
             slots.append(k2)
             visited[k2] = True
-            q = order_b[k2]
-        components.append(Component(ComponentKind.CYCLE, tuple(slots)))
+            k2 = succ[k2]
+        components.append(Component(_CYCLE, tuple(slots)))
 
-    components.sort(key=lambda c: c.slots[0])
+    components.sort(key=attrgetter("slots"))  # no two share a first slot
     return Classification(case1, tuple(components))
 
 
@@ -423,41 +402,44 @@ def evaluate_step4(
     canonical order sets the abort stage. All checks are still evaluated
     so per-component statistics stay meaningful for attack studies.
 
+    Every pair starts in phi+, code 0, so each identity sees runs of 0
+    as the initial states.
+
     Key order: Case-1 bits by ascending position, then Case-3 bits by
     ascending slot, which is the order of the components.
     """
-    phi = BellType.PHI_PLUS
-    raw_a = [alice.z_results[p] for p in classification.case1_positions]
-    raw_b = [bob.z_results[p] for p in classification.case1_positions]
-    checks: list[ComponentCheck] = []
+    za_of, zb_of = alice.z_results, bob.z_results
+    raw_a = [za_of[p] for p in classification.case1_positions]
+    raw_b = [zb_of[p] for p in classification.case1_positions]
+    phis = (0,) * len(mr)  # phis[:k] is the phi+ run of k pairs
+    verdicts: list[Optional[bool]] = []
     disclosures: list[Case4Disclose] = []
-    abort: Optional[tuple[str, int]] = None
-    for idx, comp in enumerate(classification.components):
+    for kind, slots, end_a, end_b, mids in classification.components:
         passed: Optional[bool] = None
-        if comp.kind is ComponentKind.CYCLE:
-            passed = xor_rule_holds([phi] * comp.length, [mr[k] for k in comp.slots])
-            stage = "CASE2"
-        elif comp.endpoint_a is None or comp.endpoint_b is None:
+        if kind is _CYCLE:
+            passed = xor_rule_holds(phis[:len(slots)], [mr[k] for k in slots])
+        elif end_a is None or end_b is None:
             raise ValueError("every chain needs both endpoints")
-        elif comp.length == 1:
-            raw_a.append(alice.z_results[comp.endpoint_a])
-            own = bob.z_results[comp.endpoint_b]
-            raw_b.append(infer_remote_bit(own, phi, phi, (), (mr[comp.slots[0]],)))
+        elif len(slots) == 1:
+            raw_a.append(za_of[end_a])
+            raw_b.append(infer_remote_bit(zb_of[end_b], 0, 0, (), (mr[slots[0]],)))
         else:
-            za = alice.z_results[comp.endpoint_a]
-            zb = bob.z_results[comp.endpoint_b]
-            disclosures.append(Case4Disclose(Role.ALICE, comp.endpoint_a, za))
-            disclosures.append(Case4Disclose(Role.BOB, comp.endpoint_b, zb))
-            spec = ChainSpec(is1=phi, is2=phi, intermediates=(phi,) * len(comp.intermediates),
-                             zmr1=za, zmr2=zb, mrs=tuple(mr[k] for k in comp.slots))
+            za = za_of[end_a]
+            zb = zb_of[end_b]
+            disclosures.append(Case4Disclose(_ALICE, end_a, za))
+            disclosures.append(Case4Disclose(_BOB, end_b, zb))
+            spec = ChainSpec(0, 0, phis[:len(mids)], za, zb, [mr[k] for k in slots])
             passed = chain_relation_holds(spec)
-            stage = "CASE4"
-        checks.append(ComponentCheck(comp, passed))
-        if passed is False and abort is None:
-            abort = (stage, idx)
+        verdicts.append(passed)
+
+    abort: Optional[tuple[str, int]] = None
+    if False in verdicts:
+        idx = verdicts.index(False)
+        kind = classification.components[idx].kind
+        abort = ("CASE2" if kind is _CYCLE else "CASE4", idx)
 
     return Step4Result(
-        checks=tuple(checks),
+        verdicts=tuple(verdicts),
         disclosures=tuple(disclosures),
         raw_key_alice=tuple(raw_a),
         raw_key_bob=tuple(raw_b),
@@ -487,25 +469,23 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
 
     # Step 1: prepare and send out both wires (possibly tampered).
     wire_a, wire_b = hooks.prepare(engine, n)
-    transcript._append(QuantumSend("TP->ALICE", n))
-    transcript._append(QuantumSend("TP->BOB", n))
+    transcript._append(QuantumSend("TP->ALICE", n), QuantumSend("TP->BOB", n))
     wire_a, wire_b = hooks.on_outbound(engine, (wire_a, wire_b))
 
     # Step 2: each user measures half and returns the rest reordered.
     alice = party_step2(alice_rng, n, Role.ALICE)
     bob = party_step2(bob_rng, n, Role.BOB)
-    for p in alice.measured_positions:
-        alice.z_results[p] = engine.measure_z(wire_a[p])
-    for p in bob.measured_positions:
-        bob.z_results[p] = engine.measure_z(wire_b[p])
-    q1 = tuple(wire_a[p] for p in alice.send_order)
-    q2 = tuple(wire_b[p] for p in bob.send_order)
-    transcript._append(QuantumSend("ALICE->TP", half))
-    transcript._append(QuantumSend("BOB->TP", half))
+    for party, wire in ((alice, wire_a), (bob, wire_b)):
+        positions = party.measured_positions
+        qubits = map(wire.__getitem__, positions)
+        party.z_results.update(zip(positions, map(engine.measure_z, qubits)))
+    q1 = tuple(map(wire_a.__getitem__, alice.send_order))
+    q2 = tuple(map(wire_b.__getitem__, bob.send_order))
+    transcript._append(QuantumSend("ALICE->TP", half), QuantumSend("BOB->TP", half))
 
     # Step 3: the announcement commits before any order is revealed.
     mr = tuple(hooks.on_return(engine, q1, q2))
-    if len(mr) != half or not all(isinstance(v, BellType) for v in mr):
+    if len(mr) != half or set(map(type, mr)) != {BellType}:
         raise ValueError("strategy announced a malformed measurement-result list")
     transcript._append(MRAnnounce(mr))
 
@@ -517,21 +497,13 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
         alice.send_order, bob.send_order, n,
     )
     evaluation = evaluate_step4(classification, mr, alice, bob)
-    for disclosure in evaluation.disclosures:
-        transcript._append(disclosure)
+    transcript._append(*evaluation.disclosures)
 
     if evaluation.abort is not None:
         stage, comp_idx = evaluation.abort
         transcript._append(AbortRecord(stage, comp_idx))
-        outcome = Outcome(
-            status=RunStatus.ABORTED,
-            raw_key_alice=None,
-            raw_key_bob=None,
-            final_key_alice=None,
-            final_key_bob=None,
-            abort_stage=stage,
-            abort_component=comp_idx,
-        )
+        outcome = Outcome(RunStatus.ABORTED, None, None, None, None,
+                          abort_stage=stage, abort_component=comp_idx)
     else:
         # Step 5: privacy amplification under a shared, published seed.
         raw_a = evaluation.raw_key_alice
@@ -540,13 +512,8 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
         seed_bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8).tolist())
         transcript._append(PASeed(config.pa_ratio, seed_bits))
         params = PAParams(config.pa_ratio, seed_bits)
-        outcome = Outcome(
-            status=RunStatus.COMPLETED,
-            raw_key_alice=raw_a,
-            raw_key_bob=raw_b,
-            final_key_alice=tuple(amplify(raw_a, params)),
-            final_key_bob=tuple(amplify(raw_b, params)),
-        )
+        final_a, final_b = tuple(amplify(raw_a, params)), tuple(amplify(raw_b, params))
+        outcome = Outcome(RunStatus.COMPLETED, raw_a, raw_b, final_a, final_b)
 
     stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
     return RunResult(outcome, transcript, stats, hooks)
@@ -560,17 +527,21 @@ def _build_stats(
     evaluation: Step4Result,
     outcome: Outcome,
 ) -> RunStats:
-    # Components and passed checks per group (index 1-4).
+    # Components and passed checks per group (index 1-4), and the
+    # (kind, length, passed) row of each component, in one pass.
     count = [0] * 5
     passed = [0] * 5
-    for check in evaluation.checks:
-        group = check.component.group
+    rows = []
+    components = classification.components
+    for comp, ok in zip(components, evaluation.verdicts):
+        group = comp.group
         count[group] += 1
-        passed[group] += check.passed is True
+        passed[group] += ok is True
+        rows.append((_GROUP_KIND[group], len(comp.slots), ok))
     completed = outcome.status is RunStatus.COMPLETED
     abort_kind = None
     if outcome.abort_component is not None:
-        abort_kind = evaluation.checks[outcome.abort_component].component.kind
+        abort_kind = components[outcome.abort_component].kind
     return RunStats(
         trial=trial_id,
         n=config.n,
@@ -593,8 +564,5 @@ def _build_stats(
         case4_checks=count[4],
         case4_passed=passed[4],
         qubit_total=2 * config.n,
-        component_checks=tuple(
-            (c.component.kind.value, c.component.length, c.passed)
-            for c in evaluation.checks
-        ),
+        component_checks=tuple(rows),
     )

@@ -55,6 +55,19 @@ def test_register_validation(backend):
         reg.measure_bell(2, 2)
     with pytest.raises(ValueError):
         new_register(0, backend, 1)
+    # A negative index would wrap around the pair-block state's lists.
+    for op, args in (
+        (reg.measure_z, (-1,)),
+        (reg.measure_bell, (-1, 0)),
+        (reg.measure_bell, (0, -1)),
+        (reg.prepare_bell_phi_plus, (-1, 0)),
+        (reg.prepare_bell_phi_plus, (0, -1)),
+        (reg.apply_gate, (GateName.X, -1)),
+        (reg.apply_gate, (GateName.X, 3)),
+    ):
+        with pytest.raises(ValueError, match="qubit"):
+            op(*args)
+    reg.prepare_bell_phi_plus(0, 2)  # the rejected calls left every qubit fresh
 
 
 @pytest.mark.parametrize("backend", BOTH)

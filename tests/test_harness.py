@@ -11,7 +11,7 @@ import pytest
 
 import mrsqkd
 
-from mrsqkd import adversary, cli
+from mrsqkd import adversary, cli, harness
 from mrsqkd.harness import (
     CampaignConfig,
     detection_curves,
@@ -109,6 +109,37 @@ def test_parallel_equals_sequential():
     par_stats, par_summary = run_campaign(_campaign(trials=24, workers=2))
     assert render_csv(seq_stats) == render_csv(par_stats)
     assert seq_summary == par_summary
+
+
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    """A fork pool starts every worker up front, so it is sized by the
+    trial count. The recording stand-in runs the trials in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    seq_stats, _ = run_campaign(_campaign(trials=3, workers=1))
+    for workers, expected in ((64, [3]), (2, [2]), (3, [3])):
+        sizes.clear()
+        stats, _ = run_campaign(_campaign(trials=3, workers=workers))
+        assert sizes == expected
+        assert render_csv(stats) == render_csv(seq_stats)
+    sizes.clear()
+    stats, _ = run_campaign(_campaign(trials=1, workers=64))
+    assert sizes == []  # one trial runs in this process
+    assert render_csv(stats) == render_csv(seq_stats[:1])
 
 
 def test_trial_seeds_are_order_independent():
@@ -326,6 +357,9 @@ GOLDEN = [
      "5f02e3b5c3164c50268b5188cad6cd853877011fa308c6a418aabff59aee2d16"),
     (["verify-backends", "--samples", "2000"],
      "9dc1d1eecf2cb96914dda1f04c7c95733477bd939b634be466e7d7666f906be6"),
+    # The only DENSE pin: Z measurements on the full statevector.
+    (["campaign", "--attack", "honest", "--backend", "dense", "--n", "6", "--seed", "13"],
+     "1de673a267340595ffe260031d2811c588310e2f1b7bc8aa7c7b67671fab369b"),
 ]
 
 

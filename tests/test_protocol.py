@@ -150,6 +150,17 @@ def test_classify_rejects_inconsistent_inputs():
         classify_components({0}, {0, 2}, (2, 3), (1, 3), 4)
     with pytest.raises(ValueError):
         classify_components({0, 1}, {0, 2}, (1, 3), (1, 3), 4)
+    # Positions outside 0..n-1, and an order of the wrong length.
+    with pytest.raises(ValueError, match="measured set A"):
+        classify_components({-1, 1}, {0, 2}, (2, 3), (1, 3), 4)
+    with pytest.raises(ValueError, match="measured set B"):
+        classify_components({0, 1}, {0, 4}, (2, 3), (1, 3), 4)
+    with pytest.raises(ValueError, match="order A"):
+        classify_components({0, 1}, {0, 2}, (2, 3, 3), (1, 3), 4)
+    with pytest.raises(ValueError, match="order B"):
+        classify_components({0, 1}, {0, 2}, (2, 3), (1,), 4)
+    with pytest.raises(ValueError, match="order B"):
+        classify_components({0, 1}, {0, 2}, (2, 3), (1, -1), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +188,7 @@ def test_evaluate_cycle_check_passes_on_phi_plus():
     bob = _party(Role.BOB, (0,), (1,), {0: 1})
     result = evaluate_step4(cls, (PHI_P,), alice, bob)
     assert result.abort is None
-    assert [c.passed for c in result.checks] == [True]
+    assert result.verdicts == (True,)
     assert result.raw_key_alice == result.raw_key_bob == (1,)
 
 
@@ -255,6 +266,79 @@ def test_raw_key_is_case1_by_position_then_case3_by_slot(n, seed):
         [bob.z_results[p] for p in case1]
         + [bob.z_results[alice.send_order[k]] ^ parity(mr[k]) for k in case3]
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([4, 8, 16, 64]), seed=st.integers(0, 2**32))
+def test_component_verdicts_match_a_plain_int_reference(n, seed):
+    """Random step-2 draws, Z results and announcements: every verdict,
+    the abort and the disclosures agree with a reference computed in plain
+    ints off the slots (cycle: XOR of the codes is 0; multi-slot chain: Bob's
+    bit is Alice's XOR the parity bits of the codes; single slot: None).
+    RunStats group counters agree with its per-component rows."""
+    g = rng(seed)
+    half = n // 2
+    alice = party_step2(g, n, Role.ALICE)
+    bob = party_step2(g, n, Role.BOB)
+    for party in (alice, bob):
+        bits = g.integers(0, 2, size=half).tolist()
+        party.z_results.update(zip(party.measured_positions, bits))
+    codes = g.integers(0, 4, size=half).tolist()
+    mr = tuple(bell_from_code(c) for c in codes)
+    cls = classify_components(
+        alice.measured_positions, bob.measured_positions,
+        alice.send_order, bob.send_order, n,
+    )
+    result = evaluate_step4(cls, mr, alice, bob)
+
+    expected, disclosures = [], []
+    for comp in cls.components:
+        xor = 0
+        for k in comp.slots:
+            xor ^= codes[k]
+        if comp.kind is ComponentKind.CYCLE:
+            expected.append(xor == 0)
+            continue
+        # A chain starts at a wire-A qubit Bob measured and ends at a
+        # wire-B qubit Alice measured.
+        assert comp.endpoint_b == alice.send_order[comp.slots[0]]
+        assert comp.endpoint_a == bob.send_order[comp.slots[-1]]
+        if len(comp.slots) == 1:
+            expected.append(None)
+            continue
+        za = alice.z_results[comp.endpoint_a]
+        zb = bob.z_results[comp.endpoint_b]
+        expected.append(zb == za ^ (xor >> 1))
+        disclosures += [(Role.ALICE, comp.endpoint_a, za), (Role.BOB, comp.endpoint_b, zb)]
+    assert list(result.verdicts) == expected
+    assert [(d.role, d.position, d.bit) for d in result.disclosures] == disclosures
+    first = expected.index(False) if False in expected else None
+    if first is None:
+        assert result.abort is None
+    else:
+        stage = "CASE2" if cls.components[first].kind is ComponentKind.CYCLE else "CASE4"
+        assert result.abort == (stage, first)
+
+    stats = run_protocol(ProtocolConfig(n=n, seed=seed), adversary.naive_measure()).stats
+    rows = stats.component_checks
+
+    def count(kind, single, passed=None):
+        return sum(
+            1 for k, length, ok in rows
+            if k == kind and (length == 1) == single and (passed is None or ok is passed)
+        )
+
+    assert stats.group1_checks == count("CYCLE", True)
+    assert stats.group1_passed == count("CYCLE", True, True)
+    assert stats.group2_checks == count("CYCLE", False)
+    assert stats.group2_passed == count("CYCLE", False, True)
+    assert stats.case3_bits == count("CHAIN", True)
+    assert stats.case4_checks == count("CHAIN", False)
+    assert stats.case4_passed == count("CHAIN", False, True)
+    assert stats.case4_disclosed_bits == 2 * stats.case4_checks
+    assert stats.cycle_components == stats.group1_checks + stats.group2_checks
+    assert stats.chain_components == stats.case3_bits + stats.case4_checks
+    assert sum(length for _, length, _ in rows) == half
 
 
 # ---------------------------------------------------------------------------
