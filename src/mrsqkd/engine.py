@@ -17,6 +17,10 @@ sign bit is drawn first and the parity bit given it. The outcome is the
 code (p << 1) | s, which is the ``BellType`` member itself: 0 phi+,
 1 phi-, 2 psi+, 3 psi-. The measured pair is left collapsed onto the
 reported Bell state.
+
+Every generator is a Philox keyed by the low 64 bits of a seed. Its key
+goes in as a ``_PhiloxKey`` seed sequence, so building one reads no OS
+entropy.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from operator import attrgetter
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bell_algebra import _BELL_BY_CODE, BellType
 from .dense import DENSE_QUBIT_CAP, DenseState
@@ -72,19 +77,34 @@ PlanStep = Union[ZMeasure, BellMeasure]
 PlanOutcome = tuple  # mixed tuple of 0/1 bits and BellType values
 
 
+class _PhiloxKey(ISeedSequence):
+    """A seed's Philox key as a seed sequence: ``Philox(key=...)`` gives
+    the same stream but also builds a ``SeedSequence`` from OS entropy."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """Key words [low 64 bits of the seed, 0], the only request Philox makes."""
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return np.array([self.seed & (2**64 - 1), 0], dtype=np.uint64)
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based seed derivation: stream ``index`` of ``master_seed``.
 
     Independent of evaluation order, so parallel consumers can derive
     their own streams without coordination.
     """
-    bg = np.random.Philox(key=master_seed & (2**64 - 1), counter=[0, 0, 0, index])
+    bg = np.random.Philox(_PhiloxKey(master_seed), counter=[0, 0, 0, index])
     return int(np.random.Generator(bg).integers(0, 2**63, dtype=np.int64))
 
 
 def philox(seed: int) -> np.random.Generator:
-    """Philox generator keyed by the low 64 bits of ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    """Philox generator keyed by the low 64 bits of ``seed``: the stream
+    of ``Philox(key=seed & (2**64 - 1))``, built without OS entropy."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed)))
 
 
 class Register:

@@ -58,20 +58,25 @@ def seed_length(input_len: int, ratio: Fraction) -> int:
     return input_len + output_length(input_len, ratio) - 1
 
 
-def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
-    """Compress a raw key: output[i] = XOR over j of T[i][j] * raw[j]."""
+def check_input(raw: Sequence[int], params: PAParams) -> int:
+    """The raw key packed with raw[0] highest, after the checks
+    ``amplify`` makes: ValueError unless ``params`` has the seed length
+    this key needs and every raw bit is 0 or 1."""
     inp = len(raw)
-    out = output_length(inp, params.ratio)
     if len(params.seed_bits) != seed_length(inp, params.ratio):
         raise ValueError(
             f"seed has {len(params.seed_bits)} bits, "
             f"need {seed_length(inp, params.ratio)} for input length {inp}"
         )
-    raw_rev = _pack(raw, "raw key bits")
-    if out == 0:
-        return []
+    return _pack(raw, "raw key bits")
+
+
+def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
+    """Compress a raw key: output[i] = XOR over j of T[i][j] * raw[j]."""
+    raw_rev = check_input(raw, params)
     # Row i of T reads seed bits inp-1+i down to i: shifting the packed
     # seed right by i lines them up with the packed key, raw[0] highest,
     # so each row is one AND and a popcount.
     seed_int = params.seed_int
+    out = output_length(len(raw), params.ratio)
     return [((seed_int >> i) & raw_rev).bit_count() & 1 for i in range(out)]

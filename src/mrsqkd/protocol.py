@@ -8,7 +8,8 @@ users publish their orders, classify every measurement slot into graph
 components (cycles of surviving pairs, or chains ending in two collapsed
 qubits), run the consistency checks, and distill a raw key from doubly
 measured positions and single-slot chains. Completed runs finish with
-Toeplitz privacy amplification under a transcript-carried seed.
+Toeplitz privacy amplification under a transcript-carried seed, which
+``Outcome`` applies when its final keys are first read.
 
 Positions, slots and qubits are 0-based throughout. The records a run
 makes by the dozen, ``Component`` and ``Case4Disclose`` (and
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -33,7 +35,7 @@ from .bell_algebra import (
     xor_rule_holds,
 )
 from .engine import Backend, CapacityError, Register, derive_seed, new_register, philox
-from .privacy import PAParams, amplify, seed_length
+from .privacy import PAParams, amplify, check_input, output_length, seed_length
 
 
 class Role(Enum):
@@ -229,18 +231,37 @@ class Step4Result:
 
 @dataclass(frozen=True)
 class Outcome:
+    """How a run ended. A completed run keeps its two raw keys and its
+    privacy amplification parameters ``pa``. Its final keys are computed
+    on first read, since a campaign reads only their length; the checks
+    ``amplify`` makes on its inputs run at construction. An aborted run
+    reads None for every key."""
+
     status: RunStatus
     raw_key_alice: Optional[tuple[int, ...]]
     raw_key_bob: Optional[tuple[int, ...]]
-    final_key_alice: Optional[tuple[int, ...]]
-    final_key_bob: Optional[tuple[int, ...]]
+    pa: Optional[PAParams] = None
     abort_stage: Optional[str] = None
     abort_component: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.status is not RunStatus.COMPLETED:
+            return
         keys = (self.raw_key_alice, self.raw_key_bob)
-        if self.status is RunStatus.COMPLETED and (None in keys or len(keys[0]) != len(keys[1])):
+        if None in keys or len(keys[0]) != len(keys[1]):
             raise ValueError("a completed outcome needs two raw keys of equal length")
+        if self.pa is None:
+            raise ValueError("a completed outcome needs its privacy amplification parameters")
+        for key in keys:
+            check_input(key, self.pa)
+
+    @cached_property
+    def final_key_alice(self) -> Optional[tuple[int, ...]]:
+        return None if self.pa is None else tuple(amplify(self.raw_key_alice, self.pa))
+
+    @cached_property
+    def final_key_bob(self) -> Optional[tuple[int, ...]]:
+        return None if self.pa is None else tuple(amplify(self.raw_key_bob, self.pa))
 
 
 @dataclass(frozen=True)
@@ -502,18 +523,17 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     if evaluation.abort is not None:
         stage, comp_idx = evaluation.abort
         transcript._append(AbortRecord(stage, comp_idx))
-        outcome = Outcome(RunStatus.ABORTED, None, None, None, None,
+        outcome = Outcome(RunStatus.ABORTED, None, None,
                           abort_stage=stage, abort_component=comp_idx)
     else:
-        # Step 5: privacy amplification under a shared, published seed.
+        # Step 5: privacy amplification under a shared, published seed;
+        # the outcome hashes the raw keys when its final keys are read.
         raw_a = evaluation.raw_key_alice
         raw_b = evaluation.raw_key_bob
         n_seed = seed_length(len(raw_a), config.pa_ratio)
         seed_bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8).tolist())
         transcript._append(PASeed(config.pa_ratio, seed_bits))
-        params = PAParams(config.pa_ratio, seed_bits)
-        final_a, final_b = tuple(amplify(raw_a, params)), tuple(amplify(raw_b, params))
-        outcome = Outcome(RunStatus.COMPLETED, raw_a, raw_b, final_a, final_b)
+        outcome = Outcome(RunStatus.COMPLETED, raw_a, raw_b, PAParams(config.pa_ratio, seed_bits))
 
     stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
     return RunResult(outcome, transcript, stats, hooks)
@@ -539,6 +559,7 @@ def _build_stats(
         passed[group] += ok is True
         rows.append((_GROUP_KIND[group], len(comp.slots), ok))
     completed = outcome.status is RunStatus.COMPLETED
+    raw_len = len(outcome.raw_key_alice) if completed else None
     abort_kind = None
     if outcome.abort_component is not None:
         abort_kind = components[outcome.abort_component].kind
@@ -549,8 +570,8 @@ def _build_stats(
         status=outcome.status,
         abort_stage=outcome.abort_stage,
         abort_component=abort_kind,
-        raw_key_len=len(outcome.raw_key_alice) if completed else None,
-        final_key_len=len(outcome.final_key_alice) if completed else None,
+        raw_key_len=raw_len,
+        final_key_len=output_length(raw_len, config.pa_ratio) if completed else None,
         keys_match=(outcome.raw_key_alice == outcome.raw_key_bob) if completed else None,
         case1_bits=len(classification.case1_positions),
         case3_bits=count[3],

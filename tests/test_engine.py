@@ -1,12 +1,14 @@
 """Engine contract tests run against both backends wherever possible."""
 import itertools
+import pickle
 
 import numpy as np
+import numpy.random.bit_generator as bit_generator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsqkd import verify
+from mrsqkd import adversary, harness, verify
 from mrsqkd.bell_algebra import BellType, bell_from_code
 from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
@@ -230,6 +232,42 @@ def test_derive_seed_is_stable_and_spread():
     assert a == derive_seed(123, 0)
     assert len({derive_seed(123, i) for i in range(100)}) == 100
     assert derive_seed(124, 0) != a
+
+
+MASK64 = 2**64 - 1
+SEEDS = st.integers(-(2**70), 2**70)  # negative and >= 2**64 keep their low 64 bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(master=SEEDS, index=st.integers(0, 2**40))
+def test_derive_seed_is_the_keyed_philox_counter_stream(master, index):
+    ref = np.random.Philox(key=master & MASK64, counter=[0, 0, 0, index])
+    assert derive_seed(master, index) == np.random.Generator(ref).integers(0, 2**63, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_philox_is_the_keyed_stream_and_pickles(seed):
+    ours, ref = philox(seed), np.random.Generator(np.random.Philox(key=seed & MASK64))
+    assert ours.bit_generator.random_raw(8).tolist() == ref.bit_generator.random_raw(8).tolist()
+    assert ours.permutation(256).tolist() == ref.permutation(256).tolist()
+    twin = pickle.loads(pickle.dumps(ours))
+    expected = ref.integers(0, 2**63, size=4).tolist()
+    assert twin.integers(0, 2**63, size=4).tolist() == expected
+    assert ours.integers(0, 2**63, size=4).tolist() == expected
+
+
+def test_trials_and_registers_read_no_os_entropy(monkeypatch):
+    calls = []
+    real = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits", lambda *a: calls.append(a) or real(*a))
+    np.random.Philox(key=1)  # numpy's keyed constructor still reads OS entropy
+    assert len(calls) == 1
+    calls.clear()
+    config = harness.CampaignConfig(n=64, trials=1, strategy=adversary.honest(), master_seed=3)
+    harness.run_trial(config, 0)
+    new_register(8, Backend.DENSE, 5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 whole-run invariants (all positions 0-based; the worked examples below
 translate 1-based pair numbering to 0-based by subtracting one)."""
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrsqkd import adversary
+from mrsqkd import adversary, harness, protocol
 from mrsqkd.bell_algebra import BellType, bell_from_code, parity
 from mrsqkd.engine import Backend, CapacityError, new_register
 from mrsqkd.protocol import (
@@ -19,6 +20,7 @@ from mrsqkd.protocol import (
     OrderAnnounce,
     Outcome,
     PartyState,
+    PASeed,
     ProtocolConfig,
     Role,
     RunStatus,
@@ -29,6 +31,7 @@ from mrsqkd.protocol import (
     tp_step1,
     tp_step3_honest,
 )
+from mrsqkd.privacy import PAParams, amplify
 
 PHI_P = BellType.PHI_PLUS
 PSI_P = BellType.PSI_PLUS
@@ -173,8 +176,16 @@ def _party(role, measured, order, z):
 
 def test_invariant_violations_raise_value_error():
     # Explicit checks, not asserts: they hold under python -O too.
-    with pytest.raises(ValueError):
-        Outcome(RunStatus.COMPLETED, (0, 1), (0,), None, None)
+    pa = PAParams(Fraction(1, 2), (0, 0))  # the seed a 2-bit raw key needs
+    with pytest.raises(ValueError, match="equal length"):
+        Outcome(RunStatus.COMPLETED, raw_key_alice=(0, 1), raw_key_bob=(0,), pa=pa)
+    # amplify's input checks run at construction, not when a key is read.
+    with pytest.raises(ValueError, match="0/1"):
+        Outcome(RunStatus.COMPLETED, raw_key_alice=(0, 1), raw_key_bob=(0, 2), pa=pa)
+    with pytest.raises(ValueError, match="seed has 2 bits"):
+        Outcome(RunStatus.COMPLETED, raw_key_alice=(0, 1, 1), raw_key_bob=(0, 1, 1), pa=pa)
+    with pytest.raises(ValueError, match="amplification parameters"):
+        Outcome(RunStatus.COMPLETED, raw_key_alice=(0, 1), raw_key_bob=(0, 1))
     no_ends = Classification((), (Component(ComponentKind.CHAIN, (0,)),))
     alice = _party(Role.ALICE, (0,), (1,), {0: 0})
     bob = _party(Role.BOB, (1,), (0,), {1: 0})
@@ -409,6 +420,38 @@ def test_final_key_length_tracks_pa_ratio():
         ProtocolConfig(n=32, seed=4, pa_ratio=Fraction(1, 4)), adversary.honest()
     )
     assert res.stats.final_key_len == res.stats.raw_key_len // 4
+
+
+@pytest.mark.parametrize("backend, n", [(Backend.TABLEAU, 16), (Backend.DENSE, 6)])
+@pytest.mark.parametrize("ratio", [Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+def test_final_keys_are_the_amplified_raw_keys(ratio, backend, n):
+    statuses = set()
+    for seed in range(16):
+        for strategy in (adversary.honest(), adversary.naive_measure()):
+            res = run_protocol(ProtocolConfig(n, seed, backend, ratio), strategy)
+            out = res.outcome
+            statuses.add(out.status)
+            if out.status is RunStatus.ABORTED:
+                assert out.final_key_alice is None and out.final_key_bob is None
+                continue
+            (bits,) = [r.bits for r in res.transcript.records if isinstance(r, PASeed)]
+            params = PAParams(ratio, bits)
+            assert out.final_key_alice == tuple(amplify(out.raw_key_alice, params))
+            assert out.final_key_bob == tuple(amplify(out.raw_key_bob, params))
+            assert res.stats.final_key_len == len(out.final_key_alice)
+    assert statuses == {RunStatus.COMPLETED, RunStatus.ABORTED}
+
+
+def test_campaign_computes_no_final_key(monkeypatch):
+    calls = []
+    real = protocol.amplify
+    monkeypatch.setattr(protocol, "amplify", lambda *a: calls.append(a) or real(*a))
+    config = harness.CampaignConfig(n=64, trials=50, strategy=adversary.honest(), master_seed=8)
+    stats, _ = harness.run_campaign(config)
+    assert calls == [] and all(s.final_key_len > 0 for s in stats)
+    # Reading a key hashes it once, through the name the campaign did not call.
+    out = run_protocol(ProtocolConfig(n=64, seed=8), adversary.honest()).outcome
+    assert out.final_key_alice == out.final_key_alice and len(calls) == 1
 
 
 def test_run_protocol_on_dense_backend():

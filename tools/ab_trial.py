@@ -15,10 +15,18 @@ output gives the median ms per trial of each side, the median of the
 per-batch speedups with its quartiles, and how many batches the working
 tree won.
 
+Before any timing, in either mode, each side renders the CSV of trials
+0..299 of ``--attack`` at ``--n`` with its own ``harness.render_csv``;
+if the two differ, the tool prints one line and exits 1, so a speedup
+it reports comes with byte-identical rows.
+
 ``--stages K`` instead times the stages of K honest trials at ``--n``,
 alternating the two copies trial by trial, and prints the median µs of
 each stage. It replays ``run_protocol`` step by step through the
 protocol's own functions, so it has to follow them when they change.
+Its ``pa`` stage draws the PA seed and builds the ``Outcome``, which
+checks the inputs of privacy amplification; a revision whose
+``Outcome`` computes its final keys on first read hashes nothing there.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ import tempfile
 import time
 
 ROOT = os.getcwd()
+IDENTITY_TRIALS = 300
 STAGES = ("setup", "prep", "choices", "z", "bell", "classify", "evaluate", "pa", "stats")
 
 
@@ -60,6 +69,15 @@ def trial_runner(mods: dict, attack: str, n: int):
     config = h.CampaignConfig(n=n, trials=1, master_seed=12345,
                               strategy=getattr(mods["adversary"], strategy)())
     return lambda i: h.run_trial(config, i)
+
+
+def same_rows(base: dict, work: dict, args) -> bool:
+    """Whether both sides write the same CSV for the first trials."""
+    csvs = []
+    for mods in (base, work):
+        run = trial_runner(mods, args.attack, args.n)
+        csvs.append(mods["harness"].render_csv([run(i) for i in range(IDENTITY_TRIALS)]))
+    return csvs[0] == csvs[1]
 
 
 def ab_batches(base: dict, work: dict, args) -> None:
@@ -116,8 +134,11 @@ def trial_stages(mods: dict, n: int, seed: int) -> list[float]:
     n_seed = priv.seed_length(len(raw_a), config.pa_ratio)
     bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype="uint8").tolist())
     params = priv.PAParams(config.pa_ratio, bits)
-    outcome = pr.Outcome(pr.RunStatus.COMPLETED, raw_a, raw_b,
-                         tuple(priv.amplify(raw_a, params)), tuple(priv.amplify(raw_b, params)))
+    if "pa" in pr.Outcome.__dataclass_fields__:  # final keys computed on first read
+        outcome = pr.Outcome(pr.RunStatus.COMPLETED, raw_a, raw_b, pa=params)
+    else:  # a base that amplifies both keys in the run
+        outcome = pr.Outcome(pr.RunStatus.COMPLETED, raw_a, raw_b,
+                             tuple(priv.amplify(raw_a, params)), tuple(priv.amplify(raw_b, params)))
     t.append(clock())
     pr._build_stats(0, config, strategy, cls, ev, outcome)
     t.append(clock())
@@ -154,6 +175,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         load_base(args.base, tmp)
         base, work = modules("mrsqkd_base"), modules("mrsqkd")
+        if not same_rows(base, work, args):
+            print(f"error: base {args.base} and the working tree write different CSV rows "
+                  f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
+                  file=sys.stderr)
+            return 1
         (ab_stages if args.stages else ab_batches)(base, work, args)
     return 0
 
