@@ -6,8 +6,8 @@ Subcommands: ``simulate`` (one verbose run, transcript on stdout),
 curves, optionally next to freshly measured campaign rates).
 
 Every flag can also come from a config file of flat ``key=value`` lines
-(keys are the long flag names without the dashes); command-line flags
-override file values.
+(keys are the subcommand's long flag names without the dashes, and any
+other key is an error); command-line flags override file values.
 """
 from __future__ import annotations
 
@@ -50,18 +50,20 @@ class _Options:
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
         self._file = load_config_file(args.config) if getattr(args, "config", None) else {}
+        # Every dest of the subcommand's parser but the subcommand name is a long flag.
+        flags = {dest.replace("_", "-") for dest in vars(args)} - {"command"}
+        for key, value in self._file.items():
+            if key not in flags:
+                raise ValueError(f"config file: unknown key {key!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                choices = ", ".join(_CHOICES[key])
+                raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
 
     def get(self, key: str, default, cast):
         cli = getattr(self._args, key.replace("-", "_"), None)
         if cli is not None:
             return cli
-        if key not in self._file:
-            return default
-        value = self._file[key]
-        if key in _CHOICES and value not in _CHOICES[key]:
-            choices = ", ".join(_CHOICES[key])
-            raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
-        return cast(value)
+        return cast(self._file[key]) if key in self._file else default
 
 
 def _strategy(opts: _Options) -> TpStrategy:

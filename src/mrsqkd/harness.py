@@ -62,7 +62,7 @@ class CampaignSummary:
     abort_rate: float
     mismatched: int
     mismatch_rate: float  # among completed trials
-    detection_rate: float  # aborted or mismatched, over all trials
+    detection_rate: float  # share of all trials that are detected()
     mean_raw_key_len: float
     mean_final_key_len: float
     empirical_qe: float  # mean raw key length / (2n), completed trials
@@ -141,7 +141,7 @@ def summarize(stats: Sequence[RunStats]) -> CampaignSummary:
         abort_rate=aborted / len(stats),
         mismatched=mismatched,
         mismatch_rate=mismatched / len(completed) if completed else float("nan"),
-        detection_rate=(aborted + mismatched) / len(stats),
+        detection_rate=sum(map(detected, stats)) / len(stats),
         mean_raw_key_len=mean_raw,
         mean_final_key_len=mean_final,
         empirical_qe=mean_raw / qubit_total if raw_lens else float("nan"),

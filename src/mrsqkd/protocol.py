@@ -23,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
+from time import perf_counter_ns
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -127,31 +128,38 @@ TranscriptRecord = (
 
 
 class Transcript:
-    """Append-only record of every classical message in one run.
+    """Every classical message of one run, in the order of the schedule.
 
     The MR announcement always precedes the order announcements; that
-    ordering is what the security of the checks rests on, so it is
-    enforced at append time.
+    ordering is what the security of the checks rests on, and the records
+    are built in it. A campaign reads no transcript, so they are built
+    from the run's published data when first read.
     """
 
-    def __init__(self) -> None:
-        self._records: list[TranscriptRecord] = []
+    def __init__(self, n: int, mr: tuple[BellType, ...], alice: PartyState, bob: PartyState,
+                 disclosures: tuple[Case4Disclose, ...], outcome: Outcome) -> None:
+        self._run = (n, mr, alice, bob, disclosures, outcome)
 
-    def _append(self, *records: TranscriptRecord) -> None:
-        for record in records:
-            if isinstance(record, OrderAnnounce) and not any(
-                isinstance(r, MRAnnounce) for r in self._records
-            ):
-                raise ValueError("order announcement before MR announcement")
-            self._records.append(record)
-
-    @property
+    @cached_property
     def records(self) -> tuple[TranscriptRecord, ...]:
-        return tuple(self._records)
+        n, mr, alice, bob, disclosures, outcome = self._run
+        half = n // 2
+        if outcome.pa is None:
+            last = AbortRecord(outcome.abort_stage, outcome.abort_component)
+        else:
+            last = PASeed(outcome.pa.ratio, outcome.pa.seed_bits)
+        return (
+            QuantumSend("TP->ALICE", n), QuantumSend("TP->BOB", n),
+            QuantumSend("ALICE->TP", half), QuantumSend("BOB->TP", half),
+            MRAnnounce(mr),
+            OrderAnnounce(_ALICE, alice.send_order, alice.measured_positions),
+            OrderAnnounce(_BOB, bob.send_order, bob.measured_positions),
+            *disclosures, last,
+        )
 
     def render(self) -> str:
         """Line-oriented text form, one record per line."""
-        return "\n".join(r.line() for r in self._records) + "\n"
+        return "\n".join(r.line() for r in self.records) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -301,6 +309,7 @@ class RunResult:
     transcript: Transcript
     stats: RunStats
     hooks: object  # the per-run strategy hooks, exposed for inspection
+    stage_ns: tuple[int, ...] = field(compare=False)  # perf_counter_ns() bounding STAGES
 
 
 # --------------------------------------------------------------------------
@@ -471,58 +480,59 @@ def evaluate_step4(
 # --------------------------------------------------------------------------
 # Full run
 
+STAGES = ("setup", "prep", "choices", "z", "bell", "classify", "evaluate", "pa", "stats")
+
 
 def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResult:
     """Execute one full run against the given server strategy.
 
     The strategy supplies per-run hooks (see the adversary module); the
-    schedule itself, the transcript ordering and the evaluation are fixed
-    here and identical for honest and adversarial servers.
+    schedule itself and the evaluation are fixed here, and the transcript
+    ordering in ``Transcript``, identical for honest and adversarial servers.
     """
+    marks = [perf_counter_ns()]
     n = config.n
-    half = n // 2
     strategy.check_fits(n)
     engine = new_register(2 * n, config.backend, derive_seed(config.seed, 0))
     alice_rng = philox(derive_seed(config.seed, 1))
     bob_rng = philox(derive_seed(config.seed, 2))
     hooks = strategy.instantiate(philox(derive_seed(config.seed, 3)))
-    transcript = Transcript()
+    marks.append(perf_counter_ns())
 
     # Step 1: prepare and send out both wires (possibly tampered).
     wire_a, wire_b = hooks.prepare(engine, n)
-    transcript._append(QuantumSend("TP->ALICE", n), QuantumSend("TP->BOB", n))
     wire_a, wire_b = hooks.on_outbound(engine, (wire_a, wire_b))
+    marks.append(perf_counter_ns())
 
     # Step 2: each user measures half and returns the rest reordered.
     alice = party_step2(alice_rng, n, Role.ALICE)
     bob = party_step2(bob_rng, n, Role.BOB)
+    marks.append(perf_counter_ns())
     for party, wire in ((alice, wire_a), (bob, wire_b)):
         positions = party.measured_positions
         qubits = map(wire.__getitem__, positions)
         party.z_results.update(zip(positions, map(engine.measure_z, qubits)))
     q1 = tuple(map(wire_a.__getitem__, alice.send_order))
     q2 = tuple(map(wire_b.__getitem__, bob.send_order))
-    transcript._append(QuantumSend("ALICE->TP", half), QuantumSend("BOB->TP", half))
+    marks.append(perf_counter_ns())
 
     # Step 3: the announcement commits before any order is revealed.
     mr = tuple(hooks.on_return(engine, q1, q2))
-    if len(mr) != half or set(map(type, mr)) != {BellType}:
+    if len(mr) != len(q1) or set(map(type, mr)) != {BellType}:
         raise ValueError("strategy announced a malformed measurement-result list")
-    transcript._append(MRAnnounce(mr))
+    marks.append(perf_counter_ns())
 
     # Step 4: orders out, classification, checks.
-    transcript._append(OrderAnnounce(Role.ALICE, alice.send_order, alice.measured_positions))
-    transcript._append(OrderAnnounce(Role.BOB, bob.send_order, bob.measured_positions))
     classification = classify_components(
         alice.measured_positions, bob.measured_positions,
         alice.send_order, bob.send_order, n,
     )
+    marks.append(perf_counter_ns())
     evaluation = evaluate_step4(classification, mr, alice, bob)
-    transcript._append(*evaluation.disclosures)
+    marks.append(perf_counter_ns())
 
     if evaluation.abort is not None:
         stage, comp_idx = evaluation.abort
-        transcript._append(AbortRecord(stage, comp_idx))
         outcome = Outcome(RunStatus.ABORTED, None, None,
                           abort_stage=stage, abort_component=comp_idx)
     else:
@@ -532,11 +542,13 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
         raw_b = evaluation.raw_key_bob
         n_seed = seed_length(len(raw_a), config.pa_ratio)
         seed_bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8).tolist())
-        transcript._append(PASeed(config.pa_ratio, seed_bits))
         outcome = Outcome(RunStatus.COMPLETED, raw_a, raw_b, PAParams(config.pa_ratio, seed_bits))
+    transcript = Transcript(n, mr, alice, bob, evaluation.disclosures, outcome)
+    marks.append(perf_counter_ns())
 
     stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
-    return RunResult(outcome, transcript, stats, hooks)
+    marks.append(perf_counter_ns())
+    return RunResult(outcome, transcript, stats, hooks, tuple(marks))
 
 
 def _build_stats(

@@ -1,0 +1,68 @@
+"""tools/ab_trial.py, run in-process with the working tree's package on
+both sides, so the timing tool cannot drift from the run it times."""
+import argparse
+import dataclasses
+import importlib.util
+import pathlib
+import types
+
+import pytest
+
+from mrsqkd import protocol
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab_trial.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab_trial", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stage_args(stages=3):
+    return argparse.Namespace(base="HEAD", attack="parity-measure", n=16, stages=stages)
+
+
+def test_stages_prints_the_medians_of_the_runs_own_stages(ab, capsys):
+    work = ab.modules("mrsqkd")
+    assert ab.compare(work, work, stage_args()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["parity-measure n=16", f"{'stage':10s} {'base_us':>9s} {'work_us':>9s}"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [*protocol.STAGES, "total"]
+    for side in (1, 2):
+        us = [float(row[side]) for row in rows]
+        assert min(us) >= 0 and sum(us[:-1]) == pytest.approx(us[-1], abs=0.1 * len(us))
+
+
+def fake_protocol(stages, marks):
+    """A protocol module whose every run reports the given marks."""
+    result = types.SimpleNamespace(stage_ns=marks)
+    return types.SimpleNamespace(STAGES=stages, ProtocolConfig=lambda **kw: kw,
+                                 run_protocol=lambda config, strategy: result)
+
+
+def test_stage_rows_follow_each_sides_stages(ab, capsys):
+    work = ab.modules("mrsqkd")
+    base = dict(work, protocol=fake_protocol(("setup", "rest"), (0, 1000, 3500)))
+    work = dict(work, protocol=fake_protocol(("setup", "rest", "extra"), (10, 510, 1510, 1520)))
+    ab.ab_stages(base, work, stage_args(stages=2))
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["setup", "1.0", "0.5"], ["rest", "2.5", "1.0"], ["extra", "-", "0.0"],
+                    ["total", "3.5", "1.5"]]
+
+
+def test_a_revision_without_stage_marks_is_refused(ab, capsys):
+    work = ab.modules("mrsqkd")
+    old_result = dataclasses.make_dataclass("RunResult", ["outcome", "transcript", "stats", "hooks"])
+    old = dict(work, protocol=types.SimpleNamespace(RunResult=old_result))
+    for base, tree in ((old, work), (work, old)):
+        assert ab.compare(base, tree, stage_args()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "stage_ns" in lines[0]

@@ -298,6 +298,21 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
         assert lines[0] == f"error: config file: invalid {key} {value!r} (choose from {allowed})"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["campaign", "--config", "trails=3"], "trails"),
+     (["verify-backends", "--config", "n=8"], "n")],
+    ids=["campaign trails=3", "verify-backends n=8"],
+)
+def test_cli_config_file_unknown_key_exits_2(argv, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(argv[-1] + "\n")
+    assert cli.main(argv[:-1] + [str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: config file: unknown key {key!r}"]
+
+
 @pytest.mark.parametrize("ratio", ["2", "0", "-1/2"])
 def test_cli_config_file_pa_ratio_out_of_range_exits_2(ratio, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -31,7 +31,7 @@ from mrsqkd.protocol import (
     tp_step1,
     tp_step3_honest,
 )
-from mrsqkd.privacy import PAParams, amplify
+from mrsqkd.privacy import PAParams, amplify, seed_length
 
 PHI_P = BellType.PHI_PLUS
 PSI_P = BellType.PSI_PLUS
@@ -411,6 +411,50 @@ def test_transcript_is_deterministic_and_ordered():
     assert a.transcript.render() != c.transcript.render()
     kinds = [type(r).__name__ for r in a.transcript.records]
     assert kinds.index("MRAnnounce") < kinds.index("OrderAnnounce")
+
+
+@pytest.mark.parametrize("backend, n", [(Backend.TABLEAU, 16), (Backend.DENSE, 6)])
+@pytest.mark.parametrize("strategy", ["honest", "naive_measure", "parity_aware_measure"])
+def test_stage_marks_bound_every_stage(strategy, backend, n):
+    statuses = set()
+    for seed in range(12):
+        res = run_protocol(ProtocolConfig(n, seed, backend), getattr(adversary, strategy)())
+        statuses.add(res.outcome.status)
+        marks = res.stage_ns
+        assert len(marks) == len(protocol.STAGES) + 1
+        assert all(type(t) is int for t in marks)
+        assert list(marks) == sorted(marks)
+    expected = {RunStatus.COMPLETED} if strategy == "honest" else set(RunStatus)
+    assert statuses == expected
+
+
+@pytest.mark.parametrize("strategy", [adversary.honest(), adversary.parity_aware_measure()],
+                         ids=["honest", "parity_aware_measure"])
+def test_same_seed_same_run_whatever_the_marks(strategy):
+    a, b = (run_protocol(ProtocolConfig(n=32, seed=21), strategy) for _ in range(2))
+    assert a.stats == b.stats
+    assert a.transcript.render() == b.transcript.render()
+    assert a.stage_ns != b.stage_ns
+
+
+@pytest.mark.parametrize("backend, n", [(Backend.TABLEAU, 16), (Backend.DENSE, 6)])
+def test_transcript_agrees_with_the_outcome_and_stats(backend, n):
+    statuses = set()
+    for seed in range(12):
+        res = run_protocol(ProtocolConfig(n, seed, backend), adversary.naive_measure())
+        out, stats = res.outcome, res.stats
+        statuses.add(out.status)
+        lines = res.transcript.render().splitlines()
+        assert lines[:4] == [f"QUANTUM_SEND dir={d} count={c}" for d, c in (
+            ("TP->ALICE", n), ("TP->BOB", n), ("ALICE->TP", n // 2), ("BOB->TP", n // 2))]
+        assert sum(line.startswith("CASE4_DISCLOSE ") for line in lines) == stats.case4_disclosed_bits
+        if out.status is RunStatus.ABORTED:
+            assert lines[-1] == f"ABORT stage={out.abort_stage} component={out.abort_component}"
+        else:
+            bits = lines[-1].removeprefix("PA_SEED ratio=1/2 bits=")
+            assert bits == "".join(map(str, out.pa.seed_bits))
+            assert len(bits) == seed_length(stats.raw_key_len, Fraction(1, 2))
+    assert statuses == set(RunStatus)
 
 
 def test_final_key_length_tracks_pa_ratio():

@@ -4,7 +4,7 @@ working tree.
 Run from the root of a checkout:
 
     python tools/ab_trial.py --base HEAD --attack honest --n 256 --batches 40 --batch 100
-    python tools/ab_trial.py --base HEAD --stages 500
+    python tools/ab_trial.py --base HEAD --attack honest --n 256 --stages 500
 
 ``git archive`` extracts the base revision's ``src/mrsqkd`` into a
 temporary directory, where it is imported as ``mrsqkd_base`` beside the
@@ -20,13 +20,12 @@ Before any timing, in either mode, each side renders the CSV of trials
 if the two differ, the tool prints one line and exits 1, so a speedup
 it reports comes with byte-identical rows.
 
-``--stages K`` instead times the stages of K honest trials at ``--n``,
-alternating the two copies trial by trial, and prints the median µs of
-each stage. It replays ``run_protocol`` step by step through the
-protocol's own functions, so it has to follow them when they change.
-Its ``pa`` stage draws the PA seed and builds the ``Outcome``, which
-checks the inputs of privacy amplification; a revision whose
-``Outcome`` computes its final keys on first read hashes nothing there.
+``--stages K`` instead times K ``run_protocol`` calls of ``--attack`` at
+``--n``, alternating the two copies call by call, and prints the median
+µs of each stage. The stages come from the run's own marks: each side's
+``RunResult.stage_ns`` bounds the stages named by its ``protocol.STAGES``.
+A revision without ``stage_ns`` cannot be timed this way, and the tool
+exits 2 with one line.
 """
 from __future__ import annotations
 
@@ -43,7 +42,8 @@ import time
 
 ROOT = os.getcwd()
 IDENTITY_TRIALS = 300
-STAGES = ("setup", "prep", "choices", "z", "bell", "classify", "evaluate", "pa", "stats")
+STRATEGIES = {"honest": "honest", "naive-measure": "naive_measure",
+              "parity-measure": "parity_aware_measure"}
 
 
 def load_base(rev: str, into: str):
@@ -51,23 +51,23 @@ def load_base(rev: str, into: str):
     data = subprocess.run(["git", "archive", rev, "src/mrsqkd"], cwd=ROOT,
                           capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
     os.rename(os.path.join(into, "src", "mrsqkd"), os.path.join(into, "mrsqkd_base"))
     sys.path.insert(0, into)
     return importlib.import_module("mrsqkd_base")
 
 
 def modules(pkg: str) -> dict:
-    return {m: importlib.import_module(f"{pkg}.{m}")
-            for m in ("adversary", "engine", "harness", "privacy", "protocol")}
+    return {m: importlib.import_module(f"{pkg}.{m}") for m in ("adversary", "harness", "protocol")}
+
+
+def strategy(mods: dict, attack: str):
+    return getattr(mods["adversary"], STRATEGIES[attack])()
 
 
 def trial_runner(mods: dict, attack: str, n: int):
-    strategy = {"honest": "honest", "naive-measure": "naive_measure",
-                "parity-measure": "parity_aware_measure"}[attack]
     h = mods["harness"]
-    config = h.CampaignConfig(n=n, trials=1, master_seed=12345,
-                              strategy=getattr(mods["adversary"], strategy)())
+    config = h.CampaignConfig(n=n, trials=1, master_seed=12345, strategy=strategy(mods, attack))
     return lambda i: h.run_trial(config, i)
 
 
@@ -100,88 +100,62 @@ def ab_batches(base: dict, work: dict, args) -> None:
           f"work won {sum(r > 1 for r in ratios)}/{args.batches} batches")
 
 
-def trial_stages(mods: dict, n: int, seed: int) -> list[float]:
-    """µs per stage of one honest trial, replaying ``run_protocol``."""
-    pr, priv = mods["protocol"], mods["privacy"]
-    strategy = mods["adversary"].honest()
-    clock = time.perf_counter_ns
-    config = pr.ProtocolConfig(n=n, seed=seed)
-    t = [clock()]
-    engine = pr.new_register(2 * n, config.backend, pr.derive_seed(seed, 0))
-    alice_rng = pr.philox(pr.derive_seed(seed, 1))
-    bob_rng = pr.philox(pr.derive_seed(seed, 2))
-    hooks = strategy.instantiate(pr.philox(pr.derive_seed(seed, 3)))
-    t.append(clock())
-    wire_a, wire_b = hooks.prepare(engine, n)
-    t.append(clock())
-    alice = pr.party_step2(alice_rng, n, pr.Role.ALICE)
-    bob = pr.party_step2(bob_rng, n, pr.Role.BOB)
-    t.append(clock())
-    for party, wire in ((alice, wire_a), (bob, wire_b)):
-        for p in party.measured_positions:
-            party.z_results[p] = engine.measure_z(wire[p])
-    q1 = tuple(wire_a[p] for p in alice.send_order)
-    q2 = tuple(wire_b[p] for p in bob.send_order)
-    t.append(clock())
-    mr = tuple(hooks.on_return(engine, q1, q2))
-    t.append(clock())
-    cls = pr.classify_components(alice.measured_positions, bob.measured_positions,
-                                 alice.send_order, bob.send_order, n)
-    t.append(clock())
-    ev = pr.evaluate_step4(cls, mr, alice, bob)
-    t.append(clock())
-    raw_a, raw_b = ev.raw_key_alice, ev.raw_key_bob
-    n_seed = priv.seed_length(len(raw_a), config.pa_ratio)
-    bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype="uint8").tolist())
-    params = priv.PAParams(config.pa_ratio, bits)
-    if "pa" in pr.Outcome.__dataclass_fields__:  # final keys computed on first read
-        outcome = pr.Outcome(pr.RunStatus.COMPLETED, raw_a, raw_b, pa=params)
-    else:  # a base that amplifies both keys in the run
-        outcome = pr.Outcome(pr.RunStatus.COMPLETED, raw_a, raw_b,
-                             tuple(priv.amplify(raw_a, params)), tuple(priv.amplify(raw_b, params)))
-    t.append(clock())
-    pr._build_stats(0, config, strategy, cls, ev, outcome)
-    t.append(clock())
-    return [(end - start) / 1e3 for start, end in zip(t, t[1:])]
+def stage_us(mods: dict, attack: str, n: int, seed: int) -> dict[str, float]:
+    """µs per stage of one ``run_protocol`` call, from its own marks."""
+    pr = mods["protocol"]
+    marks = pr.run_protocol(pr.ProtocolConfig(n=n, seed=seed), strategy(mods, attack)).stage_ns
+    return {stage: (end - start) / 1e3 for stage, start, end in zip(pr.STAGES, marks, marks[1:])}
 
 
 def ab_stages(base: dict, work: dict, args) -> None:
-    """Median µs per stage, the two sides alternating trial by trial."""
+    """Median µs per stage, the two sides alternating call by call."""
     runs = {"base": base, "work": work}
     spans = {side: [] for side in runs}
     for k, seed in enumerate(range(1000 - 50, 1000 + args.stages)):
         for side in ("base", "work") if k % 2 == 0 else ("work", "base"):
-            stages = trial_stages(runs[side], args.n, seed)
-            if seed >= 1000:  # the first 50 trials warm both copies
+            stages = stage_us(runs[side], args.attack, args.n, seed)
+            if seed >= 1000:  # the first 50 calls warm both copies
                 spans[side].append(stages)
-    medians = {side: [statistics.median(col) for col in zip(*rows)] for side, rows in spans.items()}
+    medians = [{stage: statistics.median(s[stage] for s in rows) for stage in rows[0]}
+               for rows in spans.values()]
+    print(f"{args.attack} n={args.n}")
     print(f"{'stage':10s} {'base_us':>9s} {'work_us':>9s}")
-    for i, stage in enumerate(STAGES):
-        print(f"{stage:10s} {medians['base'][i]:9.1f} {medians['work'][i]:9.1f}")
-    print(f"{'total':10s} {sum(medians['base']):9.1f} {sum(medians['work']):9.1f}")
+    for stage in dict.fromkeys([*medians[0], *medians[1]]):  # a stage one side lacks reads -
+        cells = [f"{m[stage]:9.1f}" if stage in m else f"{'-':>9s}" for m in medians]
+        print(f"{stage:10s} {cells[0]} {cells[1]}")
+    print(f"{'total':10s} {sum(medians[0].values()):9.1f} {sum(medians[1].values()):9.1f}")
+
+
+def compare(base: dict, work: dict, args) -> int:
+    """Check that both sides can be compared, then time them; the exit code."""
+    if args.stages:
+        for name, mods in ((f"base {args.base}", base), ("the working tree", work)):
+            if "stage_ns" not in mods["protocol"].RunResult.__dataclass_fields__:
+                print(f"error: {name} has no RunResult.stage_ns to time --stages from",
+                      file=sys.stderr)
+                return 2
+    if not same_rows(base, work, args):
+        print(f"error: base {args.base} and the working tree write different CSV rows "
+              f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
+              file=sys.stderr)
+        return 1
+    (ab_stages if args.stages else ab_batches)(base, work, args)
+    return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--attack", default="honest",
-                        choices=("honest", "naive-measure", "parity-measure"))
+    parser.add_argument("--attack", default="honest", choices=tuple(STRATEGIES))
     parser.add_argument("--n", type=int, default=256)
     parser.add_argument("--batches", type=int, default=40)
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
-    parser.add_argument("--stages", type=int, default=0, help="time K trials stage by stage")
+    parser.add_argument("--stages", type=int, default=0, help="time K runs stage by stage")
     args = parser.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         load_base(args.base, tmp)
-        base, work = modules("mrsqkd_base"), modules("mrsqkd")
-        if not same_rows(base, work, args):
-            print(f"error: base {args.base} and the working tree write different CSV rows "
-                  f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
-                  file=sys.stderr)
-            return 1
-        (ab_stages if args.stages else ab_batches)(base, work, args)
-    return 0
+        return compare(modules("mrsqkd_base"), modules("mrsqkd"), args)
 
 
 if __name__ == "__main__":
