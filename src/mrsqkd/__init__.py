@@ -5,10 +5,8 @@ pluggable third-party attack strategies, and a Monte Carlo harness."""
 from .bell_algebra import (
     BellType,
     ChainSpec,
-    bell_from_code,
     bm_parity,
     chain_relation_holds,
-    code2,
     collapse_partner,
     infer_remote_bit,
     parity,
@@ -38,10 +36,8 @@ __all__ = [
     "Register",
     "UnsupportedOperationError",
     "ZMeasure",
-    "bell_from_code",
     "bm_parity",
     "chain_relation_holds",
-    "code2",
     "collapse_partner",
     "derive_seed",
     "infer_remote_bit",

@@ -27,18 +27,8 @@ class BellType(IntEnum):
 _BELL_BY_CODE = tuple(BellType)  # index = two-bit code; faster than BellType(code)
 
 
-def code2(v: int) -> int:
-    """Two-bit code of a Bell state: phi+ 00, phi- 01, psi+ 10, psi- 11."""
-    return int(v)
-
-
-def bell_from_code(code: int) -> BellType:
-    """Inverse of code2; ValueError outside 0..3."""
-    return BellType(code)
-
-
 def parity(v: int) -> int:
-    """One-bit code: 1 for psi-type, 0 for phi-type (the high bit of code2)."""
+    """One-bit code: 1 for psi-type, 0 for phi-type (the high bit of the two-bit code)."""
     return v >> 1
 
 

@@ -7,7 +7,10 @@ curves, optionally next to freshly measured campaign rates).
 
 Every flag can also come from a config file of flat ``key=value`` lines
 (keys are the subcommand's long flag names without the dashes, and any
-other key is an error); command-line flags override file values.
+other key is an error). File values become the subcommand's defaults, so
+argparse converts and checks them exactly like the flags, and a flag
+overrides the file. Any bad flag, value or file line ends the command
+with one ``error:`` line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .adversary import StrategyKind, TpStrategy, modification
 from .engine import Backend, CapacityError, GateName
@@ -26,8 +29,25 @@ from .verify import verify_backends
 ATTACKS = tuple(k.value for k in StrategyKind)
 GATES = tuple(g.value for g in GateName)
 BACKENDS = tuple(b.value for b in Backend)
-# Config-file values get the same check as the flags' argparse choices.
+# argparse does not check a default against its choices, so file values are checked here.
 _CHOICES = {"attack": ATTACKS, "gate": GATES, "backend": BACKENDS}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError instead of printing usage and exiting, so ``main``
+    reports every parse error on one line. Subparsers inherit the class."""
+
+    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
+def _ratio(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid ratio {text!r}") from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -44,89 +64,81 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Flag values merged over config-file values merged over defaults."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._args = args
-        self._file = load_config_file(args.config) if getattr(args, "config", None) else {}
-        # Every dest of the subcommand's parser but the subcommand name is a long flag.
-        flags = {dest.replace("_", "-") for dest in vars(args)} - {"command"}
-        for key, value in self._file.items():
-            if key not in flags:
-                raise ValueError(f"config file: unknown key {key!r}")
-            if key in _CHOICES and value not in _CHOICES[key]:
-                choices = ", ".join(_CHOICES[key])
-                raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
-
-    def get(self, key: str, default, cast):
-        cli = getattr(self._args, key.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        return cast(self._file[key]) if key in self._file else default
+def _set_file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the values of ``args.config`` the defaults of the subcommand ``parser``."""
+    values = load_config_file(args.config)
+    # Every dest of the subcommand's parser but these two is a long flag.
+    flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+    for key, value in values.items():
+        if key not in flags:
+            raise ValueError(f"config file: unknown key {key!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            choices = ", ".join(_CHOICES[key])
+            raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
+    parser.set_defaults(**{key.replace("-", "_"): value for key, value in values.items()})
 
 
-def _strategy(opts: _Options) -> TpStrategy:
-    kind = StrategyKind(opts.get("attack", "honest", str))
+def _strategy(args: argparse.Namespace) -> TpStrategy:
+    kind = StrategyKind(args.attack)
     if kind is StrategyKind.MODIFICATION:
-        return modification(GateName(opts.get("gate", "x", str)), opts.get("m", 1, int))
+        return modification(GateName(args.gate), args.m)
     return TpStrategy(kind)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value file supplying flag defaults")
-    parser.add_argument("--n", type=int, help="Bell pair count (even)")
-    parser.add_argument("--attack", choices=ATTACKS, help="server strategy")
-    parser.add_argument("--gate", choices=GATES, help="gate for --attack modify")
-    parser.add_argument("--m", type=int, help="attacked qubit count for --attack modify")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--backend", choices=BACKENDS, help="quantum backend")
-    parser.add_argument("--pa-ratio", type=Fraction, help="privacy amplification ratio, e.g. 1/2")
+def _add_common(parser: argparse.ArgumentParser, n: int) -> None:
+    parser.add_argument("--n", type=int, default=n, help="Bell pair count (even)")
+    parser.add_argument("--attack", choices=ATTACKS, default="honest", help="server strategy")
+    parser.add_argument("--gate", choices=GATES, default="x", help="gate for --attack modify")
+    parser.add_argument("--m", type=int, default=1,
+                        help="attacked qubit count for --attack modify")
+    parser.add_argument("--seed", type=int, default=1, help="master seed")
+    parser.add_argument("--backend", choices=BACKENDS, default="tableau", help="quantum backend")
+    parser.add_argument("--pa-ratio", type=_ratio, default=Fraction(1, 2),
+                        help="privacy amplification ratio, e.g. 1/2")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="mrsqkd",
         description="Mediated semi-quantum key distribution laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     sim = sub.add_parser("simulate", help="run one trial and dump its transcript")
-    _add_common(sim)
+    _add_common(sim, n=16)
 
     camp = sub.add_parser("campaign", help="Monte Carlo campaign with CSV output")
-    _add_common(camp)
-    camp.add_argument("--trials", type=int, help="number of trials")
+    _add_common(camp, n=64)
+    camp.add_argument("--trials", type=int, default=100, help="number of trials")
     camp.add_argument("--out", help="CSV output path")
-    camp.add_argument(
-        "--workers", type=int, help="worker processes (default: all cores)"
-    )
+    camp.add_argument("--workers", type=int, default=default_workers(),
+                      help="worker processes (default: all cores)")
 
     ver = sub.add_parser("verify-backends", help="exact pair-block law vs exact dense oracle")
-    ver.add_argument("--config", help="flat key=value file supplying flag defaults")
-    ver.add_argument("--samples", type=int, help="seeded pair-block shots per circuit")
-    ver.add_argument("--max-qubits", type=int, help="largest circuit to include")
-    ver.add_argument("--seed", type=int, help="master seed of the shots")
+    ver.add_argument("--samples", type=int, default=10000,
+                     help="seeded pair-block shots per circuit")
+    ver.add_argument("--max-qubits", type=int, default=12, help="largest circuit to include")
+    ver.add_argument("--seed", type=int, default=20240, help="master seed of the shots")
 
     cur = sub.add_parser("curves", help="analytic detection curves (CSV)")
-    cur.add_argument("--config", help="flat key=value file supplying flag defaults")
-    cur.add_argument("--max", type=int, help="largest x value (from 0)")
+    cur.add_argument("--max", type=int, default=16, help="largest x value (from 0)")
     cur.add_argument("--out", help="CSV output path")
-    cur.add_argument("--empirical-trials", type=int,
+    cur.add_argument("--empirical-trials", type=int, default=0,
                      help="when > 0, also measure modify-attack detection per m")
-    cur.add_argument("--n", type=int, help="Bell pair count for empirical rows")
-    cur.add_argument("--seed", type=int, help="master seed for empirical rows")
+    cur.add_argument("--n", type=int, default=64, help="Bell pair count for empirical rows")
+    cur.add_argument("--seed", type=int, default=1, help="master seed for empirical rows")
+
+    for command in parser.commands.values():
+        command.add_argument("--config", help="flat key=value file supplying flag defaults")
     return parser
 
 
-def cmd_simulate(opts: _Options) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     config = ProtocolConfig(
-        n=opts.get("n", 16, int),
-        seed=opts.get("seed", 1, int),
-        backend=Backend(opts.get("backend", "tableau", str)),
-        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), Fraction),
+        n=args.n, seed=args.seed, backend=Backend(args.backend), pa_ratio=args.pa_ratio
     )
-    result = run_protocol(config, _strategy(opts))
+    result = run_protocol(config, _strategy(args))
     sys.stdout.write(result.transcript.render())
     outcome = result.outcome
     print(f"status={outcome.status.value}")
@@ -141,16 +153,16 @@ def cmd_simulate(opts: _Options) -> int:
     return 0
 
 
-def cmd_campaign(opts: _Options) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
     config = CampaignConfig(
-        n=opts.get("n", 64, int),
-        trials=opts.get("trials", 100, int),
-        strategy=_strategy(opts),
-        master_seed=opts.get("seed", 1, int),
-        backend=Backend(opts.get("backend", "tableau", str)),
-        pa_ratio=opts.get("pa-ratio", Fraction(1, 2), Fraction),
-        out_path=opts.get("out", None, str),
-        workers=opts.get("workers", default_workers(), int),
+        n=args.n,
+        trials=args.trials,
+        strategy=_strategy(args),
+        master_seed=args.seed,
+        backend=Backend(args.backend),
+        pa_ratio=args.pa_ratio,
+        out_path=args.out,
+        workers=args.workers,
     )
     t0 = time.perf_counter()
     _, summary = run_campaign(config)
@@ -161,54 +173,42 @@ def cmd_campaign(opts: _Options) -> int:
     return 0
 
 
-def cmd_verify_backends(opts: _Options) -> int:
-    report = verify_backends(
-        max_qubits=opts.get("max-qubits", 12, int),
-        samples=opts.get("samples", 10000, int),
-        seed=opts.get("seed", 20240, int),
-    )
+def cmd_verify_backends(args: argparse.Namespace) -> int:
+    report = verify_backends(max_qubits=args.max_qubits, samples=args.samples, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def cmd_curves(opts: _Options) -> int:
-    xmax = opts.get("max", 16, int)
-    if xmax < 0:
-        raise ValueError(f"--max must be >= 0, got {xmax}")
-    rows = detection_curves(range(0, xmax + 1))
-    empirical_trials = opts.get("empirical-trials", 0, int)
-    if empirical_trials < 0:
-        raise ValueError(f"--empirical-trials must be >= 0, got {empirical_trials}")
+def cmd_curves(args: argparse.Namespace) -> int:
+    if args.max < 0:
+        raise ValueError(f"--max must be >= 0, got {args.max}")
+    if args.empirical_trials < 0:
+        raise ValueError(f"--empirical-trials must be >= 0, got {args.empirical_trials}")
     header = "x,detect_measure_analytic,detect_modify_analytic"
-    lines = []
-    if empirical_trials > 0:
+    if args.empirical_trials > 0:
         header += ",detect_modify_empirical"
-        n = opts.get("n", 64, int)
-        seed = opts.get("seed", 1, int)
-        for x, measure_curve, modify_curve in rows:
-            if x == 0:
-                lines.append(f"{x},{measure_curve:.6f},{modify_curve:.6f},0.000000")
-                continue
-            stats, summary = run_campaign(
-                CampaignConfig(
-                    n=n,
-                    trials=empirical_trials,
-                    strategy=modification(GateName.X, x),
-                    master_seed=seed + x,
-                    workers=default_workers(),
+    lines = [header]
+    for x, measure_curve, modify_curve in detection_curves(range(0, args.max + 1)):
+        line = f"{x},{measure_curve:.6f},{modify_curve:.6f}"
+        if args.empirical_trials > 0:
+            rate = 0.0  # no qubit is attacked at x = 0
+            if x > 0:
+                _, summary = run_campaign(
+                    CampaignConfig(
+                        n=args.n,
+                        trials=args.empirical_trials,
+                        strategy=modification(GateName.X, x),
+                        master_seed=args.seed + x,
+                        workers=default_workers(),
+                    )
                 )
-            )
-            lines.append(
-                f"{x},{measure_curve:.6f},{modify_curve:.6f},{summary.detection_rate:.6f}"
-            )
-    else:
-        for x, measure_curve, modify_curve in rows:
-            lines.append(f"{x},{measure_curve:.6f},{modify_curve:.6f}")
-    text = header + "\n" + "\n".join(lines) + "\n"
-    out = opts.get("out", None, str)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+                rate = summary.detection_rate
+            line += f",{rate:.6f}"
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -216,16 +216,19 @@ def cmd_curves(opts: _Options) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
-        opts = _Options(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            _set_file_defaults(parser.commands[args.command], args)
+            args = parser.parse_args(argv)
         if args.command == "simulate":
-            return cmd_simulate(opts)
+            return cmd_simulate(args)
         if args.command == "campaign":
-            return cmd_campaign(opts)
+            return cmd_campaign(args)
         if args.command == "verify-backends":
-            return cmd_verify_backends(opts)
-        return cmd_curves(opts)
+            return cmd_verify_backends(args)
+        return cmd_curves(args)
     except (CapacityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

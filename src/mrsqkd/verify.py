@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 from .bell_algebra import (
     BellType,
     ChainSpec,
-    bell_from_code,
     chain_relation_holds,
     xor_rule_holds,
 )
@@ -52,7 +51,7 @@ def _prep_pairs(is_codes: Sequence[int]) -> tuple[PrepOp, ...]:
     """phi+ on each pair (2i, 2i+1), then gates mapping it to the Bell
     state of code ``is_codes[i]`` (ValueError outside 0..3)."""
     ops: list[PrepOp] = []
-    for i, code in enumerate(map(bell_from_code, is_codes)):
+    for i, code in enumerate(map(BellType, is_codes)):
         ops.append(("bell", 2 * i, 2 * i + 1))
         if code & 2:
             ops.append(("gate", GateName.X, 2 * i + 1))

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from mrsqkd.bell_algebra import (
     BellType,
     ChainSpec,
-    bell_from_code,
     bm_parity,
     chain_relation_holds,
-    code2,
     collapse_partner,
     infer_remote_bit,
     parity,
@@ -32,11 +30,11 @@ PSI_M = BellType.PSI_MINUS
 bell_types = st.sampled_from(list(BellType))
 
 
-def test_code2_values():
-    assert code2(PHI_P) == 0b00
-    assert code2(PHI_M) == 0b01
-    assert code2(PSI_P) == 0b10
-    assert code2(PSI_M) == 0b11
+def test_bell_code_values():
+    assert int(PHI_P) == 0b00
+    assert int(PHI_M) == 0b01
+    assert int(PSI_P) == 0b10
+    assert int(PSI_M) == 0b11
 
 
 def test_parity_values():
@@ -48,13 +46,13 @@ def test_parity_values():
 
 @given(bell_types)
 def test_code_roundtrip_and_parity_bit(v):
-    assert bell_from_code(code2(v)) is v
-    assert parity(v) == code2(v) >> 1
+    assert BellType(int(v)) is v
+    assert parity(v) == int(v) >> 1
 
 
-def test_bell_from_code_rejects_bad_values():
+def test_make_cycle_rejects_bad_code():
     with pytest.raises(ValueError):
-        bell_from_code(4)
+        make_cycle([4], "bad")
 
 
 def test_xor_rule_examples():
@@ -218,7 +216,7 @@ def _chain_outcomes(is_codes, seed=11):
 
 
 def _check_cycle_config(is_codes):
-    initials = [bell_from_code(c) for c in is_codes]
+    initials = [BellType(c) for c in is_codes]
     dist = _cycle_outcomes(is_codes)
     assert dist
     for outcome in dist:
@@ -232,9 +230,9 @@ def _check_cycle_config(is_codes):
 
 
 def _check_chain_config(is_codes):
-    is1 = bell_from_code(is_codes[0])
-    is2 = bell_from_code(is_codes[-1])
-    mids = tuple(bell_from_code(c) for c in is_codes[1:-1])
+    is1 = BellType(is_codes[0])
+    is2 = BellType(is_codes[-1])
+    mids = tuple(BellType(c) for c in is_codes[1:-1])
     dist = _chain_outcomes(is_codes)
     assert dist
     for outcome in dist:

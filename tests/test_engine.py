@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, verify
-from mrsqkd.bell_algebra import BellType, bell_from_code
+from mrsqkd.bell_algebra import BellType
 from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
     Backend,
@@ -350,7 +350,7 @@ def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
             for p in (0, 1):
                 branch, q = _bell_project(state, step.a, step.b, s, p)
                 if q > 1e-12:
-                    bell = bell_from_code((p << 1) | s)
+                    bell = BellType((p << 1) | s)
                     _reference_distribution(branch, rest, prefix + (bell,), prob * q, dist)
     return dist
 

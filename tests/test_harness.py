@@ -275,8 +275,14 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["campaign", "--config", "attack=bogus"],
         ["campaign", "--config", "attack=modify\ngate=cnot"],
         ["simulate", "--config", "backend=gpu"],
+        # argparse's own errors: a bad type, flag, choice or ratio, no subcommand.
+        ["simulate", "--n", "abc"],
+        ["campaign", "--nope", "1"],
+        ["simulate", "--attack", "bogus"],
+        ["simulate", "--pa-ratio", "1/0"],
+        [],
     ],
-    ids=" ".join,
+    ids=lambda argv: " ".join(argv) or "no subcommand",
 )
 def test_cli_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     config = None
@@ -301,8 +307,9 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, key",
     [(["campaign", "--config", "trails=3"], "trails"),
-     (["verify-backends", "--config", "n=8"], "n")],
-    ids=["campaign trails=3", "verify-backends n=8"],
+     (["verify-backends", "--config", "n=8"], "n"),
+     (["simulate", "--config", "config=x"], "config")],
+    ids=["campaign trails=3", "verify-backends n=8", "simulate config=x"],
 )
 def test_cli_config_file_unknown_key_exits_2(argv, key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -321,6 +328,71 @@ def test_cli_config_file_pa_ratio_out_of_range_exits_2(ratio, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: pa_ratio must be in (0, 1], got {ratio}"]
+
+
+def test_cli_config_file_bad_value_names_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=abc\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: argument --n: invalid int value: 'abc'"]
+
+
+@pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config file"])
+def test_cli_pa_ratio_zero_denominator_exits_2(in_file, tmp_path, capsys):
+    argv = ["simulate", "--pa-ratio", "1/0"]
+    if in_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pa-ratio=1/0\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: argument --pa-ratio: invalid ratio '1/0'"]
+
+
+# One representative flag set per subcommand; ``out`` is added per form.
+CONFIG_FORMS = [
+    ("simulate", {"n": "8", "attack": "modify", "gate": "h", "m": "2", "seed": "4",
+                  "backend": "dense", "pa-ratio": "3/4"}),
+    ("campaign", {"n": "16", "trials": "6", "attack": "parity-measure", "seed": "8",
+                  "backend": "tableau", "pa-ratio": "1/4", "workers": "1"}),
+    ("verify-backends", {"samples": "20", "max-qubits": "4", "seed": "3"}),
+    ("curves", {"max": "2", "empirical-trials": "10", "n": "8", "seed": "2"}),
+]
+
+
+@pytest.mark.parametrize("command, values", CONFIG_FORMS, ids=[c for c, _ in CONFIG_FORMS])
+def test_cli_config_file_matches_flags(command, values, tmp_path, capsys):
+    """A config file holding a flag set gives the same output as the flags."""
+    outputs = []
+    for form in ("flags", "file"):
+        pairs = dict(values)
+        if command in ("campaign", "curves"):
+            pairs["out"] = str(tmp_path / f"{form}.csv")
+        if form == "flags":
+            argv = [command] + [arg for key, value in pairs.items() for arg in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()))
+            argv = [command, "--config", str(cfg)]
+        assert cli.main(argv) == 0
+        written = pathlib.Path(pairs["out"]).read_bytes() if "out" in pairs else b""
+        outputs.append((capsys.readouterr().out, written))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]
+
+
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["campaign"], ["verify-backends"], ["curves"]],
+                         ids=lambda argv: " ".join(argv) or "mrsqkd")
+def test_cli_help_exits_0_with_usage_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--help"])
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mrsqkd")
+    assert captured.err == ""
 
 
 def test_cli_verify_backends_small(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, protocol
-from mrsqkd.bell_algebra import BellType, bell_from_code, parity
+from mrsqkd.bell_algebra import BellType, parity
 from mrsqkd.engine import Backend, CapacityError, new_register
 from mrsqkd.protocol import (
     Classification,
@@ -256,7 +256,7 @@ def test_raw_key_is_case1_by_position_then_case3_by_slot(n, seed):
     for party in (alice, bob):
         bits = g.integers(0, 2, size=half).tolist()
         party.z_results.update(zip(party.measured_positions, bits))
-    mr = tuple(bell_from_code(c) for c in g.integers(0, 4, size=half).tolist())
+    mr = tuple(BellType(c) for c in g.integers(0, 4, size=half).tolist())
     cls = classify_components(
         alice.measured_positions, bob.measured_positions,
         alice.send_order, bob.send_order, n,
@@ -295,7 +295,7 @@ def test_component_verdicts_match_a_plain_int_reference(n, seed):
         bits = g.integers(0, 2, size=half).tolist()
         party.z_results.update(zip(party.measured_positions, bits))
     codes = g.integers(0, 4, size=half).tolist()
-    mr = tuple(bell_from_code(c) for c in codes)
+    mr = tuple(BellType(c) for c in codes)
     cls = classify_components(
         alice.measured_positions, bob.measured_positions,
         alice.send_order, bob.send_order, n,
