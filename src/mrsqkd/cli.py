@@ -189,6 +189,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.empirical_trials > 0:
         header += ",detect_modify_empirical"
     lines = [header]
+    if args.out:  # a bad path fails before any campaign runs; append mode keeps the file
+        open(args.out, "a").close()
     for x, measure_curve, modify_curve in detection_curves(range(0, args.max + 1)):
         line = f"{x},{measure_curve:.6f},{modify_curve:.6f}"
         if args.empirical_trials > 0:

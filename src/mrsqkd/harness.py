@@ -28,8 +28,7 @@ from .adversary import TpStrategy
 from .engine import Backend, derive_seed
 from .protocol import ProtocolConfig, RunStats, RunStatus, run_protocol
 
-# RunStats fields in order, less the per-component tuple at the end.
-CSV_COLUMNS = [f.name for f in fields(RunStats)][:-1]
+CSV_COLUMNS = [f.name for f in fields(RunStats)]
 _csv_values = attrgetter(*CSV_COLUMNS)
 
 
@@ -110,6 +109,11 @@ def run_trial(config: CampaignConfig, trial_index: int) -> RunStats:
 
 def run_campaign(config: CampaignConfig) -> tuple[list[RunStats], CampaignSummary]:
     """Execute all trials and aggregate. Writes CSV when out_path is set."""
+    if config.out_path is not None:  # a bad path fails before any trial runs
+        try:
+            open(config.out_path, "a").close()  # append mode keeps an existing file
+        except OSError as exc:
+            raise OSError(f"cannot write campaign CSV to {config.out_path!r}: {exc}") from exc
     # A fork pool starts all its workers at once: no more than there are trials.
     workers = min(config.workers, config.trials)
     if workers > 1:

@@ -8,7 +8,7 @@ the first row and higher indexes run down the first column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,33 +16,35 @@ from typing import Sequence
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _pack(bits: Sequence[int], what: str) -> int:
-    """``bits`` as the digits of a binary number, bits[0] the most
-    significant; ValueError unless every bit is 0 or 1."""
+def _bytes(bits: Sequence[int], what: str) -> bytes:
+    """``bits`` as bytes 0 and 1; ValueError unless every bit is 0 or 1."""
     try:  # bytes() of a numpy array would read its raw buffer, so list it
         raw = bytes(bits if isinstance(bits, (list, tuple)) else list(bits))
     except (TypeError, ValueError):  # an item that is no int in 0..255
         raw = b"?"
     if raw.translate(None, b"\x00\x01"):
         raise ValueError(f"{what} must be 0/1")
-    return int(b"0" + raw.translate(_DIGITS), 2)
+    return raw
+
+
+def _pack(bits: Sequence[int], what: str) -> int:
+    """``bits`` as a binary number, bits[0] the most significant."""
+    return int(b"0" + _bytes(bits, what).translate(_DIGITS), 2)
 
 
 @dataclass(frozen=True)
 class PAParams:
-    """Compression ratio plus the Toeplitz seed bits for one application.
-    The seed is also kept packed, seed_bits[k] at bit k, for ``amplify``."""
+    """Compression ratio plus the Toeplitz seed bits for one application."""
 
     ratio: Fraction
     seed_bits: tuple[int, ...]
-    seed_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         object.__setattr__(self, "seed_bits", tuple(self.seed_bits))
         if not (0 < self.ratio <= 1):
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        object.__setattr__(self, "seed_int", _pack(self.seed_bits[::-1], "seed bits"))
+        _bytes(self.seed_bits, "seed bits")
 
 
 def output_length(input_len: int, ratio: Fraction) -> int:
@@ -74,9 +76,9 @@ def check_input(raw: Sequence[int], params: PAParams) -> int:
 def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
     """Compress a raw key: output[i] = XOR over j of T[i][j] * raw[j]."""
     raw_rev = check_input(raw, params)
-    # Row i of T reads seed bits inp-1+i down to i: shifting the packed
-    # seed right by i lines them up with the packed key, raw[0] highest,
-    # so each row is one AND and a popcount.
-    seed_int = params.seed_int
+    # Row i of T reads seed bits inp-1+i down to i: with seed_bits[k] at
+    # bit k, shifting the packed seed right by i lines them up with the
+    # packed key, raw[0] highest, so each row is one AND and a popcount.
+    seed_int = _pack(params.seed_bits[::-1], "seed bits")
     out = output_length(len(raw), params.ratio)
     return [((seed_int >> i) & raw_rev).bit_count() & 1 for i in range(out)]

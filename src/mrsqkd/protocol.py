@@ -214,9 +214,6 @@ class Component(NamedTuple):
         return (2 if self.kind is _CYCLE else 4) - (len(self.slots) == 1)
 
 
-_GROUP_KIND = (None, _CYCLE.value, _CYCLE.value, _CHAIN.value, _CHAIN.value)  # by group
-
-
 @dataclass(frozen=True)
 class Classification:
     """Case-1 positions in ascending order, and the components in
@@ -274,8 +271,8 @@ class Outcome:
 
 @dataclass(frozen=True)
 class RunStats:
-    """Per-trial outcome record. Every field but the last is a CSV column
-    of the harness, in field order."""
+    """Per-trial outcome record: the harness's CSV row, one column per
+    field in field order."""
 
     trial: int
     n: int
@@ -298,9 +295,6 @@ class RunStats:
     case4_checks: int
     case4_passed: int
     qubit_total: int
-    # (kind, length, passed) per component, for per-length rate studies;
-    # not part of the CSV schema.
-    component_checks: tuple[tuple[str, int, Optional[bool]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -308,6 +302,8 @@ class RunResult:
     outcome: Outcome
     transcript: Transcript
     stats: RunStats
+    classification: Classification
+    evaluation: Step4Result  # per-component verdicts, in the classification's order
     hooks: object  # the per-run strategy hooks, exposed for inspection
     stage_ns: tuple[int, ...] = field(compare=False)  # perf_counter_ns() bounding STAGES
 
@@ -548,7 +544,7 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
 
     stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
     marks.append(perf_counter_ns())
-    return RunResult(outcome, transcript, stats, hooks, tuple(marks))
+    return RunResult(outcome, transcript, stats, classification, evaluation, hooks, tuple(marks))
 
 
 def _build_stats(
@@ -559,22 +555,17 @@ def _build_stats(
     evaluation: Step4Result,
     outcome: Outcome,
 ) -> RunStats:
-    # Components and passed checks per group (index 1-4), and the
-    # (kind, length, passed) row of each component, in one pass.
+    # Components and passed checks per group (index 1-4).
     count = [0] * 5
     passed = [0] * 5
-    rows = []
     components = classification.components
     for comp, ok in zip(components, evaluation.verdicts):
         group = comp.group
         count[group] += 1
         passed[group] += ok is True
-        rows.append((_GROUP_KIND[group], len(comp.slots), ok))
     completed = outcome.status is RunStatus.COMPLETED
     raw_len = len(outcome.raw_key_alice) if completed else None
-    abort_kind = None
-    if outcome.abort_component is not None:
-        abort_kind = components[outcome.abort_component].kind
+    abort_kind = None if completed else components[outcome.abort_component].kind
     return RunStats(
         trial=trial_id,
         n=config.n,
@@ -597,5 +588,4 @@ def _build_stats(
         case4_checks=count[4],
         case4_passed=passed[4],
         qubit_total=2 * config.n,
-        component_checks=tuple(rows),
     )

@@ -12,9 +12,9 @@ from operator import xor
 import numpy as np
 
 from mrsqkd import adversary, cli
-from mrsqkd.engine import GateName
+from mrsqkd.engine import GateName, derive_seed
 from mrsqkd.harness import CampaignConfig, detected, detection_curves, run_campaign
-from mrsqkd.protocol import RunStatus
+from mrsqkd.protocol import ComponentKind, ProtocolConfig, RunStatus, run_protocol
 
 
 @contextmanager
@@ -160,17 +160,18 @@ def test_criterion_5_naive_measurement_attack():
     with verdict(5, "naive measurement attack") as notes:
         by_cycle_len: dict[int, list[bool]] = {}
         chain_checks = []
-        stats, _ = run_campaign(
-            CampaignConfig(
-                n=64, trials=2000, strategy=adversary.naive_measure(), master_seed=105
+        raw_lens = []
+        # The trials of a 2,000-trial campaign with master seed 105.
+        for i in range(2000):
+            res = run_protocol(
+                ProtocolConfig(n=64, seed=derive_seed(105, i)), adversary.naive_measure()
             )
-        )
-        for s in stats:
-            for kind, length, passed in s.component_checks:
+            raw_lens.append(res.stats.raw_key_len)
+            for comp, passed in zip(res.classification.components, res.evaluation.verdicts):
                 if passed is None:
                     continue
-                if kind == "CYCLE":
-                    by_cycle_len.setdefault(length, []).append(passed)
+                if comp.kind is ComponentKind.CYCLE:
+                    by_cycle_len.setdefault(comp.length, []).append(passed)
                 else:
                     chain_checks.append(passed)
 
@@ -209,7 +210,7 @@ def test_criterion_5_naive_measurement_attack():
         assert rates[-1] > 0.99
 
         # The aggregate closed-form curve is reported, not asserted.
-        mean_raw = np.mean([s.raw_key_len for s in stats if s.raw_key_len is not None])
+        mean_raw = np.mean([x for x in raw_lens if x is not None])
         t_proxy = int(round(float(mean_raw)))
         ((_, curve_at_t, _),) = detection_curves([t_proxy])
         notes.append(

@@ -53,7 +53,7 @@ def test_honest_group1_results_are_phi_plus():
     for seed in range(50):
         res = _run(16, seed, adversary.honest())
         mr = next(r for r in res.transcript.records if isinstance(r, MRAnnounce))
-        for kind, length, passed in res.stats.component_checks:
+        for passed in res.evaluation.verdicts:
             assert passed in (True, None)
         cls = _classification(res)
         for comp in cls.components:
@@ -67,12 +67,12 @@ def test_naive_measure_component_pass_rates():
     case4 = []
     for seed in range(2000):
         res = _run(64, seed, adversary.naive_measure())
-        for kind, length, passed in res.stats.component_checks:
+        for comp, passed in zip(res.classification.components, res.evaluation.verdicts):
             if passed is None:
                 continue
-            if kind == "CYCLE" and length == 1:
+            if comp.kind is ComponentKind.CYCLE and comp.length == 1:
                 group1.append(passed)
-            elif kind == "CYCLE":
+            elif comp.kind is ComponentKind.CYCLE:
                 group2.append(passed)
             else:
                 case4.append(passed)
@@ -123,8 +123,8 @@ def test_parity_aware_only_cycle_aborts():
         else:
             assert res.stats.keys_match  # parity-true results keep keys equal
             detections.append(0)
-        for kind, length, passed in res.stats.component_checks:
-            if kind == "CYCLE":
+        for comp, passed in zip(res.classification.components, res.evaluation.verdicts):
+            if comp.kind is ComponentKind.CYCLE:
                 cycle_checks.append(passed)
         predicted.append(1 - 2.0 ** -res.stats.cycle_components)
     rate = sum(cycle_checks) / len(cycle_checks)

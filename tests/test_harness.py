@@ -1,11 +1,15 @@
 """Campaign runner: accounting, CSV determinism, parallel equivalence,
 config files, and the CLI surface."""
 import ast
+import dataclasses
+import gc
 import hashlib
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,7 +27,7 @@ from mrsqkd.harness import (
     summarize,
 )
 from mrsqkd.engine import GateName
-from mrsqkd.protocol import ProtocolConfig, RunStatus, run_protocol
+from mrsqkd.protocol import ProtocolConfig, RunStats, RunStatus, run_protocol
 
 
 # The header documented in the README, written out so that a change to
@@ -102,6 +106,50 @@ def test_emit_csv_surfaces_path_errors(tmp_path):
     bad = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="missing_dir"):
         emit_csv(stats, str(bad))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["campaign", "--n", "16", "--trials", "50", "--workers", "1"],
+     ["curves", "--max", "2", "--empirical-trials", "40", "--n", "16"]],
+    ids=["campaign", "curves"],
+)
+def test_cli_bad_out_path_fails_before_any_trial(argv, tmp_path, capsys, monkeypatch):
+    calls = []
+    real = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(cli, "default_workers", lambda: 1)  # curves' campaigns, in-process
+    bad = tmp_path / "missing_dir" / "out.csv"
+    assert cli.main(argv + ["--out", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "missing_dir" in lines[0]
+    assert calls == []
+
+
+def test_csv_columns_are_the_run_stats_fields():
+    assert harness.CSV_COLUMNS == [f.name for f in dataclasses.fields(RunStats)]
+
+
+def test_campaign_record_holds_only_its_row():
+    """A campaign keeps every trial's record, so no per-component data may
+    ride along: at most 1 KB retained and 500 pickled bytes per record
+    (about 0.3 KB and 431 B when each holds just its CSV row)."""
+    config = _campaign(n=256, trials=500)
+    for i in range(20):  # warm any first-call caches outside the count
+        run_trial(config, i)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [run_trial(config, i) for i in range(config.trials)]
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / len(records)
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1024, retained
+    assert max(len(pickle.dumps(r)) for r in records) <= 500
 
 
 def test_parallel_equals_sequential():

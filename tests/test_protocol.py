@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, protocol
-from mrsqkd.bell_algebra import BellType, parity
-from mrsqkd.engine import Backend, CapacityError, new_register
+from mrsqkd.adversary import StrategyKind
+from mrsqkd.bell_algebra import BellType, ChainSpec, chain_relation_holds, parity, xor_rule_holds
+from mrsqkd.engine import Backend, CapacityError, GateName, new_register
 from mrsqkd.protocol import (
+    Case4Disclose,
     Classification,
     Component,
     ComponentKind,
@@ -22,6 +24,7 @@ from mrsqkd.protocol import (
     PartyState,
     PASeed,
     ProtocolConfig,
+    QuantumSend,
     Role,
     RunStatus,
     classify_components,
@@ -286,7 +289,7 @@ def test_component_verdicts_match_a_plain_int_reference(n, seed):
     the abort and the disclosures agree with a reference computed in plain
     ints off the slots (cycle: XOR of the codes is 0; multi-slot chain: Bob's
     bit is Alice's XOR the parity bits of the codes; single slot: None).
-    RunStats group counters agree with its per-component rows."""
+    RunStats group counters agree with the run's per-component verdicts."""
     g = rng(seed)
     half = n // 2
     alice = party_step2(g, n, Role.ALICE)
@@ -330,26 +333,29 @@ def test_component_verdicts_match_a_plain_int_reference(n, seed):
         stage = "CASE2" if cls.components[first].kind is ComponentKind.CYCLE else "CASE4"
         assert result.abort == (stage, first)
 
-    stats = run_protocol(ProtocolConfig(n=n, seed=seed), adversary.naive_measure()).stats
-    rows = stats.component_checks
+    res = run_protocol(ProtocolConfig(n=n, seed=seed), adversary.naive_measure())
+    stats = res.stats
+    rows = list(zip(res.classification.components, res.evaluation.verdicts))
 
     def count(kind, single, passed=None):
         return sum(
-            1 for k, length, ok in rows
-            if k == kind and (length == 1) == single and (passed is None or ok is passed)
+            1 for comp, ok in rows
+            if comp.kind is kind and (comp.length == 1) == single
+            and (passed is None or ok is passed)
         )
 
-    assert stats.group1_checks == count("CYCLE", True)
-    assert stats.group1_passed == count("CYCLE", True, True)
-    assert stats.group2_checks == count("CYCLE", False)
-    assert stats.group2_passed == count("CYCLE", False, True)
-    assert stats.case3_bits == count("CHAIN", True)
-    assert stats.case4_checks == count("CHAIN", False)
-    assert stats.case4_passed == count("CHAIN", False, True)
+    cycle, chain = ComponentKind.CYCLE, ComponentKind.CHAIN
+    assert stats.group1_checks == count(cycle, True)
+    assert stats.group1_passed == count(cycle, True, True)
+    assert stats.group2_checks == count(cycle, False)
+    assert stats.group2_passed == count(cycle, False, True)
+    assert stats.case3_bits == count(chain, True)
+    assert stats.case4_checks == count(chain, False)
+    assert stats.case4_passed == count(chain, False, True)
     assert stats.case4_disclosed_bits == 2 * stats.case4_checks
     assert stats.cycle_components == stats.group1_checks + stats.group2_checks
     assert stats.chain_components == stats.case3_bits + stats.case4_checks
-    assert sum(length for _, length, _ in rows) == half
+    assert sum(comp.length for comp, _ in rows) == half
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +461,54 @@ def test_transcript_agrees_with_the_outcome_and_stats(backend, n):
             assert bits == "".join(map(str, out.pa.seed_bits))
             assert len(bits) == seed_length(stats.raw_key_len, Fraction(1, 2))
     assert statuses == set(RunStatus)
+
+
+def _verdicts_from_transcript(records):
+    """Every component's verdict, rebuilt from a run's published records
+    alone: n, the MR announcement, both orders and the CASE4 disclosures."""
+    n = next(r.count for r in records if isinstance(r, QuantumSend))
+    mr = next(r.results for r in records if isinstance(r, MRAnnounce))
+    orders = {r.role: r for r in records if isinstance(r, OrderAnnounce)}
+    disclosed = {(r.role, r.position): r.bit for r in records if isinstance(r, Case4Disclose)}
+    a, b = orders[Role.ALICE], orders[Role.BOB]
+    cls = classify_components(a.measured, b.measured, a.order, b.order, n)
+    verdicts = []
+    for comp in cls.components:
+        results = [mr[k] for k in comp.slots]
+        phis = [PHI_P] * len(results)  # every pair starts in phi+
+        if comp.kind is ComponentKind.CYCLE:
+            verdicts.append(xor_rule_holds(phis, results))
+        elif comp.length == 1:
+            verdicts.append(None)
+        else:
+            za = disclosed[Role.ALICE, comp.endpoint_a]
+            zb = disclosed[Role.BOB, comp.endpoint_b]
+            spec = ChainSpec(PHI_P, PHI_P, phis[1:], za, zb, results)
+            verdicts.append(chain_relation_holds(spec))
+    return cls, verdicts
+
+
+@pytest.mark.parametrize("backend, n", [(Backend.TABLEAU, 16), (Backend.DENSE, 6)])
+@pytest.mark.parametrize(
+    "strategy",
+    [adversary.honest(), adversary.naive_measure(), adversary.parity_aware_measure(),
+     adversary.modification(GateName.H, 3)],
+    ids=["honest", "naive_measure", "parity_aware_measure", "modify_h"],
+)
+def test_verdicts_rebuild_from_the_transcript_alone(strategy, backend, n):
+    statuses = set()
+    for seed in range(24):
+        res = run_protocol(ProtocolConfig(n, seed, backend), strategy)
+        statuses.add(res.outcome.status)
+        cls, verdicts = _verdicts_from_transcript(res.transcript.records)
+        assert cls == res.classification
+        assert tuple(verdicts) == res.evaluation.verdicts
+        if res.outcome.status is RunStatus.ABORTED:
+            assert res.outcome.abort_component == verdicts.index(False)
+        else:
+            assert False not in verdicts
+    expected = {RunStatus.COMPLETED} if strategy.kind is StrategyKind.HONEST else set(RunStatus)
+    assert statuses == expected
 
 
 def test_final_key_length_tracks_pa_ratio():
