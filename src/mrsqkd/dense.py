@@ -1,26 +1,39 @@
 """Dense statevector backend: the exact, small-register ground truth.
 
-Keeps all 2^n complex amplitudes (qubit q maps to bit q of the index,
-least significant first) and supports the register's operation set plus
-exact branch enumeration, which every brute-force oracle check runs on
-and from which the pair-block backend builds its tables.
+Stores complex amplitudes only for the live qubits, those not in a known
+Z basis state. Every other qubit is one bit of an int: a fresh qubit is
+0, and a Z-measured qubit holds its outcome. Bit i of an amplitude index
+is live qubit ``_live[i]``, in the order the qubits became live;
+``amps`` reads the full 2^n vector, qubit q at bit q of the index.
+
+- ``prepare_bell`` grows the amplitudes 4x, phi+ on two new top bits.
+- ``measure_z`` keeps the outcome's half and drops the qubit.
+- A gate, Bell measurement or ``bell_branches`` on a qubit that is not
+  live first brings it back, on a new top bit, in its Z state.
+
+A register thus costs 2^(live qubits), not 2^n, for any circuit: nothing
+here relies on the pair-block structure. Besides the register's
+operation set, the state gives exact branch enumeration, which every
+brute-force oracle check runs on and from which the pair-block backend
+builds its tables.
 
 A Bell outcome of the pair (a, b) is the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
-samples it by projection and ``prepare_bell`` writes phi+ in place.
+samples it by projection, in place, and ``prepare_bell`` writes phi+.
 
 Enumeration (``outcome_codes``) walks a measurement plan breadth first
-over a stack of branches: one row of a (B, 2^w) array per live branch,
-with path probabilities and outcome codes in parallel arrays, so a plan
-step is a fixed number of numpy calls on the whole stack. A step takes
-the amplitudes of each outcome directly, by the overlap of every row
-with the outcome's basis state on the measured qubits: |0> and |1> for
-Z, the Bell state for Bell. Children follow their parent in outcome
-order, the depth-first order of a recursive walk, and branches at
-probability <= 1e-12 are dropped. A measured qubit is left in a known
-product state with the rest, so a step whose qubits no later step
-touches traces them out of the stack; any other step keeps the
-full-width post-measurement state.
+over a stack of branches, starting from the live amplitudes and joining
+a qubit that is not live at its first step: one row of a (B, 2^w) array
+per branch, with path probabilities and outcome codes in parallel
+arrays, so a plan step is a fixed number of numpy calls on the whole
+stack. A step takes the amplitudes of each outcome directly, by the
+overlap of every row with the outcome's basis state on the measured
+qubits: |0> and |1> for Z, the Bell state for Bell. Children follow
+their parent in outcome order, the depth-first order of a recursive
+walk, and branches at probability <= 1e-12 are dropped. A measured qubit
+is left in a known product state with the rest, so a step whose qubits
+no later step touches traces them out of the stack; any other step
+keeps the full-width post-measurement state.
 """
 from __future__ import annotations
 
@@ -75,6 +88,14 @@ def _measure(
     return kept // outcomes, codes[outcome], probs[kept], children
 
 
+def _joined(psi: np.ndarray, bit: int) -> np.ndarray:
+    """``psi`` (one row, or rows, of amplitudes) with one more top index
+    bit, a qubit in the Z state ``bit``."""
+    out = np.zeros(psi.shape[:-1] + (2, psi.shape[-1]), dtype=psi.dtype)
+    out[..., bit, :] = psi
+    return out.reshape(psi.shape[:-1] + (-1,))
+
+
 def _norm2(half: np.ndarray) -> float:
     """Squared norm of a half of the state. ``np.vdot(half, half)`` would
     flatten each argument, copying the half twice; flattening it once as
@@ -93,36 +114,77 @@ def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
 
 
 class DenseState:
-    """Pure statevector of up to DENSE_QUBIT_CAP qubits."""
+    """Pure state of up to DENSE_QUBIT_CAP qubits: amplitudes over the
+    live qubits, and a Z basis state for each of the others."""
 
     def __init__(self, n: int, rng: np.random.Generator) -> None:
         self.n = n
         self.rng = rng
-        self.amps = np.zeros(1 << n, dtype=np.complex128)
-        self.amps[0] = 1.0
+        self._psi = np.ones(1, dtype=np.complex128)  # amplitudes over the live qubits
+        self._live: list[int] = []  # the qubit at each bit of a _psi index
+        self._known = 0  # bit q: the Z state of qubit q while q is not live
         self._touched = 0  # bit q set once any operation has acted on qubit q
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The full 2^n statevector, qubit q at bit q of the index; read
+        only, as it is built on each read. Assigning one makes every
+        qubit live and touched."""
+        if self._live == list(range(self.n)):  # already the full vector
+            full = self._psi.copy()
+        else:
+            pos = np.array([self._known])  # index of each live amplitude in the full vector
+            for q in self._live:
+                pos = np.concatenate((pos, pos | (1 << q)))
+            full = np.zeros(1 << self.n, dtype=np.complex128)
+            full[pos] = self._psi
+        full.flags.writeable = False
+        return full
+
+    @amps.setter
+    def amps(self, amps: np.ndarray) -> None:
+        self._psi = np.array(amps, dtype=np.complex128)
+        self._live = list(range(self.n))
+        self._known = 0
+        self._touched = (1 << self.n) - 1
+
+    def _bit(self, q: int) -> int:
+        """Index bit of qubit q in the amplitudes. A qubit that is not
+        live first rejoins them, on a new top bit, in its Z state."""
+        if q not in self._live:
+            self._psi = _joined(self._psi, (self._known >> q) & 1)
+            self._known &= ~(1 << q)
+            self._live.append(q)
+        return self._live.index(q)
 
     # -- gates ---------------------------------------------------------
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        # Every gate and measurement on q passes here: q is no longer fresh.
+        # Every gate on q and every measurement of a live q passes here:
+        # q is no longer fresh.
         self._touched |= 1 << q
-        # View amplitudes as (high, qubit q, low); low block size 2^q.
-        v = self.amps.reshape(-1, 2, 1 << q)
+        # View amplitudes as (high, qubit q, low); low block size 2^bit.
+        bit = self._bit(q)
+        v = self._psi.reshape(-1, 2, 1 << bit)
         return v[:, 0, :], v[:, 1, :]
+
+    # The two halves interleave in memory, so assigning one to the other
+    # copies the source first; a ufunc with ``out=`` checks that they do
+    # not overlap and copies nothing. Each gate makes at most one
+    # half-sized temporary.
 
     def apply_x(self, q: int) -> None:
         a0, a1 = self._halves(q)
         tmp = a0.copy()
-        a0[:] = a1
-        a1[:] = tmp
+        np.positive(a1, out=a0)
+        a1[...] = tmp
 
     def apply_y(self, q: int) -> None:
         # i*sigma_y = [[0, 1], [-1, 0]]; real, global phase of sigma_y dropped.
         a0, a1 = self._halves(q)
         tmp = a0.copy()
-        a0[:] = a1
-        a1[:] = -tmp
+        np.positive(a1, out=a0)
+        np.negative(tmp, out=a1)
 
     def apply_z(self, q: int) -> None:
         _, a1 = self._halves(q)
@@ -130,43 +192,58 @@ class DenseState:
 
     def apply_h(self, q: int) -> None:
         a0, a1 = self._halves(q)
-        s, d = (a0 + a1) * _SQRT1_2, (a0 - a1) * _SQRT1_2
-        a0[:] = s
-        a1[:] = d
+        d = a0 - a1
+        a0 += a1
+        a0 *= _SQRT1_2
+        d *= _SQRT1_2
+        a1[...] = d
 
     def _pair(self, a: int, b: int) -> np.ndarray:
-        """The state as a (2, 2, ...) view, bits a and b first; both now used."""
+        """The amplitudes as a (2, 2, ...) view, bits a and b first; both now used."""
         self._touched |= (1 << a) | (1 << b)
-        return _bits_first(self.amps[None], (a, b))[0]
+        bits = self._bit(a), self._bit(b)
+        return _bits_first(self._psi[None], bits)[0]
 
     def prepare_bell(self, a: int, b: int) -> None:
-        """phi+ on two fresh qubits, written in place."""
+        """phi+ on two fresh qubits, which join the live qubits on two new
+        top bits: the amplitudes grow 4x, written into one new array."""
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
-        pair = self._pair(a, b)
-        pair[0, 0, ...] *= _SQRT1_2
-        pair[1, 1, ...] = pair[0, 0, ...]
+        self._touched |= (1 << a) | (1 << b)
+        size = self._psi.size
+        out = np.zeros(4 * size, dtype=np.complex128)
+        np.multiply(self._psi, _SQRT1_2, out=out[:size])
+        out[3 * size:] = out[:size]
+        self._psi = out
+        self._live += [a, b]
 
     # -- measurement ---------------------------------------------------
 
     def prob_one(self, q: int) -> float:
+        if q not in self._live:
+            return float((self._known >> q) & 1)
         return _norm2(self._halves(q)[1])
 
     def project(self, q: int, outcome: int, p: float | None = None) -> float:
         """Project qubit q onto |outcome> and renormalize; returns the
         branch probability ``p``, computed unless given (state left
-        untouched if it is ~ 0). Only the kept half is rescaled."""
-        halves = self._halves(q)
-        keep, kill = halves[outcome], halves[1 - outcome]
+        untouched if it is ~ 0). Only the kept half is rescaled, and q
+        leaves the live qubits with the outcome as its Z state."""
+        self._touched |= 1 << q
+        if q not in self._live:
+            return float((self._known >> q) & 1 == outcome)
+        keep = self._halves(q)[outcome]
         if p is None:
             p = _norm2(keep)
         if p > _MIN_PROB:
-            kill[:] = 0.0
-            keep /= np.sqrt(p)
+            self._psi = (keep / np.sqrt(p)).reshape(-1)
+            self._live.remove(q)
+            self._known |= outcome << q
         return p
 
     def measure_z(self, q: int) -> int:
-        """One norm for the draw, a second only for outcome 0."""
+        """One norm for the draw, a second only for outcome 0. A qubit
+        that is not live still takes its draw, which cannot change it."""
         p1 = self.prob_one(q)
         outcome = 1 if self.rng.random() < p1 else 0
         self.project(q, outcome, p1 if outcome else None)
@@ -191,7 +268,8 @@ class DenseState:
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
         """(code (p << 1) | s, probability, collapsed copy) for every Bell
         outcome of (a, b) that can occur; this state is left as it is."""
-        _, codes, probs, children = _measure(self.amps[None], (a, b), trace=False)
+        bits = self._bit(a), self._bit(b)
+        _, codes, probs, children = _measure(self._psi[None], bits, trace=False)
         for code, prob, amps in zip(codes.tolist(), probs.tolist(), children):
             branch = self._with(amps)
             branch._touched |= (1 << a) | (1 << b)
@@ -206,11 +284,15 @@ class DenseState:
         the Bell code (p << 1) | s), in depth-first order with outcome 0
         (Z) or sign bit, then parity bit (Bell) first. This state is left
         as it is."""
-        live = list(range(self.n))  # qubit at each index bit of the stack
-        stack = self.amps[None]
+        live = list(self._live)  # qubit at each index bit of the stack
+        stack = self._psi[None]
         probs = np.ones(1)
         codes = np.zeros((1, 0), dtype=np.int64)
         for i, qubits in enumerate(steps):
+            for q in qubits:
+                if q not in live:
+                    stack = _joined(stack, (self._known >> q) & 1)
+                    live.append(q)
             trace = not any(q in later for later in steps[i + 1:] for q in qubits)
             parent, code, cond, stack = _measure(stack, tuple(map(live.index, qubits)), trace)
             probs = probs[parent] * cond
@@ -219,13 +301,15 @@ class DenseState:
                 live = [q for q in live if q not in qubits]
         return probs.tolist(), codes.tolist()
 
-    def _with(self, amps: np.ndarray) -> "DenseState":
+    def _with(self, psi: np.ndarray) -> "DenseState":
         c = DenseState.__new__(DenseState)
         c.n = self.n
         c.rng = self.rng
-        c.amps = amps
+        c._psi = psi
+        c._live = list(self._live)
+        c._known = self._known
         c._touched = self._touched
         return c
 
     def copy(self) -> "DenseState":
-        return self._with(self.amps.copy())
+        return self._with(self._psi.copy())

@@ -1,6 +1,7 @@
 """Quantum sampling engine with two interchangeable backends.
 
-DENSE keeps the full statevector and doubles as the exact oracle: its
+DENSE stores a statevector over the qubits not in a known Z state (a
+fresh or Z-measured qubit is one bit) and doubles as the exact oracle: its
 ``outcome_distribution`` enumerates measurement outcomes with exact
 probabilities, by one breadth-first walk over a stack of branches that
 traces each step's qubits out of the stack once no later step touches

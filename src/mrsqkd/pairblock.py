@@ -42,24 +42,28 @@ def _det(p_one: float) -> int:
     return round(p_one)
 
 
+def _product(blocks: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
+    """Amplitudes of the product of ``blocks``, each (amplitudes, qubits it covers)."""
+    idx = np.arange(1 << sum(len(qubits) for _, qubits in blocks))
+    amps = np.ones(idx.size, dtype=np.complex128)
+    for vec, qubits in blocks:
+        amps *= vec[sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))]
+    return amps
+
+
 def _state(blocks: list[tuple[np.ndarray, tuple[int, ...]]]) -> DenseState:
     """Product state of ``blocks``, each (amplitudes, qubits it covers)."""
-    n = sum(len(qubits) for _, qubits in blocks)
-    state = DenseState(n, None)
-    for idx in range(1 << n):
-        amp = 1.0
-        for vec, qubits in blocks:
-            amp *= vec[sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))]
-        state.amps[idx] = amp
+    state = DenseState(sum(len(qubits) for _, qubits in blocks), None)
+    state.amps = _product(blocks)
     return state
 
 
-def _block(state: DenseState, qubits: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes of ``qubits``, a factor of the product ``state``: its
-    slice through the largest amplitude, normalized."""
-    base = int(np.argmax(np.abs(state.amps))) & ~sum(1 << q for q in qubits)
+def _block(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes of ``qubits``, a factor of the product state ``amps``:
+    its slice through the largest amplitude, normalized."""
+    base = int(np.argmax(np.abs(amps))) & ~sum(1 << q for q in qubits)
     out = np.array([
-        state.amps[base | sum(((j >> k) & 1) << q for k, q in enumerate(qubits))]
+        amps[base | sum(((j >> k) & 1) << q for k, q in enumerate(qubits))]
         for j in range(1 << len(qubits))
     ])
     return out / np.linalg.norm(out)
@@ -115,8 +119,9 @@ class _Tables:
     def _split(self, state: DenseState, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
         """Ids of the one or two ``blocks`` whose product is ``state``,
         padded with -1."""
-        vecs = [_block(state, qubits) for qubits in blocks]
-        if abs(abs(np.vdot(_state(list(zip(vecs, blocks))).amps, state.amps)) - 1.0) > _TOL:
+        amps = state.amps
+        vecs = [_block(amps, qubits) for qubits in blocks]
+        if abs(abs(np.vdot(_product(list(zip(vecs, blocks))), amps)) - 1.0) > _TOL:
             raise RuntimeError("operation left the pair-block form")
         ids = [self.intern(v) for v in vecs] + [-1]
         return ids[0], ids[1]

@@ -27,9 +27,9 @@ def _bytes(bits: Sequence[int], what: str) -> bytes:
     return raw
 
 
-def _pack(bits: Sequence[int], what: str) -> int:
-    """``bits`` as a binary number, bits[0] the most significant."""
-    return int(b"0" + _bytes(bits, what).translate(_DIGITS), 2)
+def _pack(raw: bytes) -> int:
+    """Bytes 0 and 1 as a binary number, raw[0] the most significant."""
+    return int(b"0" + raw.translate(_DIGITS), 2)
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,25 @@ def seed_length(input_len: int, ratio: Fraction) -> int:
     return input_len + output_length(input_len, ratio) - 1
 
 
-def check_input(raw: Sequence[int], params: PAParams) -> int:
-    """The raw key packed with raw[0] highest, after the checks
-    ``amplify`` makes: ValueError unless ``params`` has the seed length
-    this key needs and every raw bit is 0 or 1."""
+def check_input(raw: Sequence[int], params: PAParams) -> bytes:
+    """The raw key as bytes 0 and 1, after the checks ``amplify`` makes:
+    ValueError unless ``params`` has the seed length this key needs and
+    every raw bit is 0 or 1."""
     inp = len(raw)
     if len(params.seed_bits) != seed_length(inp, params.ratio):
         raise ValueError(
             f"seed has {len(params.seed_bits)} bits, "
             f"need {seed_length(inp, params.ratio)} for input length {inp}"
         )
-    return _pack(raw, "raw key bits")
+    return _bytes(raw, "raw key bits")
 
 
 def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
     """Compress a raw key: output[i] = XOR over j of T[i][j] * raw[j]."""
-    raw_rev = check_input(raw, params)
+    raw_rev = _pack(check_input(raw, params))
     # Row i of T reads seed bits inp-1+i down to i: with seed_bits[k] at
     # bit k, shifting the packed seed right by i lines them up with the
     # packed key, raw[0] highest, so each row is one AND and a popcount.
-    seed_int = _pack(params.seed_bits[::-1], "seed bits")
+    seed_int = _pack(_bytes(params.seed_bits[::-1], "seed bits"))
     out = output_length(len(raw), params.ratio)
     return [((seed_int >> i) & raw_rev).bit_count() & 1 for i in range(out)]

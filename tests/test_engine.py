@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import numpy.random.bit_generator as bit_generator
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, verify
@@ -414,6 +414,117 @@ def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed,
         assert state.rng.random() == twin.random()
         assert code in branches
         assert abs(np.vdot(branches[code].amps, state.amps)) == pytest.approx(1.0, abs=1e-9)
+
+
+class _FullWidth:
+    """Plain full-width statevector with DenseState's draws: the reference
+    for a register whose measured and fresh qubits are not live."""
+
+    def __init__(self, n, rng):
+        self.n, self.rng = n, rng
+        self.amps = np.zeros(1 << n, dtype=complex)
+        self.amps[0] = 1.0
+
+    def _axes(self, *qubits):
+        """Tensor view of the amplitudes, the axes of ``qubits`` first."""
+        t = self.amps.reshape([2] * self.n)
+        return np.moveaxis(t, [self.n - 1 - q for q in qubits], range(len(qubits)))
+
+    def prepare_bell(self, a, b):
+        t = self._axes(a, b)
+        t[0, 0] /= np.sqrt(2)
+        t[1, 1] = t[0, 0]
+
+    def apply(self, gate, q):
+        t = self._axes(q)
+        zero, one = t[0].copy(), t[1].copy()
+        t[0], t[1] = {
+            GateName.X: (one, zero),
+            GateName.Y: (one, -zero),
+            GateName.Z: (zero, -one),
+            GateName.H: ((zero + one) / np.sqrt(2), (zero - one) / np.sqrt(2)),
+        }[gate]
+
+    def measure_z(self, q):
+        t = self._axes(q)
+        outcome = int(self.rng.random() < np.sum(np.abs(t[1]) ** 2))
+        t[1 - outcome] = 0
+        self.amps /= np.linalg.norm(self.amps)
+        return outcome
+
+    def measure_bell(self, a, b):
+        t = self._axes(a, b)
+        rest = {(s, p): (t[0, p] + (-1) ** s * t[1, 1 - p]) / np.sqrt(2)
+                for s in (0, 1) for p in (0, 1)}
+        prob = {k: np.sum(np.abs(v) ** 2) for k, v in rest.items()}
+        sign = prob[1, 0] + prob[1, 1]
+        s = int(self.rng.random() < sign / (sign + prob[0, 0] + prob[0, 1]))
+        p = int(self.rng.random() < prob[s, 1] / (prob[s, 0] + prob[s, 1]))
+        kept = rest[s, p] / np.sqrt(2 * prob[s, p])
+        t[...] = 0
+        t[0, p], t[1, 1 - p] = kept, (-1) ** s * kept
+        return BellType((p << 1) | s)
+
+
+@st.composite
+def live_set_scripts(draw):
+    """Pair preparations on fresh qubits, gates, Z and Bell measurements in
+    any order on 2 to 7 qubits: gates and Bell measurements reach fresh
+    and Z-measured qubits, which leave the live amplitudes and rejoin them."""
+    n = draw(st.integers(2, 7))
+    qubit = st.integers(0, n - 1)
+    fresh, ops = set(range(n)), []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["prep", "gate", "z", "bell"]))
+        if kind == "prep" and len(fresh) >= 2:
+            a, b = draw(st.permutations(sorted(fresh)))[:2]
+            ops.append(("prep", a, b))
+        elif kind in ("prep", "bell"):
+            a, b = draw(st.permutations(range(n)))[:2]
+            ops.append(("bell", a, b))
+        elif kind == "gate":
+            a = b = draw(qubit)
+            ops.append(("gate", draw(st.sampled_from(list(GateName))), a))
+        else:
+            a = b = draw(qubit)
+            ops.append(("z", a))
+        fresh -= {a, b}
+    pairs = st.permutations(range(n)).map(lambda qs: BellMeasure(qs[0], qs[1]))
+    plan = draw(st.lists(st.one_of(qubit.map(ZMeasure), pairs), min_size=1, max_size=4))
+    return n, ops, plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_set_scripts(), st.integers(0, 2**32))
+@example((2, [("gate", GateName.X, 0), ("z", 0), ("gate", GateName.H, 0)], [ZMeasure(0)]), 0)
+def test_dense_live_set_matches_a_full_width_reference(script, seed):
+    """After every operation the register's full vector equals the
+    reference's at 1e-12, both draw the same numbers (a twin generator),
+    and the exact law of a final plan matches the recursive reference on
+    a copy whose every qubit is live."""
+    n, ops, plan = script
+    reg = new_register(n, Backend.DENSE, seed)
+    ref = _FullWidth(n, philox(seed))
+    for op in ops:
+        if op[0] == "prep":
+            reg.prepare_bell_phi_plus(*op[1:])
+            ref.prepare_bell(*op[1:])
+        elif op[0] == "gate":
+            reg.apply_gate(*op[1:])
+            ref.apply(*op[1:])
+        elif op[0] == "z":
+            assert reg.measure_z(op[1]) == ref.measure_z(op[1])
+        else:
+            assert reg.measure_bell(*op[1:]) is ref.measure_bell(*op[1:])
+        np.testing.assert_allclose(reg._state.amps, ref.amps, rtol=0, atol=1e-12)
+    assert reg._state.rng.random() == ref.rng.random()
+    full = DenseState(n, None)
+    full.amps = ref.amps
+    expected = _reference_distribution(full, plan)
+    dist = reg.outcome_distribution(plan)
+    assert list(dist) == list(expected)
+    for key, p in expected.items():
+        assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
 def test_distribution_validates_plan():

@@ -492,9 +492,15 @@ GOLDEN = [
      "5f02e3b5c3164c50268b5188cad6cd853877011fa308c6a418aabff59aee2d16"),
     (["verify-backends", "--samples", "2000"],
      "9dc1d1eecf2cb96914dda1f04c7c95733477bd939b634be466e7d7666f906be6"),
-    # The only DENSE pin: Z measurements on the full statevector.
+    # DENSE pins: Z measurements that drop qubits from the live amplitudes,
+    # and gates and Bell measurements that bring measured qubits back.
     (["campaign", "--attack", "honest", "--backend", "dense", "--n", "6", "--seed", "13"],
      "1de673a267340595ffe260031d2811c588310e2f1b7bc8aa7c7b67671fab369b"),
+    (["campaign", "--attack", "modify", "--gate", "h", "--m", "3", "--backend", "dense",
+      "--n", "8", "--seed", "17"],
+     "0de047c0154caf11b26b7e2bb1010d5e11d2c66457dff83d2cab2818c1c2566a"),
+    (["simulate", "--attack", "parity-measure", "--backend", "dense", "--n", "8", "--seed", "2"],
+     "ab061b4fc4e43254810e2222838b1005cb2046c75ab789323824bbd6dae5f1a5"),
 ]
 
 

@@ -2,6 +2,7 @@
 whole-run invariants (all positions 0-based; the worked examples below
 translate 1-based pair numbering to 0-based by subtracting one)."""
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -558,6 +559,19 @@ def test_run_protocol_on_dense_backend():
     )
     assert res.outcome.status is RunStatus.COMPLETED
     assert res.stats.keys_match
+
+
+def test_dense_trial_memory_stays_near_its_state():
+    """An honest DENSE n=10 trial holds 20 live qubits, a 16 MB state, at
+    its widest; with no full-state temporaries it peaks at most 25 MB."""
+    run_protocol(ProtocolConfig(n=4, seed=1, backend=Backend.DENSE), adversary.honest())
+    tracemalloc.start()
+    try:
+        run_protocol(ProtocolConfig(n=10, seed=3, backend=Backend.DENSE), adversary.honest())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20, peak / 2**20
 
 
 def test_config_validation():
