@@ -4,7 +4,6 @@ pluggable third-party attack strategies, and a Monte Carlo harness."""
 
 from .bell_algebra import (
     BellType,
-    ChainSpec,
     bm_parity,
     chain_relation_holds,
     collapse_partner,
@@ -31,7 +30,6 @@ __all__ = [
     "BellMeasure",
     "BellType",
     "CapacityError",
-    "ChainSpec",
     "GateName",
     "Register",
     "UnsupportedOperationError",

@@ -3,14 +3,15 @@
 Every function here is pure bit arithmetic on two-bit codes (p << 1) | s,
 which ``BellType`` members are: sign bit s low, parity bit p high (1 for
 psi-type, 0 for phi-type). The identities take members and plain codes
-alike. Cycles of swapped pairs preserve the XOR of two-bit codes, and
-chains terminated by Z-collapsed qubits relate the two Z results through
-the XOR of all parity bits along the chain: the high bit of one XOR.
+alike, passed as plain arguments. Cycles of swapped pairs preserve the
+XOR of two-bit codes, and chains terminated by Z-collapsed qubits relate
+the two Z results through the XOR of all parity bits along the chain: the
+high bit of one XOR, written once, in ``infer_remote_bit``.
 """
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 class BellType(IntEnum):
@@ -35,13 +36,6 @@ def parity(v: int) -> int:
 def _check_bit(b: int, name: str) -> None:
     if b not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {b!r}")
-
-
-def _check_chain(intermediates: Sequence[int], mrs: Sequence[int]) -> None:
-    if len(mrs) != len(intermediates) + 1:
-        raise ValueError(
-            f"need len(mrs) == len(intermediates) + 1, got {len(mrs)} vs {len(intermediates)}"
-        )
 
 
 def _xor_codes(codes: int, *groups: Sequence[int]) -> int:
@@ -87,50 +81,6 @@ def bm_parity(z1: int, z2: int) -> int:
     return z1 ^ z2
 
 
-class _ChainFields(NamedTuple):
-    is1: int
-    is2: int
-    intermediates: tuple[int, ...]
-    zmr1: int
-    zmr2: int
-    mrs: tuple[int, ...]
-
-
-class ChainSpec(_ChainFields):
-    """A chain of Bell measurements between two Z-collapsed endpoint qubits.
-
-    ``is1``/``is2`` are the endpoint pairs' initial states, ``intermediates``
-    the initial states of the pairs strung between them, ``zmr1``/``zmr2``
-    the endpoint Z results, and ``mrs`` the Bell measurement results along
-    the chain (one more than there are intermediate pairs). A named tuple,
-    checked when built, with both sequences stored as tuples.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, is1: int, is2: int, intermediates: Sequence[int],
-                zmr1: int, zmr2: int, mrs: Sequence[int]) -> "ChainSpec":
-        intermediates, mrs = tuple(intermediates), tuple(mrs)
-        _check_bit(zmr1, "zmr1")
-        _check_bit(zmr2, "zmr2")
-        _check_chain(intermediates, mrs)
-        return tuple.__new__(cls, (is1, is2, intermediates, zmr1, zmr2, mrs))
-
-
-def chain_relation_holds(spec: ChainSpec) -> bool:
-    """Whether a chain's endpoint Z results are consistent with its Bell
-    measurement results.
-
-    The relation is zmr2 == zmr1 ^ parity(is1) ^ parity(is2) ^ XOR of
-    intermediate parities ^ XOR of result parities. When every initial
-    state is phi+ the initial-state terms vanish, which is the only case
-    an honest protocol run ever produces; the general form also covers
-    adversarially prepared pairs.
-    """
-    is1, is2, intermediates, zmr1, zmr2, mrs = spec
-    return zmr2 == zmr1 ^ (_xor_codes(is1 ^ is2, intermediates, mrs) >> 1)
-
-
 def infer_remote_bit(
     own_zmr: int,
     is_own: int,
@@ -141,9 +91,39 @@ def infer_remote_bit(
     """Compute the far endpoint's Z result from one's own Z result and the
     published Bell measurement results of the chain in between.
 
-    Inverse of chain_relation_holds: substituting the returned bit for the
-    remote result makes the chain relation true.
+    The relation is remote == own_zmr ^ parity(is_own) ^ parity(is_remote)
+    ^ XOR of intermediate parities ^ XOR of result parities. When every
+    initial state is phi+ the initial-state terms vanish, which is the
+    only case an honest protocol run ever produces; the general form also
+    covers adversarially prepared pairs.
     """
     _check_bit(own_zmr, "own_zmr")
-    _check_chain(intermediates, mrs)
+    if len(mrs) != len(intermediates) + 1:
+        raise ValueError(
+            f"need len(mrs) == len(intermediates) + 1, got {len(mrs)} vs {len(intermediates)}"
+        )
     return own_zmr ^ (_xor_codes(is_own ^ is_remote, intermediates, mrs) >> 1)
+
+
+def chain_relation_holds(
+    is1: int,
+    is2: int,
+    intermediates: Sequence[int],
+    zmr1: int,
+    zmr2: int,
+    mrs: Sequence[int],
+) -> bool:
+    """Whether a chain's endpoint Z results are consistent with its Bell
+    measurement results.
+
+    A chain is a line of Bell measurements between two Z-collapsed
+    endpoint qubits. ``is1``/``is2`` are the endpoint pairs' initial
+    states, ``intermediates`` the initial states of the pairs strung
+    between them, ``zmr1``/``zmr2`` the endpoint Z results, and ``mrs``
+    the Bell measurement results along the chain (one more than there
+    are intermediate pairs). The relation is the one ``infer_remote_bit``
+    solves for the far end.
+    """
+    _check_bit(zmr1, "zmr1")
+    _check_bit(zmr2, "zmr2")
+    return zmr2 == infer_remote_bit(zmr1, is1, is2, intermediates, mrs)

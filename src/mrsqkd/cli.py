@@ -186,26 +186,28 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.empirical_trials < 0:
         raise ValueError(f"--empirical-trials must be >= 0, got {args.empirical_trials}")
     header = "x,detect_measure_analytic,detect_modify_analytic"
+    campaigns: dict[int, CampaignConfig] = {}  # x -> its empirical campaign
     if args.empirical_trials > 0:
         header += ",detect_modify_empirical"
+        # Every point is checked before the first campaign runs; no qubit
+        # is attacked at x = 0, so it needs none.
+        campaigns = {
+            x: CampaignConfig(
+                n=args.n,
+                trials=args.empirical_trials,
+                strategy=modification(GateName.X, x),
+                master_seed=args.seed + x,
+                workers=default_workers(),
+            )
+            for x in range(1, args.max + 1)
+        }
     lines = [header]
     if args.out:  # a bad path fails before any campaign runs; append mode keeps the file
         open(args.out, "a").close()
     for x, measure_curve, modify_curve in detection_curves(range(0, args.max + 1)):
         line = f"{x},{measure_curve:.6f},{modify_curve:.6f}"
         if args.empirical_trials > 0:
-            rate = 0.0  # no qubit is attacked at x = 0
-            if x > 0:
-                _, summary = run_campaign(
-                    CampaignConfig(
-                        n=args.n,
-                        trials=args.empirical_trials,
-                        strategy=modification(GateName.X, x),
-                        master_seed=args.seed + x,
-                        workers=default_workers(),
-                    )
-                )
-                rate = summary.detection_rate
+            rate = run_campaign(campaigns[x])[1].detection_rate if x else 0.0
             line += f",{rate:.6f}"
         lines.append(line)
     text = "\n".join(lines) + "\n"

@@ -108,6 +108,12 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed)))
 
 
+def check_capacity(size: int, backend: Backend) -> None:
+    """CapacityError if ``backend`` cannot hold ``size`` qubits."""
+    if backend is Backend.DENSE and size > DENSE_QUBIT_CAP:
+        raise CapacityError(f"dense backend holds at most {DENSE_QUBIT_CAP} qubits, got {size}")
+
+
 class Register:
     """A register of qubits on one backend. Single-threaded; independent
     registers can be used concurrently."""
@@ -115,13 +121,8 @@ class Register:
     def __init__(self, size: int, backend: Backend, seed: int) -> None:
         if size < 1:
             raise ValueError(f"register size must be >= 1, got {size}")
-        if backend is Backend.DENSE and size > DENSE_QUBIT_CAP:
-            raise CapacityError(
-                f"dense backend holds at most {DENSE_QUBIT_CAP} qubits, got {size}"
-            )
+        check_capacity(size, backend)
         self.size = size
-        self.backend = backend
-        self.seed = seed
         state = DenseState if backend is Backend.DENSE else PairBlockState
         self._state = state(size, philox(seed))
 

@@ -12,9 +12,9 @@ Toeplitz privacy amplification under a transcript-carried seed, which
 ``Outcome`` applies when its final keys are first read.
 
 Positions, slots and qubits are 0-based throughout. The records a run
-makes by the dozen, ``Component`` and ``Case4Disclose`` (and
-``ChainSpec`` of ``bell_algebra``), are named tuples, about 130 at
-n=256: a frozen dataclass costs several times as much to build.
+makes by the dozen, ``Component`` and ``Case4Disclose``, are named
+tuples, about 130 at n=256: a frozen dataclass costs several times as
+much to build.
 """
 from __future__ import annotations
 
@@ -28,14 +28,16 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bell_algebra import (
-    BellType,
-    ChainSpec,
-    chain_relation_holds,
-    infer_remote_bit,
-    xor_rule_holds,
+from .bell_algebra import BellType, chain_relation_holds, infer_remote_bit, xor_rule_holds
+from .engine import (
+    Backend,
+    CapacityError,
+    Register,
+    check_capacity,
+    derive_seed,
+    new_register,
+    philox,
 )
-from .engine import Backend, CapacityError, Register, derive_seed, new_register, philox
 from .privacy import PAParams, amplify, check_input, output_length, seed_length
 
 
@@ -179,6 +181,7 @@ class ProtocolConfig:
         object.__setattr__(self, "pa_ratio", Fraction(self.pa_ratio))
         if not (0 < self.pa_ratio <= 1):
             raise ValueError(f"pa_ratio must be in (0, 1], got {self.pa_ratio}")
+        check_capacity(2 * self.n, self.backend)  # the run's register
 
 
 @dataclass
@@ -195,14 +198,15 @@ class Component(NamedTuple):
     Cycles consist purely of surviving pairs; chains run between two
     collapsed qubits that always sit on opposite wires: ``endpoint_a`` is
     the position Alice measured (its collapsed partner travels on Bob's
-    wire), ``endpoint_b`` the position Bob measured.
+    wire), ``endpoint_b`` the position Bob measured. A chain of k slots
+    strings k - 1 surviving pairs between its endpoints: the wire-A
+    qubits of every slot after the first.
     """
 
     kind: ComponentKind
     slots: tuple[int, ...]
     endpoint_a: Optional[int] = None
     endpoint_b: Optional[int] = None
-    intermediates: tuple[int, ...] = ()
 
     @property
     def length(self) -> int:
@@ -385,15 +389,12 @@ def classify_components(
             continue
         slots = [k]
         visited[k] = True
-        intermediates: list[int] = []
         k2 = succ[k]
         while k2 >= 0:
-            intermediates.append(order_a[k2])
             slots.append(k2)
             visited[k2] = True
             k2 = succ[k2]
-        endpoint_a = order_b[slots[-1]]
-        components.append(Component(_CHAIN, tuple(slots), endpoint_a, p1, tuple(intermediates)))
+        components.append(Component(_CHAIN, tuple(slots), order_b[slots[-1]], p1))
 
     # Everything left closes into cycles of surviving pairs.
     for k in range(half):
@@ -440,7 +441,7 @@ def evaluate_step4(
     phis = (0,) * len(mr)  # phis[:k] is the phi+ run of k pairs
     verdicts: list[Optional[bool]] = []
     disclosures: list[Case4Disclose] = []
-    for kind, slots, end_a, end_b, mids in classification.components:
+    for kind, slots, end_a, end_b in classification.components:
         passed: Optional[bool] = None
         if kind is _CYCLE:
             passed = xor_rule_holds(phis[:len(slots)], [mr[k] for k in slots])
@@ -454,8 +455,7 @@ def evaluate_step4(
             zb = zb_of[end_b]
             disclosures.append(Case4Disclose(_ALICE, end_a, za))
             disclosures.append(Case4Disclose(_BOB, end_b, zb))
-            spec = ChainSpec(0, 0, phis[:len(mids)], za, zb, [mr[k] for k in slots])
-            passed = chain_relation_holds(spec)
+            passed = chain_relation_holds(0, 0, phis[1:len(slots)], za, zb, [mr[k] for k in slots])
         verdicts.append(passed)
 
     abort: Optional[tuple[str, int]] = None

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bell_algebra import (
-    BellType,
-    ChainSpec,
-    chain_relation_holds,
-    xor_rule_holds,
-)
+from .bell_algebra import BellType, chain_relation_holds, xor_rule_holds
 from .engine import (
     Backend,
     BellMeasure,
@@ -88,7 +83,7 @@ def make_chain(is_codes: Sequence[int], name: str) -> CircuitScript:
     is1, *mids, is2 = is_codes
 
     def relation(outcome: tuple) -> bool:
-        return chain_relation_holds(ChainSpec(is1, is2, mids, outcome[0], outcome[1], outcome[2:]))
+        return chain_relation_holds(is1, is2, mids, outcome[0], outcome[1], outcome[2:])
 
     return CircuitScript(name, 2 * k, prep, plan, relation)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mrsqkd.bell_algebra import (
     BellType,
-    ChainSpec,
     bm_parity,
     chain_relation_holds,
     collapse_partner,
@@ -88,22 +87,18 @@ def test_bm_parity_examples():
 
 
 def test_chain_relation_examples():
-    assert chain_relation_holds(
-        ChainSpec(PHI_P, PHI_P, (), zmr1=0, zmr2=1, mrs=(PSI_P,))
-    )
-    assert chain_relation_holds(
-        ChainSpec(PHI_P, PHI_P, (PHI_P,), zmr1=0, zmr2=1, mrs=(PHI_P, PSI_P))
-    )
-    assert chain_relation_holds(
-        ChainSpec(PSI_P, PHI_P, (), zmr1=0, zmr2=0, mrs=(PSI_P,))
-    )
+    assert chain_relation_holds(PHI_P, PHI_P, (), zmr1=0, zmr2=1, mrs=(PSI_P,))
+    assert chain_relation_holds(PHI_P, PHI_P, (PHI_P,), zmr1=0, zmr2=1, mrs=(PHI_P, PSI_P))
+    assert chain_relation_holds(PSI_P, PHI_P, (), zmr1=0, zmr2=0, mrs=(PSI_P,))
 
 
-def test_chain_spec_validation():
-    with pytest.raises(ValueError):
-        ChainSpec(PHI_P, PHI_P, (PHI_P,), zmr1=0, zmr2=0, mrs=(PHI_P,))
-    with pytest.raises(ValueError):
-        ChainSpec(PHI_P, PHI_P, (), zmr1=2, zmr2=0, mrs=(PHI_P,))
+def test_chain_relation_validation():
+    with pytest.raises(ValueError, match="intermediates"):
+        chain_relation_holds(PHI_P, PHI_P, (PHI_P,), zmr1=0, zmr2=0, mrs=(PHI_P,))
+    with pytest.raises(ValueError, match="zmr1"):
+        chain_relation_holds(PHI_P, PHI_P, (), zmr1=2, zmr2=0, mrs=(PHI_P,))
+    with pytest.raises(ValueError, match="zmr2"):
+        chain_relation_holds(PHI_P, PHI_P, (), zmr1=0, zmr2=2, mrs=(PHI_P,))
     with pytest.raises(ValueError):
         make_chain([0], "one pair")
 
@@ -142,8 +137,7 @@ def test_infer_remote_bit_involution(b, is_own, is_remote, mids, data):
 )
 def test_chain_relation_matches_inference(z1, z2, is1, is2, mids, data):
     mrs = data.draw(st.lists(bell_types, min_size=len(mids) + 1, max_size=len(mids) + 1))
-    spec = ChainSpec(is1, is2, tuple(mids), z1, z2, tuple(mrs))
-    assert chain_relation_holds(spec) == (
+    assert chain_relation_holds(is1, is2, mids, z1, z2, mrs) == (
         z2 == infer_remote_bit(z1, is1, is2, mids, mrs)
     )
 
@@ -193,7 +187,7 @@ def test_identities_match_per_element_reference(data):
     z1, z2 = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     remote = _ref_remote_bit(z1, is1, is2, mids, mrs)
     assert infer_remote_bit(z1, is1, is2, mids, mrs) == remote
-    assert chain_relation_holds(ChainSpec(is1, is2, mids, z1, z2, mrs)) == (z2 == remote)
+    assert chain_relation_holds(is1, is2, mids, z1, z2, mrs) == (z2 == remote)
 
 
 @pytest.mark.parametrize("c", range(4))
@@ -236,8 +230,8 @@ def _check_chain_config(is_codes):
     dist = _chain_outcomes(is_codes)
     assert dist
     for outcome in dist:
-        spec = ChainSpec(is1, is2, mids, outcome[0], outcome[1], tuple(outcome[2:]))
-        assert chain_relation_holds(spec), (is_codes, outcome)
+        holds = chain_relation_holds(is1, is2, mids, outcome[0], outcome[1], outcome[2:])
+        assert holds, (is_codes, outcome)
     if all(c == 0 for c in is_codes):
         # Both endpoint bits free, result parities pinned to their XOR.
         assert len(dist) == 2 * 4 ** (len(is_codes) - 1)

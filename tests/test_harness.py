@@ -128,6 +128,32 @@ def test_cli_bad_out_path_fails_before_any_trial(argv, tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["campaign", "--backend", "dense", "--n", "14", "--trials", "2"],
+      "error: dense backend holds at most 24 qubits, got 28"),
+     (["curves", "--max", "3", "--n", "2", "--empirical-trials", "2"],
+      "error: cannot attack 3 of 2 qubits")],
+    ids=["campaign-dense-over-capacity", "curves-point-over-n"],
+)
+def test_cli_config_error_fails_before_any_campaign_or_file(argv, error, tmp_path, capsys,
+                                                             monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_campaign", lambda *a: calls.append(a))
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [error]
+    assert calls == []
+    assert not out.exists()
+
+
+def test_package_exports_resolve():
+    missing = [name for name in mrsqkd.__all__ if not hasattr(mrsqkd, name)]
+    assert missing == []
+
+
 def test_csv_columns_are_the_run_stats_fields():
     assert harness.CSV_COLUMNS == [f.name for f in dataclasses.fields(RunStats)]
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, protocol
 from mrsqkd.adversary import StrategyKind
-from mrsqkd.bell_algebra import BellType, ChainSpec, chain_relation_holds, parity, xor_rule_holds
+from mrsqkd.bell_algebra import BellType, chain_relation_holds, parity, xor_rule_holds
 from mrsqkd.engine import Backend, CapacityError, GateName, new_register
 from mrsqkd.protocol import (
     Case4Disclose,
@@ -111,6 +111,13 @@ def test_tp_step1_capacity():
         tp_step1(reg, 4)
 
 
+def test_protocol_config_checks_dense_capacity():
+    with pytest.raises(CapacityError, match="at most 24 qubits, got 28"):
+        ProtocolConfig(n=14, seed=1, backend=Backend.DENSE)
+    ProtocolConfig(n=12, seed=1, backend=Backend.DENSE)
+    ProtocolConfig(n=14, seed=1)
+
+
 def test_tp_step3_length_mismatch():
     reg = new_register(4, Backend.TABLEAU, 5)
     with pytest.raises(ValueError):
@@ -137,9 +144,7 @@ def test_classify_reorder_merges_into_group4_chain():
     cls = classify_components({0, 1}, {0, 2}, (3, 2), (1, 3), 4)
     assert cls.case1_positions == (0,)
     assert cls.components == (
-        Component(
-            ComponentKind.CHAIN, (1, 0), endpoint_a=1, endpoint_b=2, intermediates=(3,)
-        ),
+        Component(ComponentKind.CHAIN, (1, 0), endpoint_a=1, endpoint_b=2),
     )
     assert cls.components[0].group == 4
 
@@ -389,13 +394,17 @@ def test_honest_completeness_across_seeds(n):
         for chain in chains:
             assert chain.endpoint_a in set(a.measured) - set(b.measured)
             assert chain.endpoint_b in set(b.measured) - set(a.measured)
-        # Surviving pairs all show up inside components exactly once.
+        # Surviving pairs all show up inside components exactly once: the
+        # wire-A qubit of every cycle slot and of every chain slot after
+        # the first.
         surviving = set(range(n)) - set(a.measured) - set(b.measured)
-        pairs_in_components = sum(
-            c.length if c.kind is ComponentKind.CYCLE else len(c.intermediates)
+        pairs_in_components = [
+            a.order[k]
             for c in cls.components
-        )
-        assert pairs_in_components == len(surviving)
+            for k in (c.slots if c.kind is ComponentKind.CYCLE else c.slots[1:])
+        ]
+        assert len(pairs_in_components) == len(set(pairs_in_components))
+        assert set(pairs_in_components) == surviving
         assert stats.raw_key_len == stats.case1_bits + stats.case3_bits
 
 
@@ -484,8 +493,7 @@ def _verdicts_from_transcript(records):
         else:
             za = disclosed[Role.ALICE, comp.endpoint_a]
             zb = disclosed[Role.BOB, comp.endpoint_b]
-            spec = ChainSpec(PHI_P, PHI_P, phis[1:], za, zb, results)
-            verdicts.append(chain_relation_holds(spec))
+            verdicts.append(chain_relation_holds(PHI_P, PHI_P, phis[1:], za, zb, results))
     return cls, verdicts
 
 
