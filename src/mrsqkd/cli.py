@@ -189,8 +189,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
     campaigns: dict[int, CampaignConfig] = {}  # x -> its empirical campaign
     if args.empirical_trials > 0:
         header += ",detect_modify_empirical"
-        # Every point is checked before the first campaign runs; no qubit
-        # is attacked at x = 0, so it needs none.
+        # --n and every point are checked before the first campaign runs;
+        # no qubit is attacked at x = 0, so it needs none.
+        ProtocolConfig(n=args.n, seed=args.seed)
         campaigns = {
             x: CampaignConfig(
                 n=args.n,

@@ -1,39 +1,42 @@
 """Dense statevector backend: the exact, small-register ground truth.
 
-Stores complex amplitudes only for the live qubits, those not in a known
-Z basis state. Every other qubit is one bit of an int: a fresh qubit is
-0, and a Z-measured qubit holds its outcome. Bit i of an amplitude index
-is live qubit ``_live[i]``, in the order the qubits became live;
-``amps`` reads the full 2^n vector, qubit q at bit q of the index.
+The state is a product of factors, each the amplitudes over the qubits
+that two-qubit operations have joined (qubit ``qubits[i]`` at bit i of
+its index), times one global phase. A qubit in no factor is one bit of
+an int, its Z state: 0 when fresh, the outcome once Z-measured. ``amps``
+reads the full 2^n vector, qubit q at bit q of the index.
 
-- ``prepare_bell`` grows the amplitudes 4x, phi+ on two new top bits.
-- ``measure_z`` keeps the outcome's half and drops the qubit.
-- A gate, Bell measurement or ``bell_branches`` on a qubit that is not
-  live first brings it back, on a new top bit, in its Z state.
+- ``prepare_bell`` makes a new factor, phi+ over its two qubits.
+- ``measure_bell`` and ``bell_branches`` merge the factors of their two
+  qubits by outer product; a gate or either of them gives a qubit in no
+  factor a factor of its own, in its Z state.
+- ``measure_z`` keeps the outcome's half of the qubit's factor and drops
+  the qubit; a factor left with no qubits folds into the global phase.
 
-A register thus costs 2^(live qubits), not 2^n, for any circuit: nothing
-here relies on the pair-block structure. Besides the register's
-operation set, the state gives exact branch enumeration, which every
-brute-force oracle check runs on and from which the pair-block backend
-builds its tables.
+Factors are never split by reading amplitudes, so a protocol run costs
+its largest component, not 2^(2n). Besides the register's operation
+set, the state gives exact branch enumeration, which every brute-force
+oracle check runs on and from which the pair-block backend builds its
+tables.
 
 A Bell outcome of the pair (a, b) is the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
 samples it by projection, in place, and ``prepare_bell`` writes phi+.
 
 Enumeration (``outcome_codes``) walks a measurement plan breadth first
-over a stack of branches, starting from the live amplitudes and joining
-a qubit that is not live at its first step: one row of a (B, 2^w) array
-per branch, with path probabilities and outcome codes in parallel
-arrays, so a plan step is a fixed number of numpy calls on the whole
-stack. A step takes the amplitudes of each outcome directly, by the
-overlap of every row with the outcome's basis state on the measured
-qubits: |0> and |1> for Z, the Bell state for Bell. Children follow
-their parent in outcome order, the depth-first order of a recursive
-walk, and branches at probability <= 1e-12 are dropped. A measured qubit
-is left in a known product state with the rest, so a step whose qubits
-no later step touches traces them out of the stack; any other step
-keeps the full-width post-measurement state.
+over a stack of branches, joining at each step, by outer product, the
+factor of a measured qubit that the stack does not hold yet (the
+register's factors stay as they are): one row of a (B, 2^w) array per
+branch, with path probabilities and outcome codes in parallel arrays,
+so a plan step is a fixed number of numpy calls on the whole stack. A
+step takes the amplitudes of each outcome directly, by the overlap of
+every row with the outcome's basis state on the measured qubits: |0>
+and |1> for Z, the Bell state for Bell. Children follow their parent in
+outcome order, the depth-first order of a recursive walk, and branches
+at probability <= 1e-12 are dropped. A measured qubit is left in a
+known product state with the rest, so a step whose qubits no later step
+touches traces them out of the stack; any other step keeps the
+full-width post-measurement state.
 """
 from __future__ import annotations
 
@@ -88,14 +91,6 @@ def _measure(
     return kept // outcomes, codes[outcome], probs[kept], children
 
 
-def _joined(psi: np.ndarray, bit: int) -> np.ndarray:
-    """``psi`` (one row, or rows, of amplitudes) with one more top index
-    bit, a qubit in the Z state ``bit``."""
-    out = np.zeros(psi.shape[:-1] + (2, psi.shape[-1]), dtype=psi.dtype)
-    out[..., bit, :] = psi
-    return out.reshape(psi.shape[:-1] + (-1,))
-
-
 def _norm2(half: np.ndarray) -> float:
     """Squared norm of a half of the state. ``np.vdot(half, half)`` would
     flatten each argument, copying the half twice; flattening it once as
@@ -105,7 +100,7 @@ def _norm2(half: np.ndarray) -> float:
 
 
 def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
-    """Overlap of a ``_pair`` view with the ``_BELL_BASIS`` state (s, p),
+    """Overlap of a (2, 2, ...) pair view with the ``_BELL_BASIS`` state (s, p),
     (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2), and its squared norm."""
     x, y = pair[0, p, ...], pair[1, 1 - p, ...]
     out = x - y if s else x + y
@@ -113,59 +108,87 @@ def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
     return out, float(np.vdot(out, out).real)
 
 
+class _Factor:
+    """Amplitudes over ``qubits``, qubit ``qubits[i]`` at bit i of an index."""
+
+    __slots__ = ("psi", "qubits")
+
+    def __init__(self, psi: np.ndarray, qubits: list[int]) -> None:
+        self.psi = psi
+        self.qubits = qubits
+
+
 class DenseState:
-    """Pure state of up to DENSE_QUBIT_CAP qubits: amplitudes over the
-    live qubits, and a Z basis state for each of the others."""
+    """Pure state of up to DENSE_QUBIT_CAP qubits: a product of factors,
+    a Z basis state for each qubit in none, and a global phase."""
 
     def __init__(self, n: int, rng: np.random.Generator) -> None:
         self.n = n
         self.rng = rng
-        self._psi = np.ones(1, dtype=np.complex128)  # amplitudes over the live qubits
-        self._live: list[int] = []  # the qubit at each bit of a _psi index
-        self._known = 0  # bit q: the Z state of qubit q while q is not live
+        self._of: dict[int, _Factor] = {}  # qubit -> the factor that holds it
+        self._phase = 1.0 + 0.0j  # product of the factors left with no qubits
+        self._known = 0  # bit q: the Z state of qubit q while q is in no factor
         self._touched = 0  # bit q set once any operation has acted on qubit q
 
     @property
     def amps(self) -> np.ndarray:
         """The full 2^n statevector, qubit q at bit q of the index; read
-        only, as it is built on each read. Assigning one makes every
-        qubit live and touched."""
-        if self._live == list(range(self.n)):  # already the full vector
-            full = self._psi.copy()
+        only, as it is built on each read. Assigning one puts every
+        qubit in one factor and marks it touched."""
+        factors = list(dict.fromkeys(self._of.values()))  # each factor once
+        if [f.qubits for f in factors] == [list(range(self.n))]:  # one factor, in qubit order
+            full = factors[0].psi * self._phase
         else:
-            pos = np.array([self._known])  # index of each live amplitude in the full vector
-            for q in self._live:
-                pos = np.concatenate((pos, pos | (1 << q)))
+            vals = np.array([self._phase])
+            pos = np.array([self._known])  # index of each amplitude in the full vector
+            for f in factors:
+                offsets = np.zeros(1, dtype=np.int64)
+                for q in f.qubits:
+                    offsets = np.concatenate((offsets, offsets | (1 << q)))
+                vals = np.outer(f.psi, vals).reshape(-1)
+                pos = (offsets[:, None] | pos[None, :]).reshape(-1)
             full = np.zeros(1 << self.n, dtype=np.complex128)
-            full[pos] = self._psi
+            full[pos] = vals
         full.flags.writeable = False
         return full
 
     @amps.setter
     def amps(self, amps: np.ndarray) -> None:
-        self._psi = np.array(amps, dtype=np.complex128)
-        self._live = list(range(self.n))
+        f = _Factor(np.array(amps, dtype=np.complex128).reshape(-1), list(range(self.n)))
+        self._of = dict.fromkeys(f.qubits, f)
+        self._phase = 1.0 + 0.0j
         self._known = 0
         self._touched = (1 << self.n) - 1
 
-    def _bit(self, q: int) -> int:
-        """Index bit of qubit q in the amplitudes. A qubit that is not
-        live first rejoins them, on a new top bit, in its Z state."""
-        if q not in self._live:
-            self._psi = _joined(self._psi, (self._known >> q) & 1)
+    def _factor(self, q: int) -> _Factor:
+        """The factor of qubit q. A qubit in none first gets a factor of
+        its own, its Z state."""
+        f = self._of.get(q)
+        if f is None:
+            psi = _Z_BASIS[0][(self._known >> q) & 1].astype(np.complex128)
             self._known &= ~(1 << q)
-            self._live.append(q)
-        return self._live.index(q)
+            f = self._of[q] = _Factor(psi, [q])
+        return f
+
+    def _merged(self, a: int, b: int) -> _Factor:
+        """The one factor of qubits a and b: b's joins a's on new top bits."""
+        fa, fb = self._factor(a), self._factor(b)
+        if fa is not fb:
+            fa.psi = np.outer(fb.psi, fa.psi).reshape(-1)
+            fa.qubits += fb.qubits
+            for q in fb.qubits:
+                self._of[q] = fa
+        return fa
 
     # -- gates ---------------------------------------------------------
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        # Every gate on q and every measurement of a live q passes here:
-        # q is no longer fresh.
+        # Every gate on q and every measurement of q in a factor passes
+        # here: q is no longer fresh.
         self._touched |= 1 << q
-        # View amplitudes as (high, qubit q, low); low block size 2^bit.
-        bit = self._bit(q)
-        v = self._psi.reshape(-1, 2, 1 << bit)
+        # View q's factor as (high, qubit q, low); low block size 2^bit.
+        f = self._factor(q)
+        v = f.psi.reshape(-1, 2, 1 << f.qubits.index(q))
         return v[:, 0, :], v[:, 1, :]
 
     # The two halves interleave in memory, so assigning one to the other
@@ -198,29 +221,19 @@ class DenseState:
         d *= _SQRT1_2
         a1[...] = d
 
-    def _pair(self, a: int, b: int) -> np.ndarray:
-        """The amplitudes as a (2, 2, ...) view, bits a and b first; both now used."""
-        self._touched |= (1 << a) | (1 << b)
-        bits = self._bit(a), self._bit(b)
-        return _bits_first(self._psi[None], bits)[0]
-
     def prepare_bell(self, a: int, b: int) -> None:
-        """phi+ on two fresh qubits, which join the live qubits on two new
-        top bits: the amplitudes grow 4x, written into one new array."""
+        """phi+ on two fresh qubits, as a new factor of 4 amplitudes."""
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
         self._touched |= (1 << a) | (1 << b)
-        size = self._psi.size
-        out = np.zeros(4 * size, dtype=np.complex128)
-        np.multiply(self._psi, _SQRT1_2, out=out[:size])
-        out[3 * size:] = out[:size]
-        self._psi = out
-        self._live += [a, b]
+        psi = np.zeros(4, dtype=np.complex128)
+        psi[0] = psi[3] = _SQRT1_2
+        self._of[a] = self._of[b] = _Factor(psi, [a, b])
 
     # -- measurement ---------------------------------------------------
 
     def prob_one(self, q: int) -> float:
-        if q not in self._live:
+        if q not in self._of:
             return float((self._known >> q) & 1)
         return _norm2(self._halves(q)[1])
 
@@ -228,22 +241,26 @@ class DenseState:
         """Project qubit q onto |outcome> and renormalize; returns the
         branch probability ``p``, computed unless given (state left
         untouched if it is ~ 0). Only the kept half is rescaled, and q
-        leaves the live qubits with the outcome as its Z state."""
+        leaves its factor with the outcome as its Z state."""
         self._touched |= 1 << q
-        if q not in self._live:
+        f = self._of.get(q)
+        if f is None:
             return float((self._known >> q) & 1 == outcome)
         keep = self._halves(q)[outcome]
         if p is None:
             p = _norm2(keep)
         if p > _MIN_PROB:
-            self._psi = (keep / np.sqrt(p)).reshape(-1)
-            self._live.remove(q)
+            f.psi = (keep / np.sqrt(p)).reshape(-1)
+            f.qubits.remove(q)
+            del self._of[q]
             self._known |= outcome << q
+            if not f.qubits:
+                self._phase *= complex(f.psi[0])
         return p
 
     def measure_z(self, q: int) -> int:
-        """One norm for the draw, a second only for outcome 0. A qubit
-        that is not live still takes its draw, which cannot change it."""
+        """One norm for the draw, a second only for outcome 0. A qubit in
+        no factor still takes its draw, which cannot change it."""
         p1 = self.prob_one(q)
         outcome = 1 if self.rng.random() < p1 else 0
         self.project(q, outcome, p1 if outcome else None)
@@ -253,7 +270,9 @@ class DenseState:
         """Bell-measure (a, b) by projection and return the code (p << 1) | s.
         One draw gives the sign bit s, a second the parity bit p given s;
         the pair is left, in place, on the reported Bell state."""
-        pair = self._pair(a, b)
+        self._touched |= (1 << a) | (1 << b)
+        f = self._merged(a, b)
+        pair = _bits_first(f.psi[None], (f.qubits.index(a), f.qubits.index(b)))[0]
         joint = [[_bell_overlap(pair, s, p)[1] for p in (0, 1)] for s in (0, 1)]
         sign = sum(joint[1])
         s = int(self.rng.random() < sign / (sign + sum(joint[0])))
@@ -268,10 +287,11 @@ class DenseState:
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
         """(code (p << 1) | s, probability, collapsed copy) for every Bell
         outcome of (a, b) that can occur; this state is left as it is."""
-        bits = self._bit(a), self._bit(b)
-        _, codes, probs, children = _measure(self._psi[None], bits, trace=False)
-        for code, prob, amps in zip(codes.tolist(), probs.tolist(), children):
-            branch = self._with(amps)
+        f = self._merged(a, b)
+        bits = f.qubits.index(a), f.qubits.index(b)
+        _, codes, probs, children = _measure(f.psi[None], bits, trace=False)
+        for code, prob, psi in zip(codes.tolist(), probs.tolist(), children):
+            branch = self._with(f, psi)
             branch._touched |= (1 << a) | (1 << b)
             yield code, prob, branch
 
@@ -284,32 +304,36 @@ class DenseState:
         the Bell code (p << 1) | s), in depth-first order with outcome 0
         (Z) or sign bit, then parity bit (Bell) first. This state is left
         as it is."""
-        live = list(self._live)  # qubit at each index bit of the stack
-        stack = self._psi[None]
+        held: list[int] = []  # qubit at each index bit of the stack
+        stack = np.ones((1, 1), dtype=np.complex128)
         probs = np.ones(1)
         codes = np.zeros((1, 0), dtype=np.int64)
         for i, qubits in enumerate(steps):
             for q in qubits:
-                if q not in live:
-                    stack = _joined(stack, (self._known >> q) & 1)
-                    live.append(q)
+                if q not in held:
+                    f = self._of.get(q) or _Factor(_Z_BASIS[0][(self._known >> q) & 1], [q])
+                    stack = (f.psi[None, :, None] * stack[:, None, :]).reshape(len(stack), -1)
+                    held += f.qubits
             trace = not any(q in later for later in steps[i + 1:] for q in qubits)
-            parent, code, cond, stack = _measure(stack, tuple(map(live.index, qubits)), trace)
+            parent, code, cond, stack = _measure(stack, tuple(map(held.index, qubits)), trace)
             probs = probs[parent] * cond
             codes = np.column_stack((codes[parent], code))
             if trace:
-                live = [q for q in live if q not in qubits]
+                held = [q for q in held if q not in qubits]
         return probs.tolist(), codes.tolist()
 
-    def _with(self, psi: np.ndarray) -> "DenseState":
+    def _with(self, factor: _Factor | None = None, psi: np.ndarray | None = None) -> "DenseState":
+        """A copy of this state; ``psi`` replaces the amplitudes of ``factor``."""
         c = DenseState.__new__(DenseState)
         c.n = self.n
         c.rng = self.rng
-        c._psi = psi
-        c._live = list(self._live)
+        c._phase = self._phase
         c._known = self._known
         c._touched = self._touched
+        copies = {f: _Factor(psi if f is factor else f.psi.copy(), list(f.qubits))
+                  for f in dict.fromkeys(self._of.values())}
+        c._of = {q: copies[f] for q, f in self._of.items()}
         return c
 
     def copy(self) -> "DenseState":
-        return self._with(self._psi.copy())
+        return self._with()

@@ -1,12 +1,14 @@
 """Quantum sampling engine with two interchangeable backends.
 
-DENSE stores a statevector over the qubits not in a known Z state (a
-fresh or Z-measured qubit is one bit) and doubles as the exact oracle: its
+DENSE stores its statevector as a product of factors, one per group of
+qubits that two-qubit operations have joined (a fresh or Z-measured
+qubit is one bit), and doubles as the exact oracle: its
 ``outcome_distribution`` enumerates measurement outcomes with exact
 probabilities, by one breadth-first walk over a stack of branches that
-traces each step's qubits out of the stack once no later step touches
-them (see ``dense``). TABLEAU, the pair-block stabilizer state of
-``pairblock``, runs the Monte Carlo campaigns. Both expose the same
+joins the factors the plan reaches and traces each step's qubits out of
+the stack once no later step touches them (see ``dense``). TABLEAU, the
+pair-block stabilizer state of ``pairblock``, runs the Monte Carlo
+campaigns. Both expose the same
 operation set: phi+ pair preparation on fresh qubits, the single-qubit
 gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
 measurement.

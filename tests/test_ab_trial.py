@@ -9,6 +9,7 @@ import types
 import pytest
 
 from mrsqkd import protocol
+from mrsqkd.dense import DenseState
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab_trial.py"
 
@@ -21,8 +22,9 @@ def ab():
     return module
 
 
-def stage_args(stages=3):
-    return argparse.Namespace(base="HEAD", attack="parity-measure", n=16, stages=stages)
+def stage_args(stages=3, **kw):
+    args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau")
+    return argparse.Namespace(**{**args, **kw})
 
 
 def test_stages_prints_the_medians_of_the_runs_own_stages(ab, capsys):
@@ -37,6 +39,40 @@ def test_stages_prints_the_medians_of_the_runs_own_stages(ab, capsys):
     for side in (1, 2):
         us = [float(row[side]) for row in rows]
         assert min(us) >= 0 and sum(us[:-1]) == pytest.approx(us[-1], abs=0.1 * len(us))
+
+
+def test_stages_time_dense_runs(ab, capsys, monkeypatch):
+    """--backend dense: every run of both sides, in the CSV identity gate
+    and in the timed stages, prepares its pairs on the dense state."""
+    preps = []
+    prepare_bell = DenseState.prepare_bell
+
+    def counted(state, a, b):
+        preps.append((a, b))
+        prepare_bell(state, a, b)
+
+    monkeypatch.setattr(DenseState, "prepare_bell", counted)
+    work = ab.modules("mrsqkd")
+    assert ab.compare(work, work, stage_args(attack="honest", n=4, backend="dense")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split() for line in captured.out.splitlines()[2:]]
+    assert [row[0] for row in rows] == [*protocol.STAGES, "total"]
+    runs = 2 * ab.IDENTITY_TRIALS + 2 * (50 + 3)  # the gate, then warm-up and timed calls
+    assert len(preps) == 4 * runs
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
+    (dict(stages=0, n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
+    (dict(n=7), "n must be even and >= 2, got 7"),
+], ids=["stages dense n=14", "batches dense n=14", "n=7"])
+def test_a_run_that_cannot_be_made_is_one_error_line(ab, capsys, kw, message):
+    work = ab.modules("mrsqkd")
+    assert ab.compare(work, work, stage_args(**kw)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def fake_protocol(stages, marks):

@@ -418,7 +418,8 @@ def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed,
 
 class _FullWidth:
     """Plain full-width statevector with DenseState's draws: the reference
-    for a register whose measured and fresh qubits are not live."""
+    for a register held as a product of factors, whose measured and
+    fresh qubits are in none."""
 
     def __init__(self, n, rng):
         self.n, self.rng = n, rng
@@ -470,7 +471,8 @@ class _FullWidth:
 def live_set_scripts(draw):
     """Pair preparations on fresh qubits, gates, Z and Bell measurements in
     any order on 2 to 7 qubits: gates and Bell measurements reach fresh
-    and Z-measured qubits, which leave the live amplitudes and rejoin them."""
+    and Z-measured qubits, which leave their factors and rejoin as
+    factors of their own, and Bell measurements merge factors."""
     n = draw(st.integers(2, 7))
     qubit = st.integers(0, n - 1)
     fresh, ops = set(range(n)), []
@@ -497,11 +499,12 @@ def live_set_scripts(draw):
 @settings(max_examples=300, deadline=None)
 @given(live_set_scripts(), st.integers(0, 2**32))
 @example((2, [("gate", GateName.X, 0), ("z", 0), ("gate", GateName.H, 0)], [ZMeasure(0)]), 0)
+@example((2, [("gate", GateName.Y, 0), ("z", 0)], [ZMeasure(1)]), 0)  # a phase of -1 left over
 def test_dense_live_set_matches_a_full_width_reference(script, seed):
     """After every operation the register's full vector equals the
     reference's at 1e-12, both draw the same numbers (a twin generator),
     and the exact law of a final plan matches the recursive reference on
-    a copy whose every qubit is live."""
+    a copy whose every qubit is in one factor."""
     n, ops, plan = script
     reg = new_register(n, Backend.DENSE, seed)
     ref = _FullWidth(n, philox(seed))

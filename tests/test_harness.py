@@ -343,6 +343,7 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["verify-backends", "--samples", "-5"],
         ["curves", "--max", "-1"],
         ["curves", "--empirical-trials", "-3"],
+        ["curves", "--max", "0", "--n", "7", "--empirical-trials", "5"],
         ["simulate", "--pa-ratio", "2"],
         ["campaign", "--pa-ratio", "0"],
         # The value after --config is written to a file, whose path replaces it.
@@ -518,8 +519,8 @@ GOLDEN = [
      "5f02e3b5c3164c50268b5188cad6cd853877011fa308c6a418aabff59aee2d16"),
     (["verify-backends", "--samples", "2000"],
      "9dc1d1eecf2cb96914dda1f04c7c95733477bd939b634be466e7d7666f906be6"),
-    # DENSE pins: Z measurements that drop qubits from the live amplitudes,
-    # and gates and Bell measurements that bring measured qubits back.
+    # DENSE pins: Z measurements that drop qubits from their factors, and
+    # gates and Bell measurements that bring measured qubits back.
     (["campaign", "--attack", "honest", "--backend", "dense", "--n", "6", "--seed", "13"],
      "1de673a267340595ffe260031d2811c588310e2f1b7bc8aa7c7b67671fab369b"),
     (["campaign", "--attack", "modify", "--gate", "h", "--m", "3", "--backend", "dense",
@@ -527,6 +528,12 @@ GOLDEN = [
      "0de047c0154caf11b26b7e2bb1010d5e11d2c66457dff83d2cab2818c1c2566a"),
     (["simulate", "--attack", "parity-measure", "--backend", "dense", "--n", "8", "--seed", "2"],
      "ab061b4fc4e43254810e2222838b1005cb2046c75ab789323824bbd6dae5f1a5"),
+    # Whole DENSE runs at the register's widest, 20 and 24 qubits.
+    (["simulate", "--attack", "modify", "--gate", "h", "--m", "3", "--backend", "dense",
+      "--n", "12", "--seed", "23"],
+     "3384df4b00951418e8db41750d05ac347d855222dbc0d12c30367e1a97cc2ab0"),
+    (["campaign", "--attack", "naive-measure", "--backend", "dense", "--n", "10", "--seed", "29"],
+     "508975fb66568d5ff1347432a2182fb343ec1b02d88cbb05a5703c3fb85dc78e"),
 ]
 
 

@@ -569,17 +569,21 @@ def test_run_protocol_on_dense_backend():
     assert res.stats.keys_match
 
 
-def test_dense_trial_memory_stays_near_its_state():
-    """An honest DENSE n=10 trial holds 20 live qubits, a 16 MB state, at
-    its widest; with no full-state temporaries it peaks at most 25 MB."""
-    run_protocol(ProtocolConfig(n=4, seed=1, backend=Backend.DENSE), adversary.honest())
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("strategy", [adversary.honest, adversary.parity_aware_measure],
+                         ids=["honest", "parity-measure"])
+def test_dense_trial_memory_stays_near_its_state(strategy, n):
+    """A DENSE trial holds a product of its components' states, never the
+    2^(2n) amplitudes of all its qubits (16 MB at n=10, 256 MB at n=12):
+    it peaks under 1 MB."""
+    run_protocol(ProtocolConfig(n=4, seed=1, backend=Backend.DENSE), strategy())
     tracemalloc.start()
     try:
-        run_protocol(ProtocolConfig(n=10, seed=3, backend=Backend.DENSE), adversary.honest())
+        run_protocol(ProtocolConfig(n=n, seed=3, backend=Backend.DENSE), strategy())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 25 * 2**20, peak / 2**20
+    assert peak < 2**20, peak / 2**20
 
 
 def test_config_validation():

@@ -5,6 +5,7 @@ Run from the root of a checkout:
 
     python tools/ab_trial.py --base HEAD --attack honest --n 256 --batches 40 --batch 100
     python tools/ab_trial.py --base HEAD --attack honest --n 256 --stages 500
+    python tools/ab_trial.py --base HEAD --attack honest --n 10 --backend dense --stages 50
 
 ``git archive`` extracts the base revision's ``src/mrsqkd`` into a
 temporary directory, where it is imported as ``mrsqkd_base`` beside the
@@ -19,6 +20,10 @@ Before any timing, in either mode, each side renders the CSV of trials
 0..299 of ``--attack`` at ``--n`` with its own ``harness.render_csv``;
 if the two differ, the tool prints one line and exits 1, so a speedup
 it reports comes with byte-identical rows.
+
+``--backend`` picks the engine of every run on both sides: ``tableau``
+(the default) or ``dense``. A run that the backend cannot hold, or any
+other bad ``--n``, ends the tool with one ``error:`` line and exit 2.
 
 ``--stages K`` instead times K ``run_protocol`` calls of ``--attack`` at
 ``--n``, alternating the two copies call by call, and prints the median
@@ -58,16 +63,19 @@ def load_base(rev: str, into: str):
 
 
 def modules(pkg: str) -> dict:
-    return {m: importlib.import_module(f"{pkg}.{m}") for m in ("adversary", "harness", "protocol")}
+    return {m: importlib.import_module(f"{pkg}.{m}")
+            for m in ("adversary", "engine", "harness", "protocol")}
 
 
 def strategy(mods: dict, attack: str):
     return getattr(mods["adversary"], STRATEGIES[attack])()
 
 
-def trial_runner(mods: dict, attack: str, n: int):
+def trial_runner(mods: dict, args):
     h = mods["harness"]
-    config = h.CampaignConfig(n=n, trials=1, master_seed=12345, strategy=strategy(mods, attack))
+    config = h.CampaignConfig(n=args.n, trials=1, master_seed=12345,
+                              strategy=strategy(mods, args.attack),
+                              backend=mods["engine"].Backend(args.backend))
     return lambda i: h.run_trial(config, i)
 
 
@@ -75,14 +83,13 @@ def same_rows(base: dict, work: dict, args) -> bool:
     """Whether both sides write the same CSV for the first trials."""
     csvs = []
     for mods in (base, work):
-        run = trial_runner(mods, args.attack, args.n)
+        run = trial_runner(mods, args)
         csvs.append(mods["harness"].render_csv([run(i) for i in range(IDENTITY_TRIALS)]))
     return csvs[0] == csvs[1]
 
 
 def ab_batches(base: dict, work: dict, args) -> None:
-    runs = {"base": trial_runner(base, args.attack, args.n),
-            "work": trial_runner(work, args.attack, args.n)}
+    runs = {"base": trial_runner(base, args), "work": trial_runner(work, args)}
     for i in range(50):  # warm the pair-block tables and caches of both
         runs["base"](i), runs["work"](i)
     ms = {"base": [], "work": []}
@@ -100,10 +107,11 @@ def ab_batches(base: dict, work: dict, args) -> None:
           f"work won {sum(r > 1 for r in ratios)}/{args.batches} batches")
 
 
-def stage_us(mods: dict, attack: str, n: int, seed: int) -> dict[str, float]:
+def stage_us(mods: dict, args, seed: int) -> dict[str, float]:
     """µs per stage of one ``run_protocol`` call, from its own marks."""
     pr = mods["protocol"]
-    marks = pr.run_protocol(pr.ProtocolConfig(n=n, seed=seed), strategy(mods, attack)).stage_ns
+    config = pr.ProtocolConfig(n=args.n, seed=seed, backend=mods["engine"].Backend(args.backend))
+    marks = pr.run_protocol(config, strategy(mods, args.attack)).stage_ns
     return {stage: (end - start) / 1e3 for stage, start, end in zip(pr.STAGES, marks, marks[1:])}
 
 
@@ -113,7 +121,7 @@ def ab_stages(base: dict, work: dict, args) -> None:
     spans = {side: [] for side in runs}
     for k, seed in enumerate(range(1000 - 50, 1000 + args.stages)):
         for side in ("base", "work") if k % 2 == 0 else ("work", "base"):
-            stages = stage_us(runs[side], args.attack, args.n, seed)
+            stages = stage_us(runs[side], args, seed)
             if seed >= 1000:  # the first 50 calls warm both copies
                 spans[side].append(stages)
     medians = [{stage: statistics.median(s[stage] for s in rows) for stage in rows[0]}
@@ -134,6 +142,12 @@ def compare(base: dict, work: dict, args) -> int:
                 print(f"error: {name} has no RunResult.stage_ns to time --stages from",
                       file=sys.stderr)
                 return 2
+    for mods in (base, work):
+        try:
+            trial_runner(mods, args)
+        except (ValueError, mods["engine"].CapacityError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if not same_rows(base, work, args):
         print(f"error: base {args.base} and the working tree write different CSV rows "
               f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
@@ -148,6 +162,7 @@ def main() -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--attack", default="honest", choices=tuple(STRATEGIES))
     parser.add_argument("--n", type=int, default=256)
+    parser.add_argument("--backend", default="tableau", choices=("tableau", "dense"))
     parser.add_argument("--batches", type=int, default=40)
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
     parser.add_argument("--stages", type=int, default=0, help="time K runs stage by stage")
