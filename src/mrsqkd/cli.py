@@ -7,14 +7,17 @@ curves, optionally next to freshly measured campaign rates).
 
 Every flag can also come from a config file of flat ``key=value`` lines
 (keys are the subcommand's long flag names without the dashes, and any
-other key is an error). File values become the subcommand's defaults, so
-argparse converts and checks them exactly like the flags, and a flag
-overrides the file. Any bad flag, value or file line ends the command
-with one ``error:`` line on stderr and exit code 2.
+other key is an error). File values are read as ``--key=value`` flags
+placed ahead of the command line's own flags, so argparse converts and
+checks them exactly like the flags, and an explicit flag still wins. The
+parser is built once per process and never changed after. Any bad flag,
+value or file line ends the command with one ``error:`` line on stderr
+and exit code 2.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -29,15 +32,13 @@ from .verify import verify_backends
 ATTACKS = tuple(k.value for k in StrategyKind)
 GATES = tuple(g.value for g in GateName)
 BACKENDS = tuple(b.value for b in Backend)
-# argparse does not check a default against its choices, so file values are checked here.
+# File values are checked against these first, so the error names the config file.
 _CHOICES = {"attack": ATTACKS, "gate": GATES, "backend": BACKENDS}
 
 
 class _Parser(argparse.ArgumentParser):
     """Raises ValueError instead of printing usage and exiting, so ``main``
     reports every parse error on one line. Subparsers inherit the class."""
-
-    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
@@ -64,8 +65,8 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _set_file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Make the values of ``args.config`` the defaults of the subcommand ``parser``."""
+def _file_flags(args: argparse.Namespace) -> list[str]:
+    """The values of ``args.config`` as ``--key=value`` flags of the subcommand."""
     values = load_config_file(args.config)
     # Every dest of the subcommand's parser but these two is a long flag.
     flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
@@ -75,7 +76,7 @@ def _set_file_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace
         if key in _CHOICES and value not in _CHOICES[key]:
             choices = ", ".join(_CHOICES[key])
             raise ValueError(f"config file: invalid {key} {value!r} (choose from {choices})")
-    parser.set_defaults(**{key.replace("-", "_"): value for key, value in values.items()})
+    return [f"--{key}={value}" for key, value in values.items()]
 
 
 def _strategy(args: argparse.Namespace) -> TpStrategy:
@@ -97,13 +98,13 @@ def _add_common(parser: argparse.ArgumentParser, n: int) -> None:
                         help="privacy amplification ratio, e.g. 1/2")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="mrsqkd",
         description="Mediated semi-quantum key distribution laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
     sim = sub.add_parser("simulate", help="run one trial and dump its transcript")
     _add_common(sim, n=16)
@@ -112,8 +113,7 @@ def build_parser() -> _Parser:
     _add_common(camp, n=64)
     camp.add_argument("--trials", type=int, default=100, help="number of trials")
     camp.add_argument("--out", help="CSV output path")
-    camp.add_argument("--workers", type=int, default=default_workers(),
-                      help="worker processes (default: all cores)")
+    camp.add_argument("--workers", type=int, help="worker processes (default: all cores)")
 
     ver = sub.add_parser("verify-backends", help="exact pair-block law vs exact dense oracle")
     ver.add_argument("--samples", type=int, default=10000,
@@ -129,8 +129,8 @@ def build_parser() -> _Parser:
     cur.add_argument("--n", type=int, default=64, help="Bell pair count for empirical rows")
     cur.add_argument("--seed", type=int, default=1, help="master seed for empirical rows")
 
-    for command in parser.commands.values():
-        command.add_argument("--config", help="flat key=value file supplying flag defaults")
+    for command in sub.choices.values():
+        command.add_argument("--config", help="flat key=value file of flags (explicit flags win)")
     return parser
 
 
@@ -162,7 +162,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         backend=Backend(args.backend),
         pa_ratio=args.pa_ratio,
         out_path=args.out,
-        workers=args.workers,
+        workers=default_workers() if args.workers is None else args.workers,
     )
     t0 = time.perf_counter()
     _, summary = run_campaign(config)
@@ -221,12 +221,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _set_file_defaults(parser.commands[args.command], args)
-            args = parser.parse_args(argv)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _file_flags(args) + argv[at:])
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "campaign":

@@ -52,19 +52,19 @@ _MIN_PROB = 1e-12
 # Basis states of a measurement, one row per outcome over the measured
 # bits, first bit major, with the outcome codes: Z outcome j is |j>;
 # Bell outcome 2s + p is sign bit s and parity bit p, code (p << 1) | s.
+# ``_BELL_SIGNS`` holds the Bell rows unscaled, as +-1 and 0.
 _Z_BASIS = (np.eye(2), np.array([0, 1]))
-_BELL_BASIS = (
-    np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]) * _SQRT1_2,
-    np.array([0, 2, 1, 3]),
-)
+_BELL_SIGNS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=complex)
+_BELL_BASIS = (_BELL_SIGNS * _SQRT1_2, np.array([0, 2, 1, 3]))
 
 
 def _bits_first(stack: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     """View of ``stack`` (rows of 2^w amplitudes) as a (rows, 2, ..., 2)
     tensor with index bits ``bits`` on axes 1, 2, ..."""
     w = stack.shape[1].bit_length() - 1
-    tensor = stack.reshape((len(stack),) + (2,) * w)
-    return np.moveaxis(tensor, [w - b for b in bits], range(1, len(bits) + 1))
+    front = [w - b for b in bits]  # axis 1 holds index bit w - 1
+    order = [0, *front, *(ax for ax in range(1, w + 1) if ax not in front)]
+    return stack.reshape((len(stack),) + (2,) * w).transpose(order)
 
 
 def _measure(
@@ -97,15 +97,6 @@ def _norm2(half: np.ndarray) -> float:
     vdot does (a view where one exists) keeps the sum's rounding."""
     flat = half.reshape(-1)
     return float(np.vdot(flat, flat).real)
-
-
-def _bell_overlap(pair: np.ndarray, s: int, p: int) -> tuple[np.ndarray, float]:
-    """Overlap of a (2, 2, ...) pair view with the ``_BELL_BASIS`` state (s, p),
-    (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2), and its squared norm."""
-    x, y = pair[0, p, ...], pair[1, 1 - p, ...]
-    out = x - y if s else x + y
-    out *= _SQRT1_2
-    return out, float(np.vdot(out, out).real)
 
 
 class _Factor:
@@ -273,15 +264,17 @@ class DenseState:
         self._touched |= (1 << a) | (1 << b)
         f = self._merged(a, b)
         pair = _bits_first(f.psi[None], (f.qubits.index(a), f.qubits.index(b)))[0]
-        joint = [[_bell_overlap(pair, s, p)[1] for p in (0, 1)] for s in (0, 1)]
-        sign = sum(joint[1])
-        s = int(self.rng.random() < sign / (sign + sum(joint[0])))
-        p = int(self.rng.random() < joint[s][1] / sum(joint[s]))
-        rest, prob = _bell_overlap(pair, s, p)
-        rest *= _SQRT1_2 / np.sqrt(prob)
-        pair[...] = 0.0
-        pair[0, p, ...] = rest
-        pair[1, 1 - p, ...] = -rest if s else rest
+        # Row 2s + p: the overlap with Bell state (s, p), each entry
+        # (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2).
+        rows = _BELL_SIGNS @ pair.reshape(4, -1)
+        rows *= _SQRT1_2
+        joint = (rows.real**2 + rows.imag**2).sum(axis=1).tolist()
+        sign = joint[2] + joint[3]
+        s = int(self.rng.random() < sign / (sign + (joint[0] + joint[1])))
+        p = int(self.rng.random() < joint[2 * s + 1] / (joint[2 * s] + joint[2 * s + 1]))
+        k = 2 * s + p
+        rest = rows[k] * (_SQRT1_2 / np.sqrt(joint[k]))
+        pair[...] = (_BELL_SIGNS[k][:, None] * rest).reshape(pair.shape)
         return (p << 1) | s
 
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
@@ -307,7 +300,7 @@ class DenseState:
         held: list[int] = []  # qubit at each index bit of the stack
         stack = np.ones((1, 1), dtype=np.complex128)
         probs = np.ones(1)
-        codes = np.zeros((1, 0), dtype=np.int64)
+        codes = np.zeros((1, len(steps)), dtype=np.int64)
         for i, qubits in enumerate(steps):
             for q in qubits:
                 if q not in held:
@@ -317,7 +310,8 @@ class DenseState:
             trace = not any(q in later for later in steps[i + 1:] for q in qubits)
             parent, code, cond, stack = _measure(stack, tuple(map(held.index, qubits)), trace)
             probs = probs[parent] * cond
-            codes = np.column_stack((codes[parent], code))
+            codes = codes[parent]
+            codes[:, i] = code
             if trace:
                 held = [q for q in held if q not in qubits]
         return probs.tolist(), codes.tolist()

@@ -12,6 +12,7 @@ used all over the test suite.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -261,7 +262,7 @@ def verify_backends(
         circuit_seed = derive_seed(seed, idx)
         exact = exact_distribution(script, circuit_seed)
         law = tableau_distribution(script)
-        drawn = sample_tableau(script, samples, circuit_seed)
+        drawn = Counter(sample_tableau(script, samples, circuit_seed))  # outcome -> shots
         relation = script.relation or (lambda outcome: True)
         reports.append(
             CircuitReport(
@@ -270,8 +271,9 @@ def verify_backends(
                 support_size=len(exact),
                 same_support=exact.keys() == law.keys(),
                 max_dp=max(abs(law.get(o, 0.0) - exact.get(o, 0.0)) for o in {*exact, *law}),
-                outside_support=sum(outcome not in exact for outcome in drawn),
-                relation_failures=sum(not relation(outcome) for outcome in [*exact, *drawn]),
+                outside_support=sum(k for outcome, k in drawn.items() if outcome not in exact),
+                relation_failures=sum(not relation(outcome) for outcome in exact)
+                + sum(k for outcome, k in drawn.items() if not relation(outcome)),
             )
         )
     return VerifyReport(samples=samples, circuits=tuple(reports))

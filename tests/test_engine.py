@@ -401,19 +401,23 @@ def test_outcome_distribution_matches_recursive_reference(case):
 @given(prepared_registers(), st.integers(0, 2**32), st.data())
 def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed, data):
     """Each of 1 to 3 Bell measurements in a row draws exactly two
-    numbers (a twin generator advanced twice gives the next draw), and
-    leaves the state of the bell_branches branch of the code it returns,
-    up to global phase."""
+    numbers (a twin generator advanced twice gives the next draw), returns
+    the code those two numbers pick from the bell_branches law (s = 1 when
+    the first is below P(s=1), then p = 1 when the second is below
+    P(p=1 | s)), and leaves the state of that code's branch, up to global
+    phase."""
     state = reg._state
     state.rng, twin = philox(seed), philox(seed)
     for _ in range(data.draw(st.integers(1, 3))):
         a, b = data.draw(st.permutations(range(state.n)))[:2]
-        branches = {c: br for c, _, br in state.bell_branches(a, b)}
+        law = {c: (prob, br) for c, prob, br in state.bell_branches(a, b)}
+        prob = {c: law[c][0] if c in law else 0.0 for c in range(4)}
         code = state.measure_bell(a, b)
-        twin.random(), twin.random()
+        s = int(twin.random() < prob[1] + prob[3])
+        p = int(twin.random() < prob[2 | s] / (prob[s] + prob[2 | s]))
         assert state.rng.random() == twin.random()
-        assert code in branches
-        assert abs(np.vdot(branches[code].amps, state.amps)) == pytest.approx(1.0, abs=1e-9)
+        assert code == (p << 1) | s
+        assert abs(np.vdot(law[code][1].amps, state.amps)) == pytest.approx(1.0, abs=1e-9)
 
 
 class _FullWidth:

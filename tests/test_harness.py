@@ -321,6 +321,28 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert ",16," in lines[1]  # n came from the file
 
 
+def test_cli_parser_is_built_once_and_keeps_no_config(tmp_path, capsys, monkeypatch):
+    """Three commands in one process build the parser at most once, and a
+    config file's values do not reach the next command."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=8\nattack=naive-measure\nseed=4\n")
+    outputs = []
+    for argv in (["--config", str(cfg)], [], ["--n", "16", "--seed", "1"]):
+        assert cli.main(["simulate"] + argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert built.count("mrsqkd") <= 1
+    with_file, plain, explicit = outputs
+    assert plain == explicit != with_file
+
+
 def test_cli_config_file_rejects_garbage(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
