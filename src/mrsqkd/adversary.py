@@ -5,7 +5,7 @@ A strategy is an immutable description; instantiating it yields per-run
 hooks whose state never leaks across runs. The hook order mirrors the
 protocol schedule: prepare, on_outbound (before the wires leave the
 server), and on_return (must commit the announced results before any
-order is revealed).
+order is revealed), as one Bell code (p << 1) | s per slot.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bell_algebra import _BELL_BY_CODE, BellType
 from .engine import GateName, Register
 from .protocol import tp_step1, tp_step3_honest
 
@@ -41,9 +40,7 @@ class TpHooks:
     def on_outbound(self, engine: Register, wires: Wires) -> Wires:
         return wires
 
-    def on_return(
-        self, engine: Register, q1: Sequence[int], q2: Sequence[int]
-    ) -> tuple[BellType, ...]:
+    def on_return(self, engine: Register, q1: Sequence[int], q2: Sequence[int]) -> Sequence[int]:
         return tp_step3_honest(engine, q1, q2)
 
 
@@ -59,8 +56,8 @@ class _MeasureHooks(TpHooks):
     def _measure_all(
         self, engine: Register, q1: Sequence[int], q2: Sequence[int]
     ) -> None:
-        self.z_q1 = tuple(map(engine.measure_z, q1))
-        self.z_q2 = tuple(map(engine.measure_z, q2))
+        self.z_q1 = tuple(engine.measure_z_many(q1))
+        self.z_q2 = tuple(engine.measure_z_many(q2))
 
 
 class NaiveMeasureHooks(_MeasureHooks):
@@ -68,8 +65,7 @@ class NaiveMeasureHooks(_MeasureHooks):
 
     def on_return(self, engine, q1, q2):
         self._measure_all(engine, q1, q2)
-        codes = self.rng.integers(0, 4, size=len(q1))
-        return tuple(map(_BELL_BY_CODE.__getitem__, codes.tolist()))
+        return self.rng.integers(0, 4, size=len(q1)).tolist()
 
 
 class ParityAwareMeasureHooks(_MeasureHooks):
@@ -81,11 +77,8 @@ class ParityAwareMeasureHooks(_MeasureHooks):
 
     def on_return(self, engine, q1, q2):
         self._measure_all(engine, q1, q2)
-        signs = self.rng.integers(0, 2, size=len(q1))
-        return tuple(
-            _BELL_BY_CODE[((b1 ^ b2) << 1) | s]
-            for b1, b2, s in zip(self.z_q1, self.z_q2, signs.tolist())
-        )
+        signs = self.rng.integers(0, 2, size=len(q1)).tolist()
+        return [((b1 ^ b2) << 1) | s for b1, b2, s in zip(self.z_q1, self.z_q2, signs)]
 
 
 class ModificationHooks(TpHooks):

@@ -20,12 +20,20 @@ import argparse
 import functools
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import NoReturn, Optional
 
 from .adversary import StrategyKind, TpStrategy, modification
 from .engine import Backend, CapacityError, GateName
-from .harness import CampaignConfig, default_workers, detection_curves, run_campaign
+from .harness import (
+    CampaignConfig,
+    default_workers,
+    detection_curves,
+    open_csv,
+    rewrite,
+    run_campaign,
+)
 from .protocol import ProtocolConfig, RunStatus, run_protocol
 from .verify import verify_backends
 
@@ -203,20 +211,19 @@ def cmd_curves(args: argparse.Namespace) -> int:
             for x in range(1, args.max + 1)
         }
     lines = [header]
-    if args.out:  # a bad path fails before any campaign runs; append mode keeps the file
-        open(args.out, "a").close()
-    for x, measure_curve, modify_curve in detection_curves(range(0, args.max + 1)):
-        line = f"{x},{measure_curve:.6f},{modify_curve:.6f}"
-        if args.empirical_trials > 0:
-            rate = run_campaign(campaigns[x])[1].detection_rate if x else 0.0
-            line += f",{rate:.6f}"
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = open_csv(args.out) if args.out else None  # a bad path fails before any campaign
+    with out or nullcontext():
+        for x, measure_curve, modify_curve in detection_curves(range(0, args.max + 1)):
+            line = f"{x},{measure_curve:.6f},{modify_curve:.6f}"
+            if args.empirical_trials > 0:
+                rate = run_campaign(campaigns[x])[1].detection_rate if x else 0.0
+                line += f",{rate:.6f}"
+            lines.append(line)
+        text = "\n".join(lines) + "\n"
+        if out is not None:
+            rewrite(out, text)
+        else:
+            sys.stdout.write(text)
     return 0
 
 

@@ -79,7 +79,7 @@ def _measure(
     front = _bits_first(stack, bits).reshape(len(stack), outcomes, -1)
     parts = (basis @ front).reshape(len(stack) * outcomes, -1)
     probs = (parts.real**2 + parts.imag**2).sum(axis=1)
-    kept = np.flatnonzero(probs > _MIN_PROB)
+    kept = (probs > _MIN_PROB).nonzero()[0]
     outcome = kept % outcomes
     children = parts[kept] / np.sqrt(probs[kept])[:, None]
     if not trace:
@@ -220,6 +220,18 @@ class DenseState:
         psi = np.zeros(4, dtype=np.complex128)
         psi[0] = psi[3] = _SQRT1_2
         self._of[a] = self._of[b] = _Factor(psi, [a, b])
+
+    def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
+        """phi+ on each pair (wire_a[i], wire_b[i]). Every qubit must be
+        fresh and in one pair only; otherwise ValueError, with no qubit
+        changed."""
+        seen = self._touched
+        for a, b in zip(wire_a, wire_b):
+            if (seen >> a) & 1 or (seen >> b) & 1:
+                raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
+            seen |= (1 << a) | (1 << b)
+        for a, b in zip(wire_a, wire_b):
+            self.prepare_bell(a, b)
 
     # -- measurement ---------------------------------------------------
 

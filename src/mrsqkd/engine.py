@@ -13,6 +13,15 @@ operation set: phi+ pair preparation on fresh qubits, the single-qubit
 gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
 measurement.
 
+The protocol drives the register a whole wire at a time:
+``prepare_pairs(wire_a, wire_b)``, ``measure_z_many(qubits)`` and
+``measure_bell_many(q1, q2)`` equal the loop of ``prepare_bell_phi_plus``,
+``measure_z`` and ``measure_bell`` over the wire, with the same random
+draws, but check the qubits once per call and then call the state's op
+for each qubit or pair (pair preparation on the state as a whole).
+``measure_bell_many`` returns the Bell codes as ints, where
+``measure_bell`` returns ``BellType`` members.
+
 Bell measurement convention (fixed identically for both backends):
 measuring (a, b) projects the pair onto the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2) of sign bit s and parity bit p. The
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Sequence, Union
 
 import numpy as np
@@ -101,13 +110,22 @@ def derive_seed(master_seed: int, index: int) -> int:
     their own streams without coordination.
     """
     bg = np.random.Philox(_PhiloxKey(master_seed), counter=[0, 0, 0, index])
-    return int(np.random.Generator(bg).integers(0, 2**63, dtype=np.int64))
+    # What Generator(bg).integers(0, 2**63) draws: the top 63 bits of the
+    # first word, as a range of a power of two is a shift.
+    return int(bg.random_raw()) >> 1
 
 
 def philox(seed: int) -> np.random.Generator:
     """Philox generator keyed by the low 64 bits of ``seed``: the stream
     of ``Philox(key=seed & (2**64 - 1))``, built without OS entropy."""
     return np.random.Generator(np.random.Philox(_PhiloxKey(seed)))
+
+
+def _span(qubits: Sequence[int]) -> tuple[int, int]:
+    """The lowest and the highest qubit of a non-empty wire; a range's
+    without a pass over it."""
+    ends = (qubits[0], qubits[-1]) if type(qubits) is range else qubits
+    return min(ends), max(ends)
 
 
 def check_capacity(size: int, backend: Backend) -> None:
@@ -154,6 +172,55 @@ class Register:
             raise ValueError(_PAIR_ERROR.format(a, b, self.size))
         return _BELL_BY_CODE[self._state.measure_bell(a, b)]
 
+    # -- whole-wire operations ---------------------------------------------
+    # Each equals its single op mapped over the wire, in order, with the
+    # same random draws, but checks its qubits once, before any state
+    # changes (ValueError), and then calls the state's op for each qubit or
+    # pair. Where the single op has been replaced on the class (a subclass,
+    # or a wrapper that counts calls), it calls that op instead.
+
+    def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
+        """phi+ on each pair (wire_a[i], wire_b[i]): every qubit fresh and
+        in one pair only (ValueError otherwise, with no pair made)."""
+        self._check_pairs(wire_a, wire_b)
+        if type(self).prepare_bell_phi_plus is _PREPARE:
+            self._state.prepare_pairs(wire_a, wire_b)
+        else:
+            for a, b in zip(wire_a, wire_b):
+                self.prepare_bell_phi_plus(a, b)
+
+    def measure_z_many(self, qubits: Sequence[int]) -> list[int]:
+        """The Z outcome of each qubit, measured in turn."""
+        lo, hi = _span(qubits) if qubits else (0, 0)
+        if lo < 0 or hi >= self.size:
+            bad = next(q for q in qubits if not 0 <= q < self.size)
+            raise ValueError(f"qubit {bad} out of range for size-{self.size} register")
+        measure = self._state.measure_z if type(self).measure_z is _MEASURE_Z else self.measure_z
+        return [measure(q) for q in qubits]
+
+    def measure_bell_many(self, q1: Sequence[int], q2: Sequence[int]) -> list[int]:
+        """The Bell code (p << 1) | s of each pair (q1[i], q2[i]), measured in turn."""
+        self._check_pairs(q1, q2)
+        replaced = type(self).measure_bell is not _MEASURE_BELL
+        measure = self.measure_bell if replaced else self._state.measure_bell
+        return [measure(a, b) for a, b in zip(q1, q2)]
+
+    def _check_pairs(self, q1: Sequence[int], q2: Sequence[int]) -> None:
+        """ValueError unless the wires have one length and (q1[i], q2[i])
+        are two distinct qubits of the register for every i."""
+        if len(q1) != len(q2):
+            raise ValueError(f"wire length mismatch: {len(q1)} vs {len(q2)}")
+        if not q1:
+            return
+        size = self.size
+        (lo1, hi1), (lo2, hi2) = _span(q1), _span(q2)
+        # Wires whose spans do not overlap cannot pair a qubit with itself.
+        if (lo1 < 0 or lo2 < 0 or hi1 >= size or hi2 >= size
+                or (lo1 <= hi2 and lo2 <= hi1 and any(map(eq, q1, q2)))):
+            a, b = next((a, b) for a, b in zip(q1, q2)
+                        if not (0 <= a < size and 0 <= b < size and a != b))
+            raise ValueError(_PAIR_ERROR.format(a, b, size))
+
     # -- exact oracle ------------------------------------------------------
 
     def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[PlanOutcome, float]:
@@ -179,6 +246,12 @@ class Register:
         if abs(total - 1.0) >= 1e-9:
             raise RuntimeError(f"outcome probabilities sum to {total}")
         return dist
+
+
+# The register's own single ops, against which the whole-wire ops check
+# for a replacement.
+_PREPARE, _MEASURE_Z, _MEASURE_BELL = (
+    Register.prepare_bell_phi_plus, Register.measure_z, Register.measure_bell)
 
 
 def new_register(size: int, backend: Backend, seed: int) -> Register:

@@ -17,12 +17,13 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO, Union
 
 from .adversary import TpStrategy
 from .engine import Backend, derive_seed
@@ -109,23 +110,20 @@ def run_trial(config: CampaignConfig, trial_index: int) -> RunStats:
 
 def run_campaign(config: CampaignConfig) -> tuple[list[RunStats], CampaignSummary]:
     """Execute all trials and aggregate. Writes CSV when out_path is set."""
-    if config.out_path is not None:  # a bad path fails before any trial runs
-        try:
-            open(config.out_path, "a").close()  # append mode keeps an existing file
-        except OSError as exc:
-            raise OSError(f"cannot write campaign CSV to {config.out_path!r}: {exc}") from exc
-    # A fork pool starts all its workers at once: no more than there are trials.
-    workers = min(config.workers, config.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, config.trials // (8 * workers))
-            trials = range(config.trials)
-            stats = list(pool.map(run_trial, repeat(config), trials, chunksize=chunksize))
-    else:
-        stats = [run_trial(config, i) for i in range(config.trials)]
-    summary = summarize(stats)
-    if config.out_path is not None:
-        emit_csv(stats, config.out_path)
+    out = None if config.out_path is None else open_csv(config.out_path)
+    with out or nullcontext():
+        # A fork pool starts all its workers at once: no more than there are trials.
+        workers = min(config.workers, config.trials)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunksize = max(1, config.trials // (8 * workers))
+                trials = range(config.trials)
+                stats = list(pool.map(run_trial, repeat(config), trials, chunksize=chunksize))
+        else:
+            stats = [run_trial(config, i) for i in range(config.trials)]
+        summary = summarize(stats)
+        if out is not None:
+            emit_csv(stats, out)
     return stats, summary
 
 
@@ -182,12 +180,29 @@ def render_csv(stats: Sequence[RunStats]) -> str:
     return buf.getvalue()
 
 
-def emit_csv(stats: Sequence[RunStats], path: str) -> None:
+def open_csv(path: str) -> TextIO:
+    """``path`` opened for ``rewrite`` with what it holds left as it is (a
+    missing file is made empty): a bad path fails before any work, and a
+    command that fails later leaves an existing file untouched."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_csv(stats))
+        return open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+",
+                    encoding="utf-8", newline="")
     except OSError as exc:
-        raise OSError(f"cannot write campaign CSV to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+
+
+def rewrite(fh: TextIO, text: str) -> None:
+    """Replace the contents of ``fh``, a file from ``open_csv``, with ``text``."""
+    fh.seek(0)
+    fh.write(text)
+    fh.truncate()
+
+
+def emit_csv(stats: Sequence[RunStats], out: Union[str, TextIO]) -> None:
+    """Write the CSV to ``out``, a path or a file from ``open_csv``, in
+    place of what it held."""
+    with open_csv(out) if isinstance(out, str) else out as fh:
+        rewrite(fh, render_csv(stats))
 
 
 # --------------------------------------------------------------------------

@@ -15,13 +15,17 @@ raises. States are identified up to global phase.
 Random bits follow a fixed order, so a seed fixes every outcome: one bit
 per random outcome and none for a deterministic one, popped from the end
 of a batch of 512, and a Bell measurement draws its X(x)X sign bit before
-its Z(x)Z parity bit. Bit 0 is the +1 eigenvalue. ``verify`` replays every
-bit string under this contract and compares the law with the dense oracle.
+its Z(x)Z parity bit. Bit 0 is the +1 eigenvalue. The operations pop the
+batch inline and call ``_rand_bit`` only to refill it, so a subclass that
+overrides ``_rand_bit`` and leaves the batch empty sees every bit drawn:
+``verify`` replays every bit string under this contract and compares the
+law with the dense oracle.
 """
 from __future__ import annotations
 
 import threading
 from functools import partialmethod
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +92,7 @@ class _Tables:
         # gate -> [id -> id after the gate acts on bit 0]
         self.gate: dict[str, list[int]] = {g: [-1] for g in "xyzh"}
         self.swap: list[int] = [FRESH]  # id -> the same block seen from bit 1
-        self.z: dict[int, tuple] = {}
+        self.z: list[Optional[tuple]] = [None]  # id -> Z entry, None until needed
         self.bell: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
         self._fill(FRESH)
@@ -104,6 +108,7 @@ class _Tables:
             for table in self.gate.values():
                 table.append(-1)
             self.swap.append(sid)
+            self.z.append(None)
             self._fill(sid)
         return self._ids[key]
 
@@ -178,9 +183,12 @@ class PairBlockState:
         self._sid = [FRESH] * n
 
     def _rand_bit(self) -> int:
-        if not self._bits:
-            self._bits = self._rng.integers(0, 2, size=512, dtype=np.uint8).tolist()
-        return self._bits.pop()
+        """The next bit of the batch, refilled in place when empty, so an
+        operation may hold the batch across this call."""
+        bits = self._bits
+        if not bits:
+            bits += self._rng.integers(0, 2, size=512, dtype=np.uint8).tolist()
+        return bits.pop()
 
     def _gate(self, table: list[int], q: int) -> None:
         new = self._sid[q] = table[self._sid[q]]
@@ -201,10 +209,10 @@ class PairBlockState:
         sid[a] = sid[b] = _TABLES.phi_plus
 
     def measure_z(self, q: int) -> int:
-        sid, partner = self._sid, self._partner
-        outcome, results = _Z.get(sid[q]) or _TABLES.z_entry(sid[q])
+        sid, partner, bits = self._sid, self._partner, self._bits
+        outcome, results = _Z[sid[q]] or _TABLES.z_entry(sid[q])
         if outcome < 0:
-            outcome = self._rand_bit()
+            outcome = bits.pop() if bits else self._rand_bit()
         sid[q], other = results[outcome]
         p = partner[q]
         if p >= 0:
@@ -214,15 +222,15 @@ class PairBlockState:
 
     def measure_bell(self, a: int, b: int) -> int:
         """Bell-measure (a, b) and return the code (p << 1) | s."""
-        sid, partner = self._sid, self._partner
+        sid, partner, bits = self._sid, self._partner, self._bits
         pa, pb = partner[a], partner[b]
         key = (sid[a], -1 if pa == b else sid[b])
         s, parity, results = _BELL.get(key) or _TABLES.bell_entry(*key)
         if s < 0:
-            s = self._rand_bit()
+            s = bits.pop() if bits else self._rand_bit()
         p = parity[s]
         if p < 0:
-            p = self._rand_bit()
+            p = bits.pop() if bits else self._rand_bit()
         code = (p << 1) | s
         ab, rest = results[code]
         sid[a], sid[b] = ab, _SWAP[ab]
@@ -236,3 +244,27 @@ class PairBlockState:
                 partner[lone] = -1
                 sid[lone] = rest
         return code
+
+    def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
+        """phi+ on each pair (wire_a[i], wire_b[i]). Every qubit must be
+        fresh and in one pair only; otherwise ValueError, with no qubit
+        changed."""
+        sid, partner = self._sid, self._partner
+        if (type(wire_a) is range is type(wire_b) and wire_a.step == wire_b.step == 1
+                and len(wire_a) == len(wire_b)
+                and (wire_a.stop <= wire_b.start or wire_b.stop <= wire_a.start)):
+            # Two disjoint runs of consecutive qubits: one slice per list.
+            a, b = slice(wire_a.start, wire_a.stop), slice(wire_b.start, wire_b.stop)
+            if sid[a].count(FRESH) == len(wire_a) == sid[b].count(FRESH):
+                sid[a] = sid[b] = [_TABLES.phi_plus] * len(wire_a)
+                partner[a], partner[b] = wire_b, wire_a
+                return
+        prepare, made = self.prepare_bell, 0
+        try:
+            for a, b in zip(wire_a, wire_b):
+                prepare(a, b)
+                made += 1
+        except ValueError:
+            for q in (*wire_a[:made], *wire_b[:made]):  # fresh before this call
+                sid[q], partner[q] = FRESH, -1
+            raise

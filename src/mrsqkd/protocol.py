@@ -11,10 +11,13 @@ measured positions and single-slot chains. Completed runs finish with
 Toeplitz privacy amplification under a transcript-carried seed, which
 ``Outcome`` applies when its final keys are first read.
 
-Positions, slots and qubits are 0-based throughout. The records a run
-makes by the dozen, ``Component`` and ``Case4Disclose``, are named
-tuples, about 130 at n=256: a frozen dataclass costs several times as
-much to build.
+Positions, slots and qubits are 0-based throughout. Inside a run the
+server's announcement is a string of Bell codes (p << 1) | s, one byte
+per slot, and step 4 works on plain rows and ints. The records made from
+them, about 130 ``Component`` and ``Case4Disclose`` named tuples at
+n=256 and the ``BellType`` members of ``MRAnnounce``, are built when
+first read: ``Classification.components``, ``Step4Result.disclosures``
+and ``Transcript.records``. A campaign reads none of them.
 """
 from __future__ import annotations
 
@@ -22,13 +25,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from itertools import cycle, repeat
 from time import perf_counter_ns
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bell_algebra import BellType, chain_relation_holds, infer_remote_bit, xor_rule_holds
+from .bell_algebra import _BELL_BY_CODE, BellType
+# Step 4 evaluates these identities inline, by XOR of the codes; they stay
+# importable here, where perfbench's tracer wraps them, as the reference
+# the inline checks are tested against.
+from .bell_algebra import chain_relation_holds, infer_remote_bit, xor_rule_holds  # noqa: F401
 from .engine import (
     Backend,
     CapacityError,
@@ -138,13 +145,13 @@ class Transcript:
     from the run's published data when first read.
     """
 
-    def __init__(self, n: int, mr: tuple[BellType, ...], alice: PartyState, bob: PartyState,
-                 disclosures: tuple[Case4Disclose, ...], outcome: Outcome) -> None:
-        self._run = (n, mr, alice, bob, disclosures, outcome)
+    def __init__(self, n: int, mr: bytes, alice: PartyState, bob: PartyState,
+                 evaluation: Step4Result, outcome: Outcome) -> None:
+        self._run = (n, mr, alice, bob, evaluation, outcome)
 
     @cached_property
     def records(self) -> tuple[TranscriptRecord, ...]:
-        n, mr, alice, bob, disclosures, outcome = self._run
+        n, mr, alice, bob, evaluation, outcome = self._run
         half = n // 2
         if outcome.pa is None:
             last = AbortRecord(outcome.abort_stage, outcome.abort_component)
@@ -153,10 +160,10 @@ class Transcript:
         return (
             QuantumSend("TP->ALICE", n), QuantumSend("TP->BOB", n),
             QuantumSend("ALICE->TP", half), QuantumSend("BOB->TP", half),
-            MRAnnounce(mr),
+            MRAnnounce(tuple(map(_BELL_BY_CODE.__getitem__, mr))),
             OrderAnnounce(_ALICE, alice.send_order, alice.measured_positions),
             OrderAnnounce(_BOB, bob.send_order, bob.measured_positions),
-            *disclosures, last,
+            *evaluation.disclosures, last,
         )
 
     def render(self) -> str:
@@ -221,10 +228,16 @@ class Component(NamedTuple):
 @dataclass(frozen=True)
 class Classification:
     """Case-1 positions in ascending order, and the components in
-    ascending order of their first slot."""
+    ascending order of their first slot, each a plain row
+    (kind, slots, endpoint_a, endpoint_b) that ``components`` reads as a
+    ``Component``."""
 
     case1_positions: tuple[int, ...]
-    components: tuple[Component, ...]
+    rows: tuple[tuple, ...]
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        return tuple(map(Component._make, self.rows))
 
 
 @dataclass(frozen=True)
@@ -232,10 +245,19 @@ class Step4Result:
     # Per component, in the classification's order: whether its check
     # passed, or None for a single-slot chain (nothing to check).
     verdicts: tuple[Optional[bool], ...]
-    disclosures: tuple[Case4Disclose, ...]
+    # Per multi-slot chain: Alice's endpoint and its bit, then Bob's.
+    disclosed: tuple[int, ...]
     raw_key_alice: tuple[int, ...]
     raw_key_bob: tuple[int, ...]
     abort: Optional[tuple[str, int]]  # (stage, component index)
+    # Components (checks) and passed checks per group, index 1-4.
+    checks: tuple[int, ...]
+    passed: tuple[int, ...]
+
+    @cached_property
+    def disclosures(self) -> tuple[Case4Disclose, ...]:
+        d = self.disclosed  # positions at even indexes, bits at odd ones
+        return tuple(map(Case4Disclose, cycle((_ALICE, _BOB)), d[::2], d[1::2]))
 
 
 @dataclass(frozen=True)
@@ -332,20 +354,15 @@ def tp_step1(engine: Register, n: int) -> tuple[tuple[int, ...], tuple[int, ...]
     """Prepare n phi+ pairs; first qubits form wire A, second qubits wire B."""
     if engine.size < 2 * n:
         raise CapacityError(f"register of {engine.size} qubits cannot hold {n} pairs")
-    wire_a = tuple(range(n))
-    wire_b = tuple(range(n, 2 * n))
-    for a, b in zip(wire_a, wire_b):
-        engine.prepare_bell_phi_plus(a, b)
-    return wire_a, wire_b
+    wire_a, wire_b = range(n), range(n, 2 * n)
+    engine.prepare_pairs(wire_a, wire_b)
+    return tuple(wire_a), tuple(wire_b)
 
 
-def tp_step3_honest(
-    engine: Register, q1: Sequence[int], q2: Sequence[int]
-) -> tuple[BellType, ...]:
-    """Bell-measure slot k of both returned wires, in ascending k."""
-    if len(q1) != len(q2):
-        raise ValueError(f"wire length mismatch: {len(q1)} vs {len(q2)}")
-    return tuple(map(engine.measure_bell, q1, q2))
+def tp_step3_honest(engine: Register, q1: Sequence[int], q2: Sequence[int]) -> tuple[int, ...]:
+    """Bell-measure slot k of both returned wires, in ascending k: the
+    Bell codes (ValueError if the wires differ in length)."""
+    return tuple(engine.measure_bell_many(q1, q2))
 
 
 def classify_components(
@@ -368,53 +385,49 @@ def classify_components(
     half = n // 2
     positions = set(range(n))
     for name, measured, order in (("A", measured_a, order_a), ("B", measured_b, order_b)):
-        if len(measured) != half or not measured <= positions:
-            raise ValueError(f"measured set {name} is not an n/2 subset of 0..n-1")
-        # The retained set has n/2 members, so n/2 distinct entries cover it.
-        if len(order) != half or set(order) != positions - measured:
+        # n/2 measured and n/2 ordered positions that together cover 0..n-1:
+        # an n/2 subset and a permutation of the rest.
+        if len(measured) != half or len(order) != half or measured.union(order) != positions:
+            if len(measured) != half or not measured <= positions:
+                raise ValueError(f"measured set {name} is not an n/2 subset of 0..n-1")
             raise ValueError(f"order {name} is not a permutation of the retained positions")
     case1 = tuple(sorted(measured_a & measured_b))
     # The slot after slot k: the one whose wire-A qubit shares a pair with
     # slot k's wire-B qubit, or -1 if Alice measured that pair's qubit.
     # The orders are permutations, so no two slots share a successor.
-    slot_of = {p: k for k, p in enumerate(order_a)}
-    succ = [slot_of.get(q, -1) for q in order_b]
-    visited = [False] * half
-    components: list[Component] = []
+    slot_of = dict(zip(order_a, range(half)))
+    succ = list(map(slot_of.get, order_b, repeat(-1)))
+    # The row of the component whose first slot is k; False for a later slot.
+    first: list = [None] * half
 
     # Chains: walk from every slot whose wire-A member is a collapsed qubit
     # (position measured by Bob) to the opposite collapsed end.
-    for k, p1 in enumerate(order_a):
-        if p1 not in measured_b:
-            continue
+    for p1 in measured_b.intersection(order_a):
+        k = k2 = slot_of[p1]
         slots = [k]
-        visited[k] = True
-        k2 = succ[k]
-        while k2 >= 0:
+        while (k2 := succ[k2]) >= 0:
             slots.append(k2)
-            visited[k2] = True
-            k2 = succ[k2]
-        components.append(Component(_CHAIN, tuple(slots), order_b[slots[-1]], p1))
+            first[k2] = False
+        first[k] = (_CHAIN, tuple(slots), order_b[slots[-1]], p1)
 
-    # Everything left closes into cycles of surviving pairs.
-    for k in range(half):
-        if visited[k]:
-            continue
+    # Everything left closes into cycles of surviving pairs, each met
+    # first at its lowest slot.
+    while None in first:
+        k = k2 = first.index(None)
         slots = [k]
-        k2 = succ[k]
-        while k2 != k:
+        while (k2 := succ[k2]) != k:
             slots.append(k2)
-            visited[k2] = True
-            k2 = succ[k2]
-        components.append(Component(_CYCLE, tuple(slots)))
+            first[k2] = False
+        first[k] = (_CYCLE, tuple(slots), None, None)
 
-    components.sort(key=attrgetter("slots"))  # no two share a first slot
-    return Classification(case1, tuple(components))
+    # A tuple of a filter is built by resizing, which left tuples piling up
+    # in CPython's per-size free lists (3 MB over a parity-n64 benchmark run).
+    return Classification(case1, tuple([row for row in first if row]))
 
 
 def evaluate_step4(
     classification: Classification,
-    mr: Sequence[BellType],
+    mr: Sequence[int],
     alice: PartyState,
     bob: PartyState,
 ) -> Step4Result:
@@ -429,8 +442,12 @@ def evaluate_step4(
     canonical order sets the abort stage. All checks are still evaluated
     so per-component statistics stay meaningful for attack studies.
 
-    Every pair starts in phi+, code 0, so each identity sees runs of 0
-    as the initial states.
+    Every pair starts in phi+, code 0, so the identities of
+    ``bell_algebra`` reduce to the XOR of a component's announced codes
+    ``mr`` (ints or ``BellType`` members): a cycle passes when it is 0,
+    and a chain's far endpoint bit is the near one XOR its parity bit.
+    One pass records each verdict, Case-3 bit and disclosure, the first
+    abort, and the checks and passes per group.
 
     Key order: Case-1 bits by ascending position, then Case-3 bits by
     ascending slot, which is the order of the components.
@@ -438,38 +455,42 @@ def evaluate_step4(
     za_of, zb_of = alice.z_results, bob.z_results
     raw_a = [za_of[p] for p in classification.case1_positions]
     raw_b = [zb_of[p] for p in classification.case1_positions]
-    phis = (0,) * len(mr)  # phis[:k] is the phi+ run of k pairs
     verdicts: list[Optional[bool]] = []
-    disclosures: list[Case4Disclose] = []
-    for kind, slots, end_a, end_b in classification.components:
-        passed: Optional[bool] = None
-        if kind is _CYCLE:
-            passed = xor_rule_holds(phis[:len(slots)], [mr[k] for k in slots])
+    disclosed: list[int] = []
+    checks = [0] * 5
+    passed = [0] * 5
+    abort: Optional[tuple[str, int]] = None
+    for kind, slots, end_a, end_b in classification.rows:
+        code = 0  # the XOR of the component's Bell codes
+        for k in slots:
+            code ^= mr[k]
+        if kind is _CYCLE:  # XOR rule
+            group, ok = (1 if len(slots) == 1 else 2), code == 0
         elif end_a is None or end_b is None:
             raise ValueError("every chain needs both endpoints")
-        elif len(slots) == 1:
+        elif len(slots) == 1:  # Case 3: Bob infers Alice's bit
             raw_a.append(za_of[end_a])
-            raw_b.append(infer_remote_bit(zb_of[end_b], 0, 0, (), (mr[slots[0]],)))
-        else:
-            za = za_of[end_a]
-            zb = zb_of[end_b]
-            disclosures.append(Case4Disclose(_ALICE, end_a, za))
-            disclosures.append(Case4Disclose(_BOB, end_b, zb))
-            passed = chain_relation_holds(0, 0, phis[1:len(slots)], za, zb, [mr[k] for k in slots])
-        verdicts.append(passed)
-
-    abort: Optional[tuple[str, int]] = None
-    if False in verdicts:
-        idx = verdicts.index(False)
-        kind = classification.components[idx].kind
-        abort = ("CASE2" if kind is _CYCLE else "CASE4", idx)
+            raw_b.append(zb_of[end_b] ^ (code >> 1))
+            group, ok = 3, None
+        else:  # Case 4: chain relation on the disclosed endpoint bits
+            za, zb = za_of[end_a], zb_of[end_b]
+            disclosed += (end_a, za, end_b, zb)
+            group, ok = 4, zb == za ^ (code >> 1)
+        checks[group] += 1
+        if ok:
+            passed[group] += 1
+        elif ok is False and abort is None:
+            abort = ("CASE2" if kind is _CYCLE else "CASE4", len(verdicts))
+        verdicts.append(ok)
 
     return Step4Result(
         verdicts=tuple(verdicts),
-        disclosures=tuple(disclosures),
+        disclosed=tuple(disclosed),
         raw_key_alice=tuple(raw_a),
         raw_key_bob=tuple(raw_b),
         abort=abort,
+        checks=tuple(checks),
+        passed=tuple(passed),
     )
 
 
@@ -506,16 +527,14 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     marks.append(perf_counter_ns())
     for party, wire in ((alice, wire_a), (bob, wire_b)):
         positions = party.measured_positions
-        qubits = map(wire.__getitem__, positions)
-        party.z_results.update(zip(positions, map(engine.measure_z, qubits)))
+        qubits = tuple(map(wire.__getitem__, positions))
+        party.z_results.update(zip(positions, engine.measure_z_many(qubits)))
     q1 = tuple(map(wire_a.__getitem__, alice.send_order))
     q2 = tuple(map(wire_b.__getitem__, bob.send_order))
     marks.append(perf_counter_ns())
 
     # Step 3: the announcement commits before any order is revealed.
-    mr = tuple(hooks.on_return(engine, q1, q2))
-    if len(mr) != len(q1) or set(map(type, mr)) != {BellType}:
-        raise ValueError("strategy announced a malformed measurement-result list")
+    mr = _announced_codes(hooks.on_return(engine, q1, q2), len(q1))
     marks.append(perf_counter_ns())
 
     # Step 4: orders out, classification, checks.
@@ -539,12 +558,24 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
         n_seed = seed_length(len(raw_a), config.pa_ratio)
         seed_bits = tuple(alice_rng.integers(0, 2, size=n_seed, dtype=np.uint8).tolist())
         outcome = Outcome(RunStatus.COMPLETED, raw_a, raw_b, PAParams(config.pa_ratio, seed_bits))
-    transcript = Transcript(n, mr, alice, bob, evaluation.disclosures, outcome)
+    transcript = Transcript(n, mr, alice, bob, evaluation, outcome)
     marks.append(perf_counter_ns())
 
     stats = _build_stats(trial_id, config, strategy, classification, evaluation, outcome)
     marks.append(perf_counter_ns())
     return RunResult(outcome, transcript, stats, classification, evaluation, hooks, tuple(marks))
+
+
+def _announced_codes(results: Iterable[int], slots: int) -> bytes:
+    """The server's announcement as Bell codes, one byte each: ValueError
+    unless it is one int in 0..3 per slot (each ``BellType`` member is one)."""
+    try:
+        codes = bytes(tuple(results))
+    except (TypeError, ValueError):  # not a sequence of ints in 0..255
+        codes = b"?"
+    if len(codes) != slots or codes.translate(None, b"\x00\x01\x02\x03"):
+        raise ValueError("strategy announced a malformed measurement-result list")
+    return codes
 
 
 def _build_stats(
@@ -555,17 +586,10 @@ def _build_stats(
     evaluation: Step4Result,
     outcome: Outcome,
 ) -> RunStats:
-    # Components and passed checks per group (index 1-4).
-    count = [0] * 5
-    passed = [0] * 5
-    components = classification.components
-    for comp, ok in zip(components, evaluation.verdicts):
-        group = comp.group
-        count[group] += 1
-        passed[group] += ok is True
+    count, passed = evaluation.checks, evaluation.passed
     completed = outcome.status is RunStatus.COMPLETED
     raw_len = len(outcome.raw_key_alice) if completed else None
-    abort_kind = None if completed else components[outcome.abort_component].kind
+    abort_kind = None if completed else classification.rows[outcome.abort_component][0]
     return RunStats(
         trial=trial_id,
         n=config.n,

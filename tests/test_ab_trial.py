@@ -3,6 +3,7 @@ both sides, so the timing tool cannot drift from the run it times."""
 import argparse
 import dataclasses
 import importlib.util
+import json
 import pathlib
 import types
 
@@ -23,7 +24,8 @@ def ab():
 
 
 def stage_args(stages=3, **kw):
-    args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau")
+    args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau",
+                batches=0, batch=2, json=None)
     return argparse.Namespace(**{**args, **kw})
 
 
@@ -102,3 +104,29 @@ def test_a_revision_without_stage_marks_is_refused(ab, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "stage_ns" in lines[0]
+
+
+def test_json_records_the_batches_and_the_stage_table(ab, capsys, tmp_path):
+    work = ab.modules("mrsqkd")
+    path = tmp_path / "bench.json"
+    assert ab.compare(work, work, stage_args(batches=4, stages=3, json=str(path))) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(path.read_text())
+    assert set(record) == {"command", "base", "base_commit", "attack", "n", "backend", "machine",
+                           "batches", "stages"}
+    assert (record["attack"], record["n"], record["backend"]) == ("parity-measure", 16, "tableau")
+    assert set(record["machine"]) == {"cpus", "python", "numpy", "platform"}
+    batches = record["batches"]
+    assert set(batches) == {"batches", "batch", "base_ms", "work_ms", "speedup", "speedup_q1",
+                            "speedup_q3", "work_won", "base_ms_per_batch", "work_ms_per_batch"}
+    assert len(batches["base_ms_per_batch"]) == len(batches["work_ms_per_batch"]) == 4
+    assert batches["speedup_q1"] <= batches["speedup"] <= batches["speedup_q3"]
+    assert 0 <= batches["work_won"] <= 4
+    assert printed[0].endswith(f"work won {batches['work_won']}/4 batches")
+    stages = record["stages"]
+    assert set(stages) == {"calls", "base_us", "work_us", "base_total_us", "work_total_us"}
+    assert list(stages["work_us"]) == list(protocol.STAGES)
+    rows = {line.split()[0]: line.split()[1:] for line in printed[3:]}
+    for stage, us in stages["work_us"].items():
+        assert rows[stage][1] == f"{us:.1f}"
+    assert stages["work_total_us"] == pytest.approx(sum(stages["work_us"].values()))

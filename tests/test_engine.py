@@ -19,6 +19,7 @@ from mrsqkd.engine import (
     UnsupportedOperationError,
     ZMeasure,
     derive_seed,
+    Register,
     new_register,
     philox,
 )
@@ -714,3 +715,169 @@ def test_pairblock_follows_dense_branch_by_branch(data):
                 getattr(exact, f"apply_{gate}")(a)
         fresh -= {a, b}
     _assert_same_state(fast, exact)
+
+
+# ---------------------------------------------------------------------------
+# Whole-wire operations
+
+
+def _snapshot(reg):
+    """Everything a later operation reads: the state and its next draw,
+    taken from a copy so the register itself is not advanced."""
+    state = reg._state
+    if isinstance(state, PairBlockState):
+        rng = pickle.loads(pickle.dumps(state._rng))
+        bits = list(state._bits) or rng.integers(0, 2, size=512, dtype=np.uint8).tolist()
+        return list(state._sid), list(state._partner), bits[-1]
+    rng = pickle.loads(pickle.dumps(state.rng))
+    return state.amps.tolist(), state._touched, rng.random()
+
+
+def _twins(backend, n, seed, data):
+    """Two registers of n qubits in the same state: the same seed and the
+    same drawn history of pairs, gates and measurements."""
+    twins = [new_register(n, backend, seed) for _ in range(2)]
+    fresh = list(range(n))
+    for _ in range(data.draw(st.integers(0, 6))):
+        op = data.draw(st.sampled_from(["pair", "gate", "z", "bell"]))
+        if op == "pair" and len(fresh) >= 2:
+            a, b = data.draw(st.permutations(fresh))[:2]
+            fresh = [p for p in fresh if p not in (a, b)]
+            for reg in twins:
+                reg.prepare_bell_phi_plus(a, b)
+        elif op == "gate":
+            q = data.draw(st.integers(0, n - 1))
+            gate = data.draw(st.sampled_from(list(GateName)))
+            for reg in twins:
+                reg.apply_gate(gate, q)
+            fresh = [p for p in fresh if p != q]
+        elif op == "z":
+            q = data.draw(st.integers(0, n - 1))
+            for reg in twins:
+                reg.measure_z(q)
+            fresh = [p for p in fresh if p != q]
+        elif op == "bell":
+            a, b = data.draw(st.permutations(range(n)))[:2]
+            for reg in twins:
+                reg.measure_bell(a, b)
+            fresh = [p for p in fresh if p not in (a, b)]
+    return twins, fresh
+
+
+@pytest.mark.parametrize("backend", BOTH)
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_whole_wire_ops_equal_the_loop_of_single_ops(backend, seed, data):
+    """Each whole-wire op on one register and the loop of its single op on
+    a twin give the same outcomes, the same state and the same next draw."""
+    n = data.draw(st.integers(2, 10))
+    (wire, loop), fresh = _twins(backend, n, seed, data)
+    op = data.draw(st.sampled_from(["pairs", "z", "bell"]))
+    if op == "pairs":
+        qubits = data.draw(st.permutations(fresh))
+        k = len(qubits) // 2
+        wire_a, wire_b = tuple(qubits[:k]), tuple(qubits[k:2 * k])
+        assert wire.prepare_pairs(wire_a, wire_b) is None
+        for a, b in zip(wire_a, wire_b):
+            loop.prepare_bell_phi_plus(a, b)
+    elif op == "z":
+        qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)))
+        outcomes = wire.measure_z_many(qubits)
+        assert type(outcomes) is list and all(type(z) is int for z in outcomes)
+        assert outcomes == [loop.measure_z(q) for q in qubits]
+    else:
+        pairs = data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:2]), max_size=n))
+        q1, q2 = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        codes = wire.measure_bell_many(q1, q2)
+        assert all(type(c) is int and 0 <= c <= 3 for c in codes)
+        assert codes == [loop.measure_bell(a, b) for a, b in pairs]
+    assert _snapshot(wire) == _snapshot(loop)
+
+
+@pytest.mark.parametrize("backend", BOTH)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_a_bad_qubit_fails_a_whole_wire_op_before_any_change(backend, seed, data):
+    """A qubit out of range, a pair of one qubit twice, or (for pairs) a
+    qubit that is not fresh or sits in two pairs, anywhere in the wire:
+    ValueError, and the state and the next draw are as they were."""
+    n = data.draw(st.integers(4, 10))
+    (reg, _), fresh = _twins(backend, n, seed, data)
+    before = _snapshot(reg)
+    op = data.draw(st.sampled_from(["pairs", "z", "bell"]))
+    bad = data.draw(st.sampled_from([-1, n, n + 7]))
+    if op == "pairs":
+        good = data.draw(st.permutations(fresh))
+        k = len(good) // 2
+        wire_a, wire_b = list(good[:k]), list(good[k:2 * k])
+        used = [q for q in range(n) if q not in fresh]
+        # A qubit already used, a qubit of this wire again, or one out of
+        # range, paired with any other qubit.
+        bad = data.draw(st.sampled_from(used + wire_a + wire_b + [bad]))
+        mate = data.draw(st.sampled_from([q for q in range(n) if q != bad]))
+        at = data.draw(st.integers(0, k))
+        if data.draw(st.booleans()):
+            bad, mate = mate, bad
+        wire_a.insert(at, bad)
+        wire_b.insert(at, mate)
+        call = lambda: reg.prepare_pairs(tuple(wire_a), tuple(wire_b))  # noqa: E731
+    elif op == "z":
+        qubits = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        qubits.insert(data.draw(st.integers(0, len(qubits))), bad)
+        call = lambda: reg.measure_z_many(tuple(qubits))  # noqa: E731
+    else:
+        pairs = data.draw(st.lists(st.permutations(range(n)).map(lambda p: p[:2]), max_size=n))
+        q = data.draw(st.integers(0, n - 1))
+        pairs.insert(data.draw(st.integers(0, len(pairs))),
+                     data.draw(st.sampled_from([(q, q), (q, bad), (bad, q)])))
+        call = lambda: reg.measure_bell_many(*map(tuple, zip(*pairs)))  # noqa: E731
+    with pytest.raises(ValueError):
+        call()
+    assert _snapshot(reg) == before
+
+
+def test_whole_wire_ops_map_a_replaced_single_op():
+    """A subclass that replaces a single op sees every qubit of the
+    whole-wire form go through it."""
+    seen = []
+
+    class Counting(Register):
+        def measure_z(self, q):
+            seen.append(q)
+            return super().measure_z(q)
+
+    reg = Counting(8, Backend.TABLEAU, 3)
+    reg.prepare_pairs((0, 1, 2), (3, 4, 5))
+    twin = new_register(8, Backend.TABLEAU, 3)
+    twin.prepare_pairs((0, 1, 2), (3, 4, 5))
+    assert reg.measure_z_many((0, 4, 2, 5)) == twin.measure_z_many((0, 4, 2, 5))
+    assert seen == [0, 4, 2, 5]
+
+
+def test_whole_wire_pairs_of_unequal_length_fail():
+    reg = new_register(8, Backend.TABLEAU, 1)
+    for call in (lambda: reg.prepare_pairs((0, 1), (2,)),
+                 lambda: reg.measure_bell_many((0,), (1, 2))):
+        with pytest.raises(ValueError, match="wire length mismatch: [12] vs [21]"):
+            call()
+
+
+@pytest.mark.parametrize("backend", BOTH)
+def test_prepare_pairs_of_qubit_runs(backend):
+    """Wires given as ranges, as the protocol's step 1 gives them: the same
+    pairs as the loop of single preparations, and a used or repeated
+    qubit anywhere in a run fails the call before any pair is made."""
+    wire, loop = new_register(12, backend, 1), new_register(12, backend, 1)
+    for wire_a, wire_b in ((range(2, 6), range(8, 12)), (range(6, 8), range(0, 2))):
+        wire.prepare_pairs(wire_a, wire_b)
+        for a, b in zip(wire_a, wire_b):
+            loop.prepare_bell_phi_plus(a, b)
+        assert _snapshot(wire) == _snapshot(loop)
+    used = new_register(12, backend, 1)
+    used.prepare_pairs(range(0, 4), range(4, 8))
+    for wire_a, wire_b in ((range(8, 10), range(6, 8)), (range(8, 10), range(9, 11)),
+                           (range(10, 12), range(3, 5))):
+        before = _snapshot(used)
+        with pytest.raises(ValueError):
+            used.prepare_pairs(wire_a, wire_b)
+        assert _snapshot(used) == before

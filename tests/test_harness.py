@@ -606,3 +606,34 @@ def test_verify_backends_runs_without_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["campaign", "--n", "16", "--trials", "3", "--workers", "1"],
+     ["curves", "--max", "2", "--empirical-trials", "3", "--n", "16"]],
+    ids=["campaign", "curves"],
+)
+def test_cli_out_replaces_a_longer_file_and_a_failed_command_keeps_it(argv, tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr(cli, "default_workers", lambda: 1)
+    out = tmp_path / "out.csv"
+    old = "x" * 100_000 + "\n"
+    out.write_text(old)
+    real = harness.run_trial
+
+    def failing(config, i):
+        raise ValueError("trial failed")
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: trial failed\n"
+    assert out.read_text() == old
+    monkeypatch.setattr(harness, "run_trial", real)
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    if argv[0] == "campaign":
+        expected = render_csv(run_campaign(_campaign(n=16, trials=3, master_seed=1))[0])
+    assert written == expected.encode()

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from mrsqkd import adversary, harness, protocol
 from mrsqkd.adversary import StrategyKind
-from mrsqkd.bell_algebra import BellType, chain_relation_holds, parity, xor_rule_holds
+from mrsqkd.bell_algebra import (
+    BellType,
+    chain_relation_holds,
+    infer_remote_bit,
+    parity,
+    xor_rule_holds,
+)
 from mrsqkd.engine import Backend, CapacityError, GateName, new_register
 from mrsqkd.protocol import (
     Case4Disclose,
@@ -602,3 +608,102 @@ def test_mr_announcement_in_transcript_matches_checks():
     mr = next(r for r in res.transcript.records if isinstance(r, MRAnnounce))
     assert len(mr.results) == 8
     assert all(isinstance(v, BellType) for v in mr.results)
+
+
+# ---------------------------------------------------------------------------
+# The announcement check and step 4 against the Bell-algebra identities
+
+
+class _AnnouncingHooks(adversary.TpHooks):
+    """Measures honestly, then announces ``announce(slots)`` instead."""
+
+    announce = None
+
+    def on_return(self, engine, q1, q2):
+        super().on_return(engine, q1, q2)
+        return type(self).announce(len(q1))
+
+
+def _announcing(announce):
+    hooks = type("Hooks", (_AnnouncingHooks,), {"announce": staticmethod(announce)})
+
+    class Strategy(adversary.TpStrategy):
+        def instantiate(self, rng):
+            return hooks(rng)
+
+    return Strategy(StrategyKind.HONEST)
+
+
+@pytest.mark.parametrize("announce", [
+    lambda k: [0] * (k - 1),
+    lambda k: [0] * (k + 1),
+    lambda k: [],
+    lambda k: [0] * (k - 1) + [4],
+    lambda k: [-1] + [0] * (k - 1),
+    lambda k: [0, "x"] + [0] * (k - 2),
+    lambda k: [1.0] * k,
+    lambda k: [None] * k,
+    lambda k: k,
+], ids=["short", "long", "empty", "4", "-1", "x", "float", "None", "int"])
+def test_a_malformed_announcement_is_refused(announce):
+    with pytest.raises(ValueError, match="malformed measurement-result list"):
+        run_protocol(ProtocolConfig(n=8, seed=3), _announcing(announce))
+
+
+@pytest.mark.parametrize("announce", [
+    lambda k: [c % 4 for c in range(k)],
+    lambda k: tuple(BellType(c % 4) for c in range(k)),
+    lambda k: [BellType(3) if c % 2 else 2 for c in range(k)],
+], ids=["ints", "members", "mixed"])
+def test_ints_and_members_in_0_to_3_are_announced(announce):
+    res = run_protocol(ProtocolConfig(n=8, seed=3), _announcing(announce))
+    (mr,) = [r for r in res.transcript.records if isinstance(r, MRAnnounce)]
+    assert mr.results == tuple(announce(4))
+    assert all(type(v) is BellType for v in mr.results)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize(
+    "strategy",
+    [adversary.honest(), adversary.naive_measure(), adversary.parity_aware_measure(),
+     adversary.modification(GateName.H, 3)],
+    ids=["honest", "naive_measure", "parity_aware_measure", "modify_h"],
+)
+def test_step4_agrees_with_the_bell_algebra_identities(strategy, n, monkeypatch):
+    """Each component's verdict, Case-3 bit and disclosed bits are what the
+    identities give on the published data, and the records built when first
+    read equal the ones built here from the same rows."""
+    calls = []
+    real = protocol.evaluate_step4
+    monkeypatch.setattr(protocol, "evaluate_step4", lambda *a: calls.append(a) or real(*a))
+    for seed in range(12):
+        res = run_protocol(ProtocolConfig(n, seed), strategy)
+        cls, mr, alice, bob = calls[-1]
+        za, zb = alice.z_results, bob.z_results
+        components, verdicts, bits_a, bits_b, disclosures = [], [], [], [], []
+        for kind, slots, end_a, end_b in cls.rows:
+            components.append(Component(kind, slots, end_a, end_b))
+            results = [BellType(mr[k]) for k in slots]
+            phis = [PHI_P] * len(slots)
+            if kind is ComponentKind.CYCLE:
+                verdicts.append(xor_rule_holds(phis, results))
+            elif len(slots) == 1:
+                verdicts.append(None)
+                bits_a.append(za[end_a])
+                bits_b.append(infer_remote_bit(zb[end_b], PHI_P, PHI_P, (), results))
+            else:
+                verdicts.append(chain_relation_holds(PHI_P, PHI_P, phis[1:], za[end_a],
+                                                     zb[end_b], results))
+                disclosures += [Case4Disclose(Role.ALICE, end_a, za[end_a]),
+                                Case4Disclose(Role.BOB, end_b, zb[end_b])]
+        ev = res.evaluation
+        case1 = len(cls.case1_positions)
+        assert ev.verdicts == tuple(verdicts)
+        assert ev.raw_key_alice[case1:] == tuple(bits_a)
+        assert ev.raw_key_bob[case1:] == tuple(bits_b)
+        assert ev.disclosures == tuple(disclosures)
+        assert [type(d) for d in ev.disclosures] == [Case4Disclose] * len(disclosures)
+        assert res.classification.components == tuple(components)
+        assert {type(c) for c in res.classification.components} == {Component}
+        records = res.transcript.records
+        assert [r for r in records if isinstance(r, Case4Disclose)] == disclosures

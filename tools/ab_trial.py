@@ -30,20 +30,33 @@ other bad ``--n``, ends the tool with one ``error:`` line and exit 2.
 µs of each stage. The stages come from the run's own marks: each side's
 ``RunResult.stage_ns`` bounds the stages named by its ``protocol.STAGES``.
 A revision without ``stage_ns`` cannot be timed this way, and the tool
-exits 2 with one line.
+exits 2 with one line. Given with ``--batches`` too, it times both, the
+batches first.
+
+``--json PATH`` also writes what was timed to PATH: the command, the
+machine, the base commit, then under ``batches`` each side's ms per trial
+in every batch and their medians, the median speedup with its quartiles
+and the batches won, and under ``stages`` the median µs of each stage and
+their totals. This is how a ``BENCH_*.json`` at the root is made:
+
+    python tools/ab_trial.py --base HEAD --batches 20 --batch 50 --stages 500 --json BENCH.json
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import io
+import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+
+import numpy
 
 ROOT = os.getcwd()
 IDENTITY_TRIALS = 300
@@ -88,7 +101,7 @@ def same_rows(base: dict, work: dict, args) -> bool:
     return csvs[0] == csvs[1]
 
 
-def ab_batches(base: dict, work: dict, args) -> None:
+def ab_batches(base: dict, work: dict, args) -> dict:
     runs = {"base": trial_runner(base, args), "work": trial_runner(work, args)}
     for i in range(50):  # warm the pair-block tables and caches of both
         runs["base"](i), runs["work"](i)
@@ -101,10 +114,16 @@ def ab_batches(base: dict, work: dict, args) -> None:
             ms[side].append((time.perf_counter() - t0) / args.batch * 1e3)
     ratios = [b / w for b, w in zip(ms["base"], ms["work"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{args.attack} n={args.n}: base {statistics.median(ms['base']):.3f} ms/trial, "
-          f"work {statistics.median(ms['work']):.3f} ms/trial, speedup "
-          f"{statistics.median(ratios):.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-          f"work won {sum(r > 1 for r in ratios)}/{args.batches} batches")
+    timed = {"batches": args.batches, "batch": args.batch,
+             "base_ms": statistics.median(ms["base"]), "work_ms": statistics.median(ms["work"]),
+             "speedup": statistics.median(ratios), "speedup_q1": q1, "speedup_q3": q3,
+             "work_won": sum(r > 1 for r in ratios),
+             "base_ms_per_batch": ms["base"], "work_ms_per_batch": ms["work"]}
+    print(f"{args.attack} n={args.n}: base {timed['base_ms']:.3f} ms/trial, "
+          f"work {timed['work_ms']:.3f} ms/trial, speedup "
+          f"{timed['speedup']:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
+          f"work won {timed['work_won']}/{args.batches} batches")
+    return timed
 
 
 def stage_us(mods: dict, args, seed: int) -> dict[str, float]:
@@ -115,7 +134,7 @@ def stage_us(mods: dict, args, seed: int) -> dict[str, float]:
     return {stage: (end - start) / 1e3 for stage, start, end in zip(pr.STAGES, marks, marks[1:])}
 
 
-def ab_stages(base: dict, work: dict, args) -> None:
+def ab_stages(base: dict, work: dict, args) -> dict:
     """Median µs per stage, the two sides alternating call by call."""
     runs = {"base": base, "work": work}
     spans = {side: [] for side in runs}
@@ -131,7 +150,10 @@ def ab_stages(base: dict, work: dict, args) -> None:
     for stage in dict.fromkeys([*medians[0], *medians[1]]):  # a stage one side lacks reads -
         cells = [f"{m[stage]:9.1f}" if stage in m else f"{'-':>9s}" for m in medians]
         print(f"{stage:10s} {cells[0]} {cells[1]}")
-    print(f"{'total':10s} {sum(medians[0].values()):9.1f} {sum(medians[1].values()):9.1f}")
+    totals = [sum(m.values()) for m in medians]
+    print(f"{'total':10s} {totals[0]:9.1f} {totals[1]:9.1f}")
+    return {"calls": args.stages, "base_us": medians[0], "work_us": medians[1],
+            "base_total_us": totals[0], "work_total_us": totals[1]}
 
 
 def compare(base: dict, work: dict, args) -> int:
@@ -153,8 +175,31 @@ def compare(base: dict, work: dict, args) -> int:
               f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
               file=sys.stderr)
         return 1
-    (ab_stages if args.stages else ab_batches)(base, work, args)
+    timed = {}
+    if args.batches:
+        timed["batches"] = ab_batches(base, work, args)
+    if args.stages:
+        timed["stages"] = ab_stages(base, work, args)
+    if args.json:
+        write_json(args, timed)
     return 0
+
+
+def write_json(args, timed: dict) -> None:
+    """What was timed, with the command and the machine that timed it."""
+    commit = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
+                            text=True).stdout.strip()
+    record = {
+        "command": " ".join(["python", "tools/ab_trial.py", *sys.argv[1:]]),
+        "base": args.base, "base_commit": commit,
+        "attack": args.attack, "n": args.n, "backend": args.backend,
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "platform": platform.platform()},
+        **timed,
+    }
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
 
 
 def main() -> int:
@@ -163,10 +208,14 @@ def main() -> int:
     parser.add_argument("--attack", default="honest", choices=tuple(STRATEGIES))
     parser.add_argument("--n", type=int, default=256)
     parser.add_argument("--backend", default="tableau", choices=("tableau", "dense"))
-    parser.add_argument("--batches", type=int, default=40)
+    parser.add_argument("--batches", type=int, help="alternating batches (default 40, or 0 "
+                        "with --stages)")
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
     parser.add_argument("--stages", type=int, default=0, help="time K runs stage by stage")
+    parser.add_argument("--json", help="also write what was timed to this file")
     args = parser.parse_args()
+    if args.batches is None:
+        args.batches = 0 if args.stages else 40
     sys.path.insert(0, os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         load_base(args.base, tmp)
