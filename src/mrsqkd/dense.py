@@ -14,29 +14,33 @@ reads the full 2^n vector, qubit q at bit q of the index.
   the qubit; a factor left with no qubits folds into the global phase.
 
 Factors are never split by reading amplitudes, so a protocol run costs
-its largest component, not 2^(2n). Besides the register's operation
-set, the state gives exact branch enumeration, which every brute-force
-oracle check runs on and from which the pair-block backend builds its
-tables.
+its largest component, not 2^(2n). The state also enumerates outcomes
+exactly: every oracle check runs on that, and the pair-block backend
+builds its tables from ``bell_branches``.
 
 A Bell outcome of the pair (a, b) is the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
 samples it by projection, in place, and ``prepare_bell`` writes phi+.
 
-Enumeration (``outcome_codes``) walks a measurement plan breadth first
-over a stack of branches, joining at each step, by outer product, the
-factor of a measured qubit that the stack does not hold yet (the
-register's factors stay as they are): one row of a (B, 2^w) array per
-branch, with path probabilities and outcome codes in parallel arrays,
-so a plan step is a fixed number of numpy calls on the whole stack. A
-step takes the amplitudes of each outcome directly, by the overlap of
-every row with the outcome's basis state on the measured qubits: |0>
-and |1> for Z, the Bell state for Bell. Children follow their parent in
-outcome order, the depth-first order of a recursive walk, and branches
-at probability <= 1e-12 are dropped. A measured qubit is left in a
-known product state with the rest, so a step whose qubits no later step
-touches traces them out of the stack; any other step keeps the
-full-width post-measurement state.
+Enumeration (``outcome_codes``) computes a plan's law directly. It
+joins the factors the plan reaches, by outer product, into one row of
+2^w amplitudes (the register's factors stay as they are). Each step
+changes basis on its qubits' bits, the identity for Z and the four Bell
+rows for Bell, and moves them into the row index as one outcome digit,
+so a row is one outcome string and its squared norm the string's
+probability. A qubit that a later step measures again gets its bit back,
+in the outcome's basis state; the others are summed out at the end.
+Outcomes above 1e-12 are kept in step order, outcome 0 (Z) or sign bit,
+then parity bit (Bell) first: the order of a depth-first walk.
+
+- Support: every operation is Clifford, so a step's conditional
+  probability is 0, 1/4, 1/2 or 1, and an outcome of a plan that
+  measures fewer than 40 qubit slots (a Bell step counts two) has joint
+  probability 0 or at least 2^-39. So the joint cut keeps what a walk
+  that drops a branch at conditional probability <= 1e-12 keeps. Every
+  plan within the qubit cap that measures each qubit once qualifies.
+- Memory: such a plan holds at most the joined 2^w amplitudes. Each
+  step whose qubits are measured again multiplies them by 2 or 4.
 """
 from __future__ import annotations
 
@@ -49,13 +53,12 @@ DENSE_QUBIT_CAP = 24
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _MIN_PROB = 1e-12
 
-# Basis states of a measurement, one row per outcome over the measured
-# bits, first bit major, with the outcome codes: Z outcome j is |j>;
-# Bell outcome 2s + p is sign bit s and parity bit p, code (p << 1) | s.
+# Measurement bases by qubit count: one row per outcome over the measured
+# bits, first bit major, and the outcome codes. Z outcome j is |j>; Bell
+# outcome 2s + p is sign bit s and parity bit p, code (p << 1) | s.
 # ``_BELL_SIGNS`` holds the Bell rows unscaled, as +-1 and 0.
-_Z_BASIS = (np.eye(2), np.array([0, 1]))
 _BELL_SIGNS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=complex)
-_BELL_BASIS = (_BELL_SIGNS * _SQRT1_2, np.array([0, 2, 1, 3]))
+_BASES = {1: (np.eye(2), np.array([0, 1])), 2: (_BELL_SIGNS * _SQRT1_2, np.array([0, 2, 1, 3]))}
 
 
 def _bits_first(stack: np.ndarray, bits: Sequence[int]) -> np.ndarray:
@@ -67,28 +70,15 @@ def _bits_first(stack: np.ndarray, bits: Sequence[int]) -> np.ndarray:
     return stack.reshape((len(stack),) + (2,) * w).transpose(order)
 
 
-def _measure(
-    stack: np.ndarray, bits: tuple[int, ...], trace: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z-measure index bit ``bits[0]``, or Bell-measure bits (a, b), in
-    every row of ``stack`` (normalized statevectors). Returns each kept
-    child's parent row, outcome code, probability given its parent and
-    normalized state, with the measured bits removed if ``trace``."""
-    basis, codes = _Z_BASIS if len(bits) == 1 else _BELL_BASIS
-    outcomes = len(codes)
-    front = _bits_first(stack, bits).reshape(len(stack), outcomes, -1)
-    parts = (basis @ front).reshape(len(stack) * outcomes, -1)
-    probs = (parts.real**2 + parts.imag**2).sum(axis=1)
-    kept = (probs > _MIN_PROB).nonzero()[0]
-    outcome = kept % outcomes
-    children = parts[kept] / np.sqrt(probs[kept])[:, None]
-    if not trace:
-        # Full width again: the measured bits in the outcome's basis state.
-        full = np.empty((len(kept), stack.shape[1]), dtype=stack.dtype)
-        view = _bits_first(full, bits)
-        view[...] = (basis[outcome][:, :, None] * children[:, None, :]).reshape(view.shape)
-        children = full
-    return kept // outcomes, codes[outcome], probs[kept], children
+def _pair(f: "_Factor", a: int, b: int) -> np.ndarray:
+    """Factor ``f`` as a (2, 2, m) view, qubit a on axis 0 and b on axis 1."""
+    return _bits_first(f.psi[None], (f.qubits.index(a), f.qubits.index(b)))[0]
+
+
+def _collapse(pair: np.ndarray, rows: np.ndarray, joint: list[float], k: int) -> None:
+    """Write Bell outcome 2s + p = ``k`` into ``pair``, from ``_bell_overlaps``."""
+    rest = rows[k] * (_SQRT1_2 / np.sqrt(joint[k]))
+    pair[...] = (_BELL_SIGNS[k][:, None] * rest).reshape(pair.shape)
 
 
 def _norm2(half: np.ndarray) -> float:
@@ -156,7 +146,7 @@ class DenseState:
         its own, its Z state."""
         f = self._of.get(q)
         if f is None:
-            psi = _Z_BASIS[0][(self._known >> q) & 1].astype(np.complex128)
+            psi = _BASES[1][0][(self._known >> q) & 1].astype(np.complex128)
             self._known &= ~(1 << q)
             f = self._of[q] = _Factor(psi, [q])
         return f
@@ -269,77 +259,81 @@ class DenseState:
         self.project(q, outcome, p1 if outcome else None)
         return outcome
 
+    def _bell_overlaps(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """The pair view of the one factor of a and b, its overlaps with the
+        Bell states and their joint probabilities. Row 2s + p is the overlap
+        with Bell state (s, p): (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2)."""
+        pair = _pair(self._merged(a, b), a, b)
+        rows = _BELL_SIGNS @ pair.reshape(4, -1)
+        rows *= _SQRT1_2
+        return pair, rows, (rows.real**2 + rows.imag**2).sum(axis=1).tolist()
+
     def measure_bell(self, a: int, b: int) -> int:
         """Bell-measure (a, b) by projection and return the code (p << 1) | s.
         One draw gives the sign bit s, a second the parity bit p given s;
         the pair is left, in place, on the reported Bell state."""
         self._touched |= (1 << a) | (1 << b)
-        f = self._merged(a, b)
-        pair = _bits_first(f.psi[None], (f.qubits.index(a), f.qubits.index(b)))[0]
-        # Row 2s + p: the overlap with Bell state (s, p), each entry
-        # (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2).
-        rows = _BELL_SIGNS @ pair.reshape(4, -1)
-        rows *= _SQRT1_2
-        joint = (rows.real**2 + rows.imag**2).sum(axis=1).tolist()
+        pair, rows, joint = self._bell_overlaps(a, b)
         sign = joint[2] + joint[3]
         s = int(self.rng.random() < sign / (sign + (joint[0] + joint[1])))
         p = int(self.rng.random() < joint[2 * s + 1] / (joint[2 * s] + joint[2 * s + 1]))
-        k = 2 * s + p
-        rest = rows[k] * (_SQRT1_2 / np.sqrt(joint[k]))
-        pair[...] = (_BELL_SIGNS[k][:, None] * rest).reshape(pair.shape)
+        _collapse(pair, rows, joint, 2 * s + p)
         return (p << 1) | s
 
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
         """(code (p << 1) | s, probability, collapsed copy) for every Bell
-        outcome of (a, b) that can occur; this state is left as it is."""
-        f = self._merged(a, b)
-        bits = f.qubits.index(a), f.qubits.index(b)
-        _, codes, probs, children = _measure(f.psi[None], bits, trace=False)
-        for code, prob, psi in zip(codes.tolist(), probs.tolist(), children):
-            branch = self._with(f, psi)
-            branch._touched |= (1 << a) | (1 << b)
-            yield code, prob, branch
+        outcome of (a, b) that can occur, sign bit first; this state is
+        left as it is."""
+        _, rows, joint = self._bell_overlaps(a, b)
+        for k, prob in enumerate(joint):
+            if prob > _MIN_PROB:
+                branch = self.copy()
+                _collapse(_pair(branch._of[a], a, b), rows, joint, k)
+                branch._touched |= (1 << a) | (1 << b)
+                yield int(_BASES[2][1][k]), prob, branch
 
     # -- exact enumeration ---------------------------------------------
 
     def outcome_codes(self, steps: Sequence[tuple[int, ...]]) -> tuple[list[float], list[list[int]]]:
-        """Every outcome of measuring ``steps`` in turn, each (q,) for a Z
-        measurement or (a, b) for a Bell measurement: the outcome
-        probabilities and, per outcome, one code per step (the Z bit, or
-        the Bell code (p << 1) | s), in depth-first order with outcome 0
-        (Z) or sign bit, then parity bit (Bell) first. This state is left
-        as it is."""
-        held: list[int] = []  # qubit at each index bit of the stack
-        stack = np.ones((1, 1), dtype=np.complex128)
-        probs = np.ones(1)
-        codes = np.zeros((1, len(steps)), dtype=np.int64)
+        """Every outcome of measuring ``steps`` in turn, each (q,) for Z or
+        (a, b) for Bell: the outcome probabilities and, per outcome, one
+        code per step (the Z bit or the Bell code (p << 1) | s), in the
+        order of the module docstring. This state is left as it is."""
+        held: list[int] = []  # qubit at each index bit of a row
+        amps = np.ones((1, 1), dtype=np.complex128)  # one row per outcome string
+        for q in dict.fromkeys(q for qubits in steps for q in qubits):
+            if q not in held:
+                f = self._of.get(q) or _Factor(_BASES[1][0][(self._known >> q) & 1], [q])
+                amps = (f.psi[:, None] * amps).reshape(1, -1)
+                held += f.qubits
         for i, qubits in enumerate(steps):
-            for q in qubits:
-                if q not in held:
-                    f = self._of.get(q) or _Factor(_Z_BASIS[0][(self._known >> q) & 1], [q])
-                    stack = (f.psi[None, :, None] * stack[:, None, :]).reshape(len(stack), -1)
-                    held += f.qubits
-            trace = not any(q in later for later in steps[i + 1:] for q in qubits)
-            parent, code, cond, stack = _measure(stack, tuple(map(held.index, qubits)), trace)
-            probs = probs[parent] * cond
-            codes = codes[parent]
-            codes[:, i] = code
-            if trace:
-                held = [q for q in held if q not in qubits]
-        return probs.tolist(), codes.tolist()
+            basis, codes = _BASES[len(qubits)]
+            front = _bits_first(amps, [held.index(q) for q in qubits])
+            parts = front.reshape(len(amps), len(codes), -1)
+            if len(qubits) == 2:
+                parts = basis @ parts
+            held = [q for q in held if q not in qubits]
+            if any(q in later for later in steps[i + 1:] for q in qubits):
+                # The outcome's basis state, on new top bits, first qubit highest.
+                parts = parts[:, :, None, :] * basis[:, :, None]
+                held += reversed(qubits)
+            amps = parts.reshape(len(amps) * len(codes), -1)
+        probs = (amps.real**2 + amps.imag**2).sum(axis=1)
+        kept = rest = (probs > _MIN_PROB).nonzero()[0]
+        columns = np.empty((len(steps), len(kept)), dtype=np.int64)
+        for i in reversed(range(len(steps))):  # the last step is the fastest digit
+            codes = _BASES[len(steps[i])][1]
+            rest, digit = np.divmod(rest, len(codes))
+            columns[i] = codes[digit]
+        return probs[kept].tolist(), columns.T.tolist()
 
-    def _with(self, factor: _Factor | None = None, psi: np.ndarray | None = None) -> "DenseState":
-        """A copy of this state; ``psi`` replaces the amplitudes of ``factor``."""
+    def copy(self) -> "DenseState":
         c = DenseState.__new__(DenseState)
         c.n = self.n
         c.rng = self.rng
         c._phase = self._phase
         c._known = self._known
         c._touched = self._touched
-        copies = {f: _Factor(psi if f is factor else f.psi.copy(), list(f.qubits))
-                  for f in dict.fromkeys(self._of.values())}
+        copies = {f: _Factor(f.psi.copy(), list(f.qubits)) for f in dict.fromkeys(self._of.values())}
         c._of = {q: copies[f] for q, f in self._of.items()}
         return c
-
-    def copy(self) -> "DenseState":
-        return self._with()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -115,6 +114,8 @@ def run_campaign(config: CampaignConfig) -> tuple[list[RunStats], CampaignSummar
         # A fork pool starts all its workers at once: no more than there are trials.
         workers = min(config.workers, config.trials)
         if workers > 1:
+            # Imported here, as the pool's modules slow every command's start.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunksize = max(1, config.trials // (8 * workers))
                 trials = range(config.trials)

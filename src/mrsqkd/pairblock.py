@@ -184,10 +184,13 @@ class PairBlockState:
 
     def _rand_bit(self) -> int:
         """The next bit of the batch, refilled in place when empty, so an
-        operation may hold the batch across this call."""
+        operation may hold the batch across this call. A batch is the bits
+        ``integers(0, 2, size=512, dtype=np.uint8)`` draws, as this stream
+        draws nothing else: the top bit of each byte of 64 raw words."""
         bits = self._bits
         if not bits:
-            bits += self._rng.integers(0, 2, size=512, dtype=np.uint8).tolist()
+            raw = self._rng.bit_generator.random_raw(64).astype("<u8", copy=False)
+            bits += (raw.view(np.uint8) >> 7).tolist()
         return bits.pop()
 
     def _gate(self, table: list[int], q: int) -> None:

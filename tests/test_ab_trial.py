@@ -25,7 +25,7 @@ def ab():
 
 def stage_args(stages=3, **kw):
     args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau",
-                batches=0, batch=2, json=None)
+                batches=0, batch=2, exact=0, json=None)
     return argparse.Namespace(**{**args, **kw})
 
 
@@ -130,3 +130,49 @@ def test_json_records_the_batches_and_the_stage_table(ab, capsys, tmp_path):
     for stage, us in stages["work_us"].items():
         assert rows[stage][1] == f"{us:.1f}"
     assert stages["work_total_us"] == pytest.approx(sum(stages["work_us"].values()))
+
+
+def test_json_records_the_exact_rounds_beside_the_batches(ab, capsys, tmp_path):
+    work = ab.modules("mrsqkd")
+    path = tmp_path / "bench.json"
+    args = stage_args(stages=0, batches=2, exact=3, json=str(path))
+    assert ab.compare(work, work, args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(path.read_text())
+    assert set(record) == {"command", "base", "base_commit", "attack", "n", "backend", "machine",
+                           "batches", "exact"}
+    exact = record["exact"]
+    assert set(exact) == {"rounds", "configurations", "base_ms", "work_ms", "speedup",
+                          "speedup_q1", "speedup_q3", "work_won", "base_ms_per_round",
+                          "work_ms_per_round"}
+    assert (exact["rounds"], exact["configurations"]) == (3, 2 * 4**4)
+    assert len(exact["base_ms_per_round"]) == len(exact["work_ms_per_round"]) == 3
+    assert exact["speedup_q1"] <= exact["speedup"] <= exact["speedup_q3"]
+    assert 0 <= exact["work_won"] <= 3
+    assert printed[-1].startswith("exact laws of 512 configurations: ")
+    assert printed[-1].endswith(f"work won {exact['work_won']}/3 rounds")
+
+
+def test_exact_laws_that_differ_are_refused_before_timing(ab, capsys):
+    work = ab.modules("mrsqkd")
+    verify = work["verify"]
+
+    def shifted(script, seed):
+        return {k: p + 2e-12 for k, p in verify.exact_distribution(script, seed).items()}
+
+    base = dict(work, verify=types.SimpleNamespace(
+        make_cycle=verify.make_cycle, make_chain=verify.make_chain, exact_distribution=shifted))
+    assert ab.compare(base, work, stage_args(stages=0, exact=2)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "exact laws" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--batches", "--exact"])
+def test_one_round_is_refused_before_any_run(ab, capsys, monkeypatch, flag):
+    monkeypatch.setattr("sys.argv", ["ab_trial.py", flag, "1"])
+    with pytest.raises(SystemExit) as exit_:
+        ab.main()
+    assert exit_.value.code == 2
+    assert "need 0 or at least 2" in capsys.readouterr().err

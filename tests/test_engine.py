@@ -1,4 +1,5 @@
 """Engine contract tests run against both backends wherever possible."""
+import hashlib
 import itertools
 import pickle
 
@@ -398,6 +399,42 @@ def test_outcome_distribution_matches_recursive_reference(case):
         assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
+def test_outcome_distribution_remeasures_bell_qubits_on_eight_qubits():
+    """Beyond the hypothesis cases' 6 qubits: four prepared pairs, then
+    Bell measurements whose qubits are measured again, by Z and by Bell."""
+    reg = new_register(8, Backend.DENSE, 3)
+    for a in range(0, 8, 2):
+        reg.prepare_bell_phi_plus(a, a + 1)
+    for gate, q in ((GateName.H, 0), (GateName.X, 3), (GateName.Y, 5), (GateName.H, 6)):
+        reg.apply_gate(gate, q)
+    plan = [BellMeasure(1, 2), BellMeasure(3, 4), ZMeasure(2), BellMeasure(5, 6),
+            BellMeasure(2, 7), ZMeasure(0), ZMeasure(4), BellMeasure(1, 3)]
+    dist = reg.outcome_distribution(plan)
+    ref = _reference_distribution(reg._state.copy(), plan)
+    assert len(ref) > 64
+    assert list(dist) == list(ref)
+    for key, p in ref.items():
+        assert dist[key] == pytest.approx(p, abs=1e-12)
+
+
+# SHA-256 of every exact law of the 512 four-pair cycle and chain
+# configurations, then of the scripted circuits: one line per outcome,
+# in the order the oracle returns them.
+LAW_DIGEST = "90a00b440c06aee4faee86b7dd9c218e1f61f3855e1d26185cdbd9a9dec83517"
+
+
+def test_exact_laws_of_the_oracle_configurations_are_pinned():
+    codes = list(itertools.product(range(4), repeat=4))
+    scripts = [verify.make_cycle(c, f"cycle{c}") for c in codes]
+    scripts += [verify.make_chain(c, f"chain{c}") for c in codes]
+    scripts += verify.scripted_circuits()
+    digest = hashlib.sha256()
+    for script in scripts:
+        for key, p in verify.exact_distribution(script, 11).items():
+            digest.update(f"{script.name} {tuple(map(int, key))} {p:.12g}\n".encode())
+    assert digest.hexdigest() == LAW_DIGEST
+
+
 @settings(max_examples=200, deadline=None)
 @given(prepared_registers(), st.integers(0, 2**32), st.data())
 def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed, data):
@@ -612,6 +649,20 @@ def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):
     assert faulty.outside_support == 0 and faulty.relation_failures == 0
     assert not faulty.same_support and abs(faulty.max_dp - 2**-9) <= verify.TOLERANCE
     assert faulty.line().startswith("FAIL")
+
+
+def test_pairblock_batches_are_the_bits_of_integers():
+    """Three refills in a row pop the bits ``integers(0, 2, size=512,
+    dtype=np.uint8)`` draws on a twin generator, from the end of each
+    batch, and leave both generators at the same next draw."""
+    for seed in range(100):
+        state, twin = PairBlockState(2, philox(seed)), philox(seed)
+        drawn = [state._rand_bit() for _ in range(3 * 512)]
+        expected = []
+        for _ in range(3):
+            expected += twin.integers(0, 2, size=512, dtype=np.uint8).tolist()[::-1]
+        assert drawn == expected
+        assert state._rng.random() == twin.random()
 
 
 def _block_setups():

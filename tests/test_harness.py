@@ -1,6 +1,7 @@
 """Campaign runner: accounting, CSV determinism, parallel equivalence,
 config files, and the CLI surface."""
 import ast
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
@@ -203,7 +204,8 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_campaign imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     seq_stats, _ = run_campaign(_campaign(trials=3, workers=1))
     for workers, expected in ((64, [3]), (2, [2]), (3, [3])):
         sizes.clear()
@@ -593,6 +595,22 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, mrsqkd.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
+
+
+def test_one_worker_campaign_leaves_the_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(mrsqkd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, mrsqkd.cli; pool = ('concurrent.futures.process', 'multiprocessing'); "
+        "loaded = [m for m in pool if m in sys.modules]; "
+        "mrsqkd.cli.main(['campaign', '--n', '16', '--trials', '3', '--workers', '1']); "
+        "loaded += [m for m in pool if m in sys.modules]; print(loaded)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_backends_runs_without_scipy():

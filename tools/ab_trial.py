@@ -33,19 +33,31 @@ A revision without ``stage_ns`` cannot be timed this way, and the tool
 exits 2 with one line. Given with ``--batches`` too, it times both, the
 batches first.
 
+``--exact K`` times the exact oracle instead: K rounds of
+``verify.exact_distribution`` over every Bell-code configuration of
+4-pair cycles and chains (512 laws), the two copies alternating round by
+round. Before timing, both sides must return the same outcomes in the
+same order, each probability within 1e-12 of the other side's; if not,
+the tool prints one line and exits 1. Given with ``--batches`` or
+``--stages`` too, it times them all, the exact rounds last.
+
 ``--json PATH`` also writes what was timed to PATH: the command, the
 machine, the base commit, then under ``batches`` each side's ms per trial
 in every batch and their medians, the median speedup with its quartiles
-and the batches won, and under ``stages`` the median µs of each stage and
-their totals. This is how a ``BENCH_*.json`` at the root is made:
+and the batches won, under ``stages`` the median µs of each stage and
+their totals, and under ``exact`` each side's ms per round, their
+medians, the median speedup with its quartiles and the rounds won. This
+is how a ``BENCH_*.json`` at the root is made:
 
     python tools/ab_trial.py --base HEAD --batches 20 --batch 50 --stages 500 --json BENCH.json
+    python tools/ab_trial.py --base HEAD --backend dense --n 10 --batches 20 --exact 20 --json BENCH.json
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -60,6 +72,8 @@ import numpy
 
 ROOT = os.getcwd()
 IDENTITY_TRIALS = 300
+EXACT_PAIRS = 4  # --exact: every Bell-code configuration of 4-pair cycles and chains
+EXACT_TOLERANCE = 1e-12
 STRATEGIES = {"honest": "honest", "naive-measure": "naive_measure",
               "parity-measure": "parity_aware_measure"}
 
@@ -77,7 +91,7 @@ def load_base(rev: str, into: str):
 
 def modules(pkg: str) -> dict:
     return {m: importlib.import_module(f"{pkg}.{m}")
-            for m in ("adversary", "engine", "harness", "protocol")}
+            for m in ("adversary", "engine", "harness", "protocol", "verify")}
 
 
 def strategy(mods: dict, attack: str):
@@ -101,6 +115,16 @@ def same_rows(base: dict, work: dict, args) -> bool:
     return csvs[0] == csvs[1]
 
 
+def speedups(base_ms: list[float], work_ms: list[float]) -> dict:
+    """The median of the per-round speedups base / work, its quartiles
+    and the rounds the working tree won."""
+    ratios = [b / w for b, w in zip(base_ms, work_ms)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {"base_ms": statistics.median(base_ms), "work_ms": statistics.median(work_ms),
+            "speedup": statistics.median(ratios), "speedup_q1": q1, "speedup_q3": q3,
+            "work_won": sum(r > 1 for r in ratios)}
+
+
 def ab_batches(base: dict, work: dict, args) -> dict:
     runs = {"base": trial_runner(base, args), "work": trial_runner(work, args)}
     for i in range(50):  # warm the pair-block tables and caches of both
@@ -112,17 +136,55 @@ def ab_batches(base: dict, work: dict, args) -> dict:
             for i in range(b * args.batch, (b + 1) * args.batch):
                 runs[side](i)
             ms[side].append((time.perf_counter() - t0) / args.batch * 1e3)
-    ratios = [b / w for b, w in zip(ms["base"], ms["work"])]
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
-    timed = {"batches": args.batches, "batch": args.batch,
-             "base_ms": statistics.median(ms["base"]), "work_ms": statistics.median(ms["work"]),
-             "speedup": statistics.median(ratios), "speedup_q1": q1, "speedup_q3": q3,
-             "work_won": sum(r > 1 for r in ratios),
+    timed = {"batches": args.batches, "batch": args.batch, **speedups(ms["base"], ms["work"]),
              "base_ms_per_batch": ms["base"], "work_ms_per_batch": ms["work"]}
     print(f"{args.attack} n={args.n}: base {timed['base_ms']:.3f} ms/trial, "
           f"work {timed['work_ms']:.3f} ms/trial, speedup "
-          f"{timed['speedup']:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-          f"work won {timed['work_won']}/{args.batches} batches")
+          f"{timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
+          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{args.batches} batches")
+    return timed
+
+
+def exact_scripts(mods: dict) -> list:
+    """Every configuration --exact times, as the side's own scripts."""
+    v = mods["verify"]
+    codes = list(itertools.product(range(4), repeat=EXACT_PAIRS))
+    return [v.make_cycle(c, "cycle") for c in codes] + [v.make_chain(c, "chain") for c in codes]
+
+
+def same_laws(base: dict, work: dict) -> bool:
+    """Whether both sides give every configuration the same outcomes in
+    the same order, each probability within EXACT_TOLERANCE."""
+    exact_b, exact_w = base["verify"].exact_distribution, work["verify"].exact_distribution
+    for script_b, script_w in zip(exact_scripts(base), exact_scripts(work)):
+        b, w = exact_b(script_b, 11), exact_w(script_w, 11)
+        # Outcomes compare as codes: each side has its own BellType.
+        if [tuple(map(int, k)) for k in b] != [tuple(map(int, k)) for k in w]:
+            return False
+        if max(abs(p - q) for p, q in zip(b.values(), w.values())) > EXACT_TOLERANCE:
+            return False
+    return True
+
+
+def ab_exact(base: dict, work: dict, args) -> dict:
+    """ms per round of every --exact law, the two sides alternating."""
+    sides = {"base": base, "work": work}
+    scripts = {side: exact_scripts(mods) for side, mods in sides.items()}
+    ms = {"base": [], "work": []}
+    for r in range(args.exact):
+        for side in ("base", "work") if r % 2 == 0 else ("work", "base"):
+            exact = sides[side]["verify"].exact_distribution
+            t0 = time.perf_counter()
+            for script in scripts[side]:
+                exact(script, 11)
+            ms[side].append((time.perf_counter() - t0) * 1e3)
+    timed = {"rounds": args.exact, "configurations": len(scripts["work"]),
+             **speedups(ms["base"], ms["work"]),
+             "base_ms_per_round": ms["base"], "work_ms_per_round": ms["work"]}
+    print(f"exact laws of {timed['configurations']} configurations: base "
+          f"{timed['base_ms']:.1f} ms/round, work {timed['work_ms']:.1f} ms/round, speedup "
+          f"{timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
+          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{args.exact} rounds")
     return timed
 
 
@@ -175,11 +237,17 @@ def compare(base: dict, work: dict, args) -> int:
               f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
               file=sys.stderr)
         return 1
+    if args.exact and not same_laws(base, work):
+        print(f"error: base {args.base} and the working tree give different exact laws "
+              f"of the {EXACT_PAIRS}-pair cycles and chains", file=sys.stderr)
+        return 1
     timed = {}
     if args.batches:
         timed["batches"] = ab_batches(base, work, args)
     if args.stages:
         timed["stages"] = ab_stages(base, work, args)
+    if args.exact:
+        timed["exact"] = ab_exact(base, work, args)
     if args.json:
         write_json(args, timed)
     return 0
@@ -209,13 +277,17 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=256)
     parser.add_argument("--backend", default="tableau", choices=("tableau", "dense"))
     parser.add_argument("--batches", type=int, help="alternating batches (default 40, or 0 "
-                        "with --stages)")
+                        "with --stages or --exact)")
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
     parser.add_argument("--stages", type=int, default=0, help="time K runs stage by stage")
+    parser.add_argument("--exact", type=int, default=0,
+                        help="time K rounds of the exact oracle's 4-pair laws")
     parser.add_argument("--json", help="also write what was timed to this file")
     args = parser.parse_args()
     if args.batches is None:
-        args.batches = 0 if args.stages else 40
+        args.batches = 0 if args.stages or args.exact else 40
+    if 1 in (args.batches, args.exact):  # a median's quartiles need two of them
+        parser.error("--batches and --exact need 0 or at least 2")
     sys.path.insert(0, os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         load_base(args.base, tmp)
