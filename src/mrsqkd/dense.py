@@ -22,7 +22,7 @@ A Bell outcome of the pair (a, b) is the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
 samples it by projection, in place, and ``prepare_bell`` writes phi+.
 
-Enumeration (``outcome_codes``) computes a plan's law directly. It
+Enumeration (``outcome_law``) computes a plan's law directly. It
 joins the factors the plan reaches, by outer product, into one row of
 2^w amplitudes (the register's factors stay as they are). Each step
 changes basis on its qubits' bits, the identity for Z and the four Bell
@@ -41,12 +41,34 @@ then parity bit (Bell) first: the order of a depth-first walk.
   plan within the qubit cap that measures each qubit once qualifies.
 - Memory: such a plan holds at most the joined 2^w amplitudes. Each
   step whose qubits are measured again multiplies them by 2 or 4.
+
+All of it but the amplitudes depends only on the joined layout (the
+qubit at each bit of the row) and the steps, so ``_schedule`` compiles
+it once per (layout, steps): each step's tensor shape, the axis order
+that brings its qubits first, its basis, and whether a later step
+measures its qubits again. The key of an outcome, one value per step
+(the Z bit, or the Bell outcome as its ``BellType``), comes from tables
+shared by step sizes, not by layout: consecutive steps go in groups of
+at most _KEY_ROWS = 256 outcomes, and ``_key_table`` lists the keys of
+each group by its digit. A law then costs the join, one reshape,
+transpose and product per step, the squared norms, one ``nonzero`` and
+a dict of cached keys (one per group, joined, for a plan of more groups).
+
+- Cache memory: both caches are LRUs of fixed size. A key table holds at
+  most 256 tuples of at most 8 shared values, under 30 KB, and at most
+  _KEY_TABLES = 16 are kept: under 0.5 MB. A schedule holds a few small
+  tuples per step, about 1 KB, and at most _SCHEDULES = 64 are kept. The
+  512 four-pair cycles and chains use 2 schedules and 2 tables.
 """
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .bell_algebra import _BELL_BY_CODE
 
 DENSE_QUBIT_CAP = 24
 
@@ -59,20 +81,29 @@ _MIN_PROB = 1e-12
 # ``_BELL_SIGNS`` holds the Bell rows unscaled, as +-1 and 0.
 _BELL_SIGNS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=complex)
 _BASES = {1: (np.eye(2), np.array([0, 1])), 2: (_BELL_SIGNS * _SQRT1_2, np.array([0, 2, 1, 3]))}
+# A step's outcome values in digit order: the Z bit, or the Bell outcome as its BellType.
+_VALUES = {size: tuple(_BELL_BY_CODE[c] if size == 2 else int(c) for c in codes)
+           for size, (_, codes) in _BASES.items()}
+
+_PLAN_ERROR = "plan step {}: not distinct qubits of 0..{}"
+# Bounds of the compiled enumeration's caches (see the module docstring).
+_SCHEDULES = 64
+_KEY_TABLES = 16
+_KEY_ROWS = 256
 
 
-def _bits_first(stack: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-    """View of ``stack`` (rows of 2^w amplitudes) as a (rows, 2, ..., 2)
-    tensor with index bits ``bits`` on axes 1, 2, ..."""
-    w = stack.shape[1].bit_length() - 1
+def _front_order(w: int, bits: Sequence[int]) -> tuple[int, ...]:
+    """Axis order that moves index bits ``bits`` of a (rows, 2, ..., 2)
+    tensor of w bits onto axes 1, 2, ..., the others after them in order."""
     front = [w - b for b in bits]  # axis 1 holds index bit w - 1
-    order = [0, *front, *(ax for ax in range(1, w + 1) if ax not in front)]
-    return stack.reshape((len(stack),) + (2,) * w).transpose(order)
+    return (0, *front, *(ax for ax in range(1, w + 1) if ax not in front))
 
 
 def _pair(f: "_Factor", a: int, b: int) -> np.ndarray:
-    """Factor ``f`` as a (2, 2, m) view, qubit a on axis 0 and b on axis 1."""
-    return _bits_first(f.psi[None], (f.qubits.index(a), f.qubits.index(b)))[0]
+    """Factor ``f`` as a (2, 2, ..., 2) view, qubit a on axis 0 and b on axis 1."""
+    w = len(f.qubits)
+    order = _front_order(w, (f.qubits.index(a), f.qubits.index(b)))
+    return f.psi.reshape((1,) + (2,) * w).transpose(order)[0]
 
 
 def _collapse(pair: np.ndarray, rows: np.ndarray, joint: list[float], k: int) -> None:
@@ -87,6 +118,63 @@ def _norm2(half: np.ndarray) -> float:
     vdot does (a view where one exists) keeps the sum's rounding."""
     flat = half.reshape(-1)
     return float(np.vdot(flat, flat).real)
+
+
+@lru_cache(maxsize=_SCHEDULES)
+def _schedule(n: int, layout: tuple[int, ...],
+              steps: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """What ``outcome_law`` does, in a register of n qubits, to the row
+    joined in ``layout`` (the qubit at each index bit) for ``steps``. Per
+    step: the tensor shape, the axis order that brings its qubits first,
+    the (rows, outcomes, rest) shape, the Bell basis (None for Z), the
+    outcomes' basis states on new axes if a later step measures its
+    qubits again (else None), and the shape of the result. Then the step
+    sizes of each key group of ``_keys``."""
+    held = list(layout)
+    rows = group_rows = 1
+    schedule = []
+    groups: list[tuple[int, ...]] = [()]  # consecutive steps, <= _KEY_ROWS outcomes each
+    for i, qubits in enumerate(steps):
+        if len(set(qubits)) < len(qubits):
+            raise ValueError(_PLAN_ERROR.format(qubits, n - 1))
+        basis, codes = _BASES[len(qubits)]
+        w, k = len(held), len(codes)
+        order = _front_order(w, [held.index(q) for q in qubits])
+        held = [q for q in held if q not in qubits]
+        again = None
+        if any(q in later for later in steps[i + 1:] for q in qubits):
+            # The outcome's basis state, on new top bits, first qubit highest.
+            again = basis[:, :, None]
+            held += reversed(qubits)
+        schedule.append(((rows,) + (2,) * w, order, (rows, k, 1 << (w - len(qubits))),
+                         basis if len(qubits) == 2 else None, again, (rows * k, 1 << len(held))))
+        rows *= k
+        if group_rows * k > _KEY_ROWS:
+            groups.append(())
+            group_rows = 1
+        groups[-1] += (len(qubits),)
+        group_rows *= k
+    return tuple(schedule), tuple(groups)
+
+
+@lru_cache(maxsize=_KEY_TABLES)
+def _key_table(sizes: tuple[int, ...]) -> np.ndarray:
+    """The key of every outcome of steps of ``sizes`` qubits, by digit:
+    a read-only object array of tuples, shared by every law that uses it."""
+    table = np.fromiter(itertools.product(*(_VALUES[size] for size in sizes)), dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def _keys(groups: Sequence[tuple[int, ...]], rows: np.ndarray) -> np.ndarray:
+    """The outcome key of each row index in ``rows``, one tuple from each
+    group's table, joined; the last group's steps are the fastest digits."""
+    *high, low = groups
+    table = _key_table(low)
+    if not high:
+        return table[rows]
+    rest, digit = np.divmod(rows, len(table))
+    return _keys(high, rest) + table[digit]  # tuple + tuple, element by element
 
 
 class _Factor:
@@ -294,38 +382,33 @@ class DenseState:
 
     # -- exact enumeration ---------------------------------------------
 
-    def outcome_codes(self, steps: Sequence[tuple[int, ...]]) -> tuple[list[float], list[list[int]]]:
+    def outcome_law(self, steps: tuple[tuple[int, ...], ...]) -> dict[tuple, float]:
         """Every outcome of measuring ``steps`` in turn, each (q,) for Z or
-        (a, b) for Bell: the outcome probabilities and, per outcome, one
-        code per step (the Z bit or the Bell code (p << 1) | s), in the
-        order of the module docstring. This state is left as it is."""
+        (a, b) for Bell, with its probability: keyed by one value per step
+        (the Z bit, or the Bell outcome as its ``BellType``), in the order
+        of the module docstring. ValueError unless each step holds distinct
+        qubits of the register. This state is left as it is."""
         held: list[int] = []  # qubit at each index bit of a row
         amps = np.ones((1, 1), dtype=np.complex128)  # one row per outcome string
-        for q in dict.fromkeys(q for qubits in steps for q in qubits):
-            if q not in held:
-                f = self._of.get(q) or _Factor(_BASES[1][0][(self._known >> q) & 1], [q])
-                amps = (f.psi[:, None] * amps).reshape(1, -1)
-                held += f.qubits
-        for i, qubits in enumerate(steps):
-            basis, codes = _BASES[len(qubits)]
-            front = _bits_first(amps, [held.index(q) for q in qubits])
-            parts = front.reshape(len(amps), len(codes), -1)
-            if len(qubits) == 2:
+        for qubits in steps:
+            for q in qubits:
+                if q not in held:
+                    if not 0 <= q < self.n:
+                        raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
+                    f = self._of.get(q) or _Factor(_BASES[1][0][(self._known >> q) & 1], [q])
+                    amps = (f.psi[:, None] * amps).reshape(1, -1)
+                    held += f.qubits
+        schedule, groups = _schedule(self.n, tuple(held), steps)
+        for shape, order, split, basis, again, joined in schedule:
+            parts = amps.reshape(shape).transpose(order).reshape(split)
+            if basis is not None:
                 parts = basis @ parts
-            held = [q for q in held if q not in qubits]
-            if any(q in later for later in steps[i + 1:] for q in qubits):
-                # The outcome's basis state, on new top bits, first qubit highest.
-                parts = parts[:, :, None, :] * basis[:, :, None]
-                held += reversed(qubits)
-            amps = parts.reshape(len(amps) * len(codes), -1)
+            if again is not None:
+                parts = parts[:, :, None, :] * again
+            amps = parts.reshape(joined)
         probs = (amps.real**2 + amps.imag**2).sum(axis=1)
-        kept = rest = (probs > _MIN_PROB).nonzero()[0]
-        columns = np.empty((len(steps), len(kept)), dtype=np.int64)
-        for i in reversed(range(len(steps))):  # the last step is the fastest digit
-            codes = _BASES[len(steps[i])][1]
-            rest, digit = np.divmod(rest, len(codes))
-            columns[i] = codes[digit]
-        return probs[kept].tolist(), columns.T.tolist()
+        kept = (probs > _MIN_PROB).nonzero()[0]
+        return dict(zip(_keys(groups, kept).tolist(), probs[kept].tolist()))
 
     def copy(self) -> "DenseState":
         c = DenseState.__new__(DenseState)

@@ -3,15 +3,14 @@
 DENSE stores its statevector as a product of factors, one per group of
 qubits that two-qubit operations have joined (a fresh or Z-measured
 qubit is one bit), and doubles as the exact oracle: its
-``outcome_distribution`` enumerates measurement outcomes with exact
-probabilities, by one breadth-first walk over a stack of branches that
-joins the factors the plan reaches and traces each step's qubits out of
-the stack once no later step touches them (see ``dense``). TABLEAU, the
-pair-block stabilizer state of ``pairblock``, runs the Monte Carlo
-campaigns. Both expose the same
-operation set: phi+ pair preparation on fresh qubits, the single-qubit
-gates X, Y (as i*sigma_y), Z, H, Z-basis measurement, and Bell
-measurement.
+``outcome_distribution`` gives a measurement plan's outcomes with exact
+probabilities. It joins the factors the plan reaches into one amplitude
+tensor and changes basis on each step's qubits, with the tensor shapes
+and the outcome keys compiled once per plan shape (see ``dense``).
+TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
+Monte Carlo campaigns. Both expose the same operation set: phi+ pair
+preparation on fresh qubits, the single-qubit gates X, Y (as i*sigma_y),
+Z, H, Z-basis measurement, and Bell measurement.
 
 The protocol drives the register a whole wire at a time:
 ``prepare_pairs(wire_a, wire_b)``, ``measure_z_many(qubits)`` and
@@ -226,22 +225,14 @@ class Register:
     def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[PlanOutcome, float]:
         """Exact outcome probabilities of running ``plan`` from the current
         state, keyed in depth-first order; the live register is not
-        collapsed. DENSE backend only."""
+        collapsed. ValueError unless each step measures distinct qubits of
+        the register. DENSE backend only."""
         if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"
             )
-        steps = [(s.qubit,) if isinstance(s, ZMeasure) else (s.a, s.b) for s in plan]
-        for qubits in steps:
-            if not all(0 <= q < self.size for q in qubits) or len(set(qubits)) < len(qubits):
-                raise ValueError(f"plan step {qubits}: not distinct qubits of 0..{self.size - 1}")
-        probs, codes = self._state.outcome_codes(steps)
-        # One column of values per step: the Z bit as it is, a Bell code as its type.
-        columns = [
-            col if len(qubits) == 1 else list(map(_BELL_BY_CODE.__getitem__, col))
-            for qubits, col in zip(steps, zip(*codes))
-        ]
-        dist = dict(zip(zip(*columns) if steps else [()], probs))
+        steps = tuple([(s.qubit,) if isinstance(s, ZMeasure) else (s.a, s.b) for s in plan])
+        dist = self._state.outcome_law(steps)
         total = sum(dist.values())
         if abs(total - 1.0) >= 1e-9:
             raise RuntimeError(f"outcome probabilities sum to {total}")

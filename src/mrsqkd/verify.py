@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bell_algebra import BellType, chain_relation_holds, xor_rule_holds
+from .bell_algebra import _BELL_BY_CODE, BellType, chain_relation_holds, xor_rule_holds
 from .engine import (
     Backend,
     BellMeasure,
@@ -128,38 +128,46 @@ def scripted_circuits() -> list[CircuitScript]:
 # Execution
 
 
-def _apply_prep(reg: Register, prep: Sequence[PrepOp], offset: int) -> None:
+def _apply_prep(reg: Register, prep: Sequence[PrepOp]) -> None:
     for op in prep:
         if op[0] == "bell":
-            reg.prepare_bell_phi_plus(op[1] + offset, op[2] + offset)
+            reg.prepare_bell_phi_plus(op[1], op[2])
         else:
-            reg.apply_gate(op[1], op[2] + offset)
+            reg.apply_gate(op[1], op[2])
 
 
-def _run_plan(reg: Register, plan: Sequence[PlanStep], offset: int) -> tuple:
-    out: list = []
-    for step in plan:
-        if isinstance(step, ZMeasure):
-            out.append(reg.measure_z(step.qubit + offset))
-        else:
-            out.append(reg.measure_bell(step.a + offset, step.b + offset))
-    return tuple(out)
+def _run_plan(reg: Register, plan: Sequence[PlanStep]) -> tuple:
+    return tuple(reg.measure_z(step.qubit) if isinstance(step, ZMeasure)
+                 else reg.measure_bell(step.a, step.b) for step in plan)
 
 
 def sample_tableau(script: CircuitScript, samples: int, seed: int) -> list[tuple]:
-    """Draw outcome tuples from the pair-block (TABLEAU) backend, each shot
-    on its own block of qubits of one register."""
-    reg = new_register(script.qubits * samples, Backend.TABLEAU, seed)
-    outcomes: list[tuple] = []
-    for offset in range(0, script.qubits * samples, script.qubits):
-        _apply_prep(reg, script.prep, offset)
-        outcomes.append(_run_plan(reg, script.plan, offset))
-    return outcomes
+    """Draw outcome tuples from the pair-block (TABLEAU) backend. Shot i
+    runs on qubits i*q .. i*q + q - 1 of one register of q * ``samples``
+    qubits, and each op of the script runs over every shot before the
+    next op: a pair preparation or a plan step is one whole-wire call."""
+    q = script.qubits
+    size = q * samples
+    reg = new_register(size, Backend.TABLEAU, seed)
+    for op in script.prep:
+        if op[0] == "bell":
+            reg.prepare_pairs(range(op[1], size, q), range(op[2], size, q))
+        else:
+            for offset in range(0, size, q):
+                reg.apply_gate(op[1], op[2] + offset)
+    columns = []
+    for step in script.plan:
+        if isinstance(step, ZMeasure):
+            columns.append(reg.measure_z_many(range(step.qubit, size, q)))
+        else:
+            codes = reg.measure_bell_many(range(step.a, size, q), range(step.b, size, q))
+            columns.append(map(_BELL_BY_CODE.__getitem__, codes))
+    return list(zip(*columns)) if columns else [()] * samples
 
 
 def exact_distribution(script: CircuitScript, seed: int) -> dict[tuple, float]:
     reg = new_register(script.qubits, Backend.DENSE, seed)
-    _apply_prep(reg, script.prep, 0)
+    _apply_prep(reg, script.prep)
     return reg.outcome_distribution(script.plan)
 
 
@@ -188,8 +196,8 @@ def tableau_distribution(script: CircuitScript) -> dict[tuple, float]:
     while todo:
         # The register keeps its checks and BellType outcomes over the replay.
         state = reg._state = _Replay(script.qubits, todo.pop())
-        _apply_prep(reg, script.prep, 0)
-        outcome = _run_plan(reg, script.plan, 0)
+        _apply_prep(reg, script.prep)
+        outcome = _run_plan(reg, script.plan)
         todo.extend(state.bits[:k] + [1] for k in range(len(state.prefix), len(state.bits)))
         dist[outcome] = dist.get(outcome, 0.0) + 2.0 ** -len(state.bits)
     return dist

@@ -25,7 +25,7 @@ def ab():
 
 def stage_args(stages=3, **kw):
     args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau",
-                batches=0, batch=2, exact=0, json=None)
+                batches=0, batch=2, exact=0, verify=0, json=None)
     return argparse.Namespace(**{**args, **kw})
 
 
@@ -169,7 +169,45 @@ def test_exact_laws_that_differ_are_refused_before_timing(ab, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "exact laws" in lines[0]
 
 
-@pytest.mark.parametrize("flag", ["--batches", "--exact"])
+def test_json_records_the_verify_rounds(ab, capsys, tmp_path):
+    work = ab.modules("mrsqkd")
+    path = tmp_path / "bench.json"
+    assert ab.compare(work, work, stage_args(stages=0, verify=2, json=str(path))) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(path.read_text())
+    assert set(record) == {"command", "base", "base_commit", "attack", "n", "backend", "machine",
+                           "verify"}
+    timed = record["verify"]
+    assert set(timed) == {"rounds", "samples", "base_ms", "work_ms", "speedup", "speedup_q1",
+                          "speedup_q3", "work_won", "base_ms_per_round", "work_ms_per_round"}
+    assert (timed["rounds"], timed["samples"]) == (2, 1000)
+    assert len(timed["base_ms_per_round"]) == len(timed["work_ms_per_round"]) == 2
+    assert timed["speedup_q1"] <= timed["speedup"] <= timed["speedup_q3"]
+    assert printed == [f"verify_backends at 1000 samples: base {timed['base_ms']:.1f} ms/round, "
+                       f"work {timed['work_ms']:.1f} ms/round, speedup {timed['speedup']:.3f} "
+                       f"(quartiles {timed['speedup_q1']:.3f}-{timed['speedup_q3']:.3f}), "
+                       f"work won {timed['work_won']}/2 rounds"]
+
+
+def test_verify_reports_that_differ_are_refused_before_timing(ab, capsys):
+    work = ab.modules("mrsqkd")
+    calls = []
+
+    def verify_backends(samples):
+        calls.append(samples)
+        report = work["verify"].verify_backends(samples=samples)
+        return types.SimpleNamespace(lines=lambda: report.lines()[:-1] + ["overall: FAIL"])
+
+    base = dict(work, verify=types.SimpleNamespace(verify_backends=verify_backends))
+    assert ab.compare(base, work, stage_args(stages=0, verify=2)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "verify-backends" in lines[0]
+    assert calls == [1000]
+
+
+@pytest.mark.parametrize("flag", ["--batches", "--exact", "--verify"])
 def test_one_round_is_refused_before_any_run(ab, capsys, monkeypatch, flag):
     monkeypatch.setattr("sys.argv", ["ab_trial.py", flag, "1"])
     with pytest.raises(SystemExit) as exit_:

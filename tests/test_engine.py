@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrsqkd import adversary, harness, verify
+from mrsqkd import adversary, dense, harness, verify
 from mrsqkd.bell_algebra import BellType
 from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
@@ -399,16 +399,24 @@ def test_outcome_distribution_matches_recursive_reference(case):
         assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
-def test_outcome_distribution_remeasures_bell_qubits_on_eight_qubits():
-    """Beyond the hypothesis cases' 6 qubits: four prepared pairs, then
-    Bell measurements whose qubits are measured again, by Z and by Bell."""
+REMEASURE_PLAN = [BellMeasure(1, 2), BellMeasure(3, 4), ZMeasure(2), BellMeasure(5, 6),
+                  BellMeasure(2, 7), ZMeasure(0), ZMeasure(4), BellMeasure(1, 3)]
+
+
+def _four_pairs_with_gates():
     reg = new_register(8, Backend.DENSE, 3)
     for a in range(0, 8, 2):
         reg.prepare_bell_phi_plus(a, a + 1)
     for gate, q in ((GateName.H, 0), (GateName.X, 3), (GateName.Y, 5), (GateName.H, 6)):
         reg.apply_gate(gate, q)
-    plan = [BellMeasure(1, 2), BellMeasure(3, 4), ZMeasure(2), BellMeasure(5, 6),
-            BellMeasure(2, 7), ZMeasure(0), ZMeasure(4), BellMeasure(1, 3)]
+    return reg
+
+
+def test_outcome_distribution_remeasures_bell_qubits_on_eight_qubits():
+    """Beyond the hypothesis cases' 6 qubits: four prepared pairs, then
+    Bell measurements whose qubits are measured again, by Z and by Bell."""
+    reg = _four_pairs_with_gates()
+    plan = REMEASURE_PLAN
     dist = reg.outcome_distribution(plan)
     ref = _reference_distribution(reg._state.copy(), plan)
     assert len(ref) > 64
@@ -433,6 +441,55 @@ def test_exact_laws_of_the_oracle_configurations_are_pinned():
         for key, p in verify.exact_distribution(script, 11).items():
             digest.update(f"{script.name} {tuple(map(int, key))} {p:.12g}\n".encode())
     assert digest.hexdigest() == LAW_DIGEST
+
+
+def _typed_items(dist):
+    """A law's items with the type of every outcome value: BellType and
+    int compare equal, so ``==`` on the laws alone would not see a type."""
+    return [(key, tuple(map(type, key)), p) for key, p in dist.items()]
+
+
+def test_a_law_from_a_cleared_cache_equals_the_cached_law():
+    """Every oracle configuration and the 8-qubit plan that measures
+    qubits again: compiled afresh, then from the cache, bit for bit."""
+    codes = list(itertools.product(range(4), repeat=4))
+    scripts = [verify.make_cycle(c, "cycle") for c in codes]
+    scripts += [verify.make_chain(c, "chain") for c in codes] + verify.scripted_circuits()
+    cases = [(script, lambda s=script: verify.exact_distribution(s, 11)) for script in scripts]
+    reg = _four_pairs_with_gates()
+    cases.append(("remeasure", lambda: reg.outcome_distribution(REMEASURE_PLAN)))
+    assert len(cases) == 529
+    for _, law in cases:
+        dense._schedule.cache_clear()
+        dense._key_table.cache_clear()
+        cold = law()
+        assert dense._schedule.cache_info().misses == 1
+        hot = law()
+        assert dense._schedule.cache_info().hits == 1
+        assert _typed_items(hot) == _typed_items(cold)
+
+
+def test_the_schedule_caches_stay_within_their_bounds():
+    """More plan shapes than either cache holds, every law still the
+    recursive reference's."""
+    reg = _four_pairs_with_gates()
+    plans = []
+    for steps in range(1, 5):
+        for kinds in itertools.product((ZMeasure, BellMeasure), repeat=steps):
+            for first in (0, 3, 5):
+                qubits = itertools.cycle(range(first, first + 8))
+                plans.append([ZMeasure(next(qubits) % 8) if kind is ZMeasure
+                              else BellMeasure(next(qubits) % 8, next(qubits) % 8)
+                              for kind in kinds])
+    assert len(plans) > dense._SCHEDULES
+    for plan in plans:
+        dist = reg.outcome_distribution(plan)
+        ref = _reference_distribution(reg._state.copy(), plan)
+        assert list(dist) == list(ref)
+        for key, p in ref.items():
+            assert dist[key] == pytest.approx(p, abs=1e-12)
+    assert dense._schedule.cache_info().currsize == dense._SCHEDULES
+    assert dense._key_table.cache_info().currsize == dense._KEY_TABLES
 
 
 @settings(max_examples=200, deadline=None)
@@ -618,6 +675,18 @@ def test_pairblock_samples_lie_in_dense_support(script, seed):
     law = verify.tableau_distribution(script)
     assert law.keys() == exact.keys()
     assert max(abs(law[o] - exact[o]) for o in exact) <= verify.TOLERANCE
+
+
+def test_tableau_samples_repeat_for_a_seed_and_share_the_exact_keys_types():
+    script = verify.make_chain([2, 1, 0], "chain")
+    exact = verify.exact_distribution(script, 0)
+    (types,) = {tuple(map(type, key)) for key in exact}
+    assert types == (int, int, BellType, BellType)
+    shots = verify.sample_tableau(script, 200, 9)
+    assert len(shots) == 200
+    assert verify.sample_tableau(script, 200, 9) == shots
+    assert {tuple(map(type, shot)) for shot in shots} == {types}
+    assert set(shots) <= exact.keys()
 
 
 def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):

@@ -41,16 +41,23 @@ same order, each probability within 1e-12 of the other side's; if not,
 the tool prints one line and exits 1. Given with ``--batches`` or
 ``--stages`` too, it times them all, the exact rounds last.
 
+``--verify K`` times K rounds of ``verify.verify_backends`` at 1000
+samples, as the ``perfbench`` oracle workload runs it, the two copies
+alternating round by round. Before timing, both sides must print the same
+report lines; if not, the tool prints one line and exits 1. It runs after
+every other timing asked for.
+
 ``--json PATH`` also writes what was timed to PATH: the command, the
 machine, the base commit, then under ``batches`` each side's ms per trial
 in every batch and their medians, the median speedup with its quartiles
 and the batches won, under ``stages`` the median µs of each stage and
-their totals, and under ``exact`` each side's ms per round, their
-medians, the median speedup with its quartiles and the rounds won. This
-is how a ``BENCH_*.json`` at the root is made:
+their totals, and under ``exact`` and ``verify`` each side's ms per
+round, their medians, the median speedup with its quartiles and the
+rounds won. This is how a ``BENCH_*.json`` at the root is made:
 
     python tools/ab_trial.py --base HEAD --batches 20 --batch 50 --stages 500 --json BENCH.json
-    python tools/ab_trial.py --base HEAD --backend dense --n 10 --batches 20 --exact 20 --json BENCH.json
+    python tools/ab_trial.py --base HEAD --backend dense --n 10 --batches 20 --exact 20 \
+        --verify 10 --json BENCH.json
 """
 from __future__ import annotations
 
@@ -74,6 +81,7 @@ ROOT = os.getcwd()
 IDENTITY_TRIALS = 300
 EXACT_PAIRS = 4  # --exact: every Bell-code configuration of 4-pair cycles and chains
 EXACT_TOLERANCE = 1e-12
+VERIFY_SAMPLES = 1000  # --verify: verify_backends as the oracle benchmark runs it
 STRATEGIES = {"honest": "honest", "naive-measure": "naive_measure",
               "parity-measure": "parity_aware_measure"}
 
@@ -125,17 +133,29 @@ def speedups(base_ms: list[float], work_ms: list[float]) -> dict:
             "work_won": sum(r > 1 for r in ratios)}
 
 
+def alternate(rounds: int, run) -> dict[str, list[float]]:
+    """Each side's ms of ``run(side, r)`` for r in range(rounds), the two
+    sides taking turns to go first."""
+    ms = {"base": [], "work": []}
+    for r in range(rounds):
+        for side in ("base", "work") if r % 2 == 0 else ("work", "base"):
+            t0 = time.perf_counter()
+            run(side, r)
+            ms[side].append((time.perf_counter() - t0) * 1e3)
+    return ms
+
+
 def ab_batches(base: dict, work: dict, args) -> dict:
     runs = {"base": trial_runner(base, args), "work": trial_runner(work, args)}
     for i in range(50):  # warm the pair-block tables and caches of both
         runs["base"](i), runs["work"](i)
-    ms = {"base": [], "work": []}
-    for b in range(args.batches):
-        for side in ("base", "work") if b % 2 == 0 else ("work", "base"):
-            t0 = time.perf_counter()
-            for i in range(b * args.batch, (b + 1) * args.batch):
-                runs[side](i)
-            ms[side].append((time.perf_counter() - t0) / args.batch * 1e3)
+
+    def batch(side: str, b: int) -> None:
+        for i in range(b * args.batch, (b + 1) * args.batch):
+            runs[side](i)
+
+    ms = {side: [t / args.batch for t in times]
+          for side, times in alternate(args.batches, batch).items()}
     timed = {"batches": args.batches, "batch": args.batch, **speedups(ms["base"], ms["work"]),
              "base_ms_per_batch": ms["base"], "work_ms_per_batch": ms["work"]}
     print(f"{args.attack} n={args.n}: base {timed['base_ms']:.3f} ms/trial, "
@@ -166,26 +186,42 @@ def same_laws(base: dict, work: dict) -> bool:
     return True
 
 
+def rounds_timed(what: str, ms: dict[str, list[float]], **extra) -> dict:
+    """The record of alternating rounds, printed as one line."""
+    rounds = len(ms["work"])
+    timed = {"rounds": rounds, **extra, **speedups(ms["base"], ms["work"]),
+             "base_ms_per_round": ms["base"], "work_ms_per_round": ms["work"]}
+    print(f"{what}: base {timed['base_ms']:.1f} ms/round, work {timed['work_ms']:.1f} ms/round, "
+          f"speedup {timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
+          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{rounds} rounds")
+    return timed
+
+
 def ab_exact(base: dict, work: dict, args) -> dict:
     """ms per round of every --exact law, the two sides alternating."""
     sides = {"base": base, "work": work}
     scripts = {side: exact_scripts(mods) for side, mods in sides.items()}
-    ms = {"base": [], "work": []}
-    for r in range(args.exact):
-        for side in ("base", "work") if r % 2 == 0 else ("work", "base"):
-            exact = sides[side]["verify"].exact_distribution
-            t0 = time.perf_counter()
-            for script in scripts[side]:
-                exact(script, 11)
-            ms[side].append((time.perf_counter() - t0) * 1e3)
-    timed = {"rounds": args.exact, "configurations": len(scripts["work"]),
-             **speedups(ms["base"], ms["work"]),
-             "base_ms_per_round": ms["base"], "work_ms_per_round": ms["work"]}
-    print(f"exact laws of {timed['configurations']} configurations: base "
-          f"{timed['base_ms']:.1f} ms/round, work {timed['work_ms']:.1f} ms/round, speedup "
-          f"{timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
-          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{args.exact} rounds")
-    return timed
+
+    def laws(side: str, r: int) -> None:
+        exact = sides[side]["verify"].exact_distribution
+        for script in scripts[side]:
+            exact(script, 11)
+
+    configurations = len(scripts["work"])
+    return rounds_timed(f"exact laws of {configurations} configurations",
+                        alternate(args.exact, laws), configurations=configurations)
+
+
+def report_lines(mods: dict) -> list[str]:
+    return mods["verify"].verify_backends(samples=VERIFY_SAMPLES).lines()
+
+
+def ab_verify(base: dict, work: dict, args) -> dict:
+    """ms per round of --verify's verify_backends, the two sides alternating."""
+    sides = {"base": base, "work": work}
+    ms = alternate(args.verify, lambda side, r: report_lines(sides[side]))
+    return rounds_timed(f"verify_backends at {VERIFY_SAMPLES} samples", ms,
+                        samples=VERIFY_SAMPLES)
 
 
 def stage_us(mods: dict, args, seed: int) -> dict[str, float]:
@@ -241,6 +277,10 @@ def compare(base: dict, work: dict, args) -> int:
         print(f"error: base {args.base} and the working tree give different exact laws "
               f"of the {EXACT_PAIRS}-pair cycles and chains", file=sys.stderr)
         return 1
+    if args.verify and report_lines(base) != report_lines(work):
+        print(f"error: base {args.base} and the working tree print different verify-backends "
+              f"reports at {VERIFY_SAMPLES} samples", file=sys.stderr)
+        return 1
     timed = {}
     if args.batches:
         timed["batches"] = ab_batches(base, work, args)
@@ -248,6 +288,8 @@ def compare(base: dict, work: dict, args) -> int:
         timed["stages"] = ab_stages(base, work, args)
     if args.exact:
         timed["exact"] = ab_exact(base, work, args)
+    if args.verify:
+        timed["verify"] = ab_verify(base, work, args)
     if args.json:
         write_json(args, timed)
     return 0
@@ -277,17 +319,19 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=256)
     parser.add_argument("--backend", default="tableau", choices=("tableau", "dense"))
     parser.add_argument("--batches", type=int, help="alternating batches (default 40, or 0 "
-                        "with --stages or --exact)")
+                        "with --stages, --exact or --verify)")
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
     parser.add_argument("--stages", type=int, default=0, help="time K runs stage by stage")
     parser.add_argument("--exact", type=int, default=0,
                         help="time K rounds of the exact oracle's 4-pair laws")
+    parser.add_argument("--verify", type=int, default=0,
+                        help=f"time K rounds of verify_backends at {VERIFY_SAMPLES} samples")
     parser.add_argument("--json", help="also write what was timed to this file")
     args = parser.parse_args()
     if args.batches is None:
-        args.batches = 0 if args.stages or args.exact else 40
-    if 1 in (args.batches, args.exact):  # a median's quartiles need two of them
-        parser.error("--batches and --exact need 0 or at least 2")
+        args.batches = 0 if args.stages or args.exact or args.verify else 40
+    if 1 in (args.batches, args.exact, args.verify):  # a median's quartiles need two of them
+        parser.error("--batches, --exact and --verify need 0 or at least 2")
     sys.path.insert(0, os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as tmp:
         load_base(args.base, tmp)
