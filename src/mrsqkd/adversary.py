@@ -70,10 +70,11 @@ class NaiveMeasureHooks(_MeasureHooks):
 
 class ParityAwareMeasureHooks(_MeasureHooks):
     """Z-measure everything and announce results whose parity bit is the
-    true XOR of the two measured bits, with a random sign bit. This is the
-    strongest announcement policy available after Z-measuring: it passes
-    every parity-based check and is caught only by the sign constraint
-    that each cycle carries."""
+    true XOR of the two measured bits, with a random sign bit. It passes
+    every chain check and fails a cycle when the cycle's random signs XOR
+    to 1. It is not the strongest policy after Z-measuring: announcing
+    sign 0 on every slot passes every cycle too, so such a server
+    passes every check."""
 
     def on_return(self, engine, q1, q2):
         self._measure_all(engine, q1, q2)

@@ -15,8 +15,8 @@ reads the full 2^n vector, qubit q at bit q of the index.
 
 Factors are never split by reading amplitudes, so a protocol run costs
 its largest component, not 2^(2n). The state also enumerates outcomes
-exactly: every oracle check runs on that, and the pair-block backend
-builds its tables from ``bell_branches``.
+exactly: every oracle check runs on that, and the pair-block tests
+compare every table entry with ``bell_branches``.
 
 A Bell outcome of the pair (a, b) is the Bell state
 (|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
@@ -371,7 +371,8 @@ class DenseState:
     def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
         """(code (p << 1) | s, probability, collapsed copy) for every Bell
         outcome of (a, b) that can occur, sign bit first; this state is
-        left as it is."""
+        left as it is. The reference the pair-block tests compare the
+        backend's Bell entries against; those tests are its only callers."""
         _, rows, joint = self._bell_overlaps(a, b)
         for k, prob in enumerate(joint):
             if prob > _MIN_PROB:

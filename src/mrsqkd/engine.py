@@ -59,9 +59,12 @@ class GateName(Enum):
     Z = "z"
     H = "h"
 
+    def __init__(self, value: str) -> None:
+        # The state's method for the gate, looked up on the state of the
+        # call; held by the member, so a call hashes no enum.
+        self._apply = attrgetter("apply_" + value)
 
-# The state's method for each gate, looked up on the state of the call.
-_APPLY = {g: attrgetter("apply_" + g.value) for g in GateName}
+
 _PAIR_ERROR = "qubits ({}, {}) are not two distinct qubits of a size-{} register"
 
 
@@ -159,7 +162,7 @@ class Register:
     def apply_gate(self, gate: GateName, q: int) -> None:
         if not 0 <= q < self.size:
             raise ValueError(f"qubit {q} out of range for size-{self.size} register")
-        _APPLY[gate](self._state)(q)
+        gate._apply(self._state)(q)
 
     def measure_z(self, q: int) -> int:
         if not 0 <= q < self.size:

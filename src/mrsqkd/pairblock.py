@@ -7,10 +7,14 @@ and a Bell measurement of a and b pairs them and joins their former
 partners, if any, into one block (a lone partner stays single). So each
 qubit holds its partner (-1 if none) and the id of its block's state
 seen from itself (bit 0; the partner is bit 1), and every operation is a
-table lookup. Each entry is computed once, when first needed, by running
-the operation on a DenseState of at most four qubits and reading the
-blocks back out of the amplitudes; a result that is not such a product
-raises. States are identified up to global phase.
+table lookup. Each entry is computed once, when first needed, from the
+block amplitudes as rows indexed by the qubit's own bit: a Z outcome j
+leaves the qubit in |j> and its partner in row j, and a Bell outcome k
+of a and b (entanglement swapping) leaves them in Bell state k of
+``dense._BASES`` and their former partners in the overlap of that state
+with the product of their blocks. A gate entry runs the DenseState gate
+on the block. So the block form holds by construction. States are
+identified up to global phase.
 
 Random bits follow a fixed order, so a seed fixes every outcome: one bit
 per random outcome and none for a deterministic one, popped from the end
@@ -24,15 +28,13 @@ law with the dense oracle.
 from __future__ import annotations
 
 import threading
-from functools import partialmethod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dense import DenseState
+from .dense import _BASES, DenseState
 
 FRESH = 0  # |0>, untouched since the register was made
-_OWN_QUBITS = {2: (0,), 4: (0, 1)}  # a block alone: amplitude count -> qubits
 
 _TOL = 1e-9
 
@@ -46,31 +48,10 @@ def _det(p_one: float) -> int:
     return round(p_one)
 
 
-def _product(blocks: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
-    """Amplitudes of the product of ``blocks``, each (amplitudes, qubits it covers)."""
-    idx = np.arange(1 << sum(len(qubits) for _, qubits in blocks))
-    amps = np.ones(idx.size, dtype=np.complex128)
-    for vec, qubits in blocks:
-        amps *= vec[sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))]
-    return amps
-
-
-def _state(blocks: list[tuple[np.ndarray, tuple[int, ...]]]) -> DenseState:
-    """Product state of ``blocks``, each (amplitudes, qubits it covers)."""
-    state = DenseState(sum(len(qubits) for _, qubits in blocks), None)
-    state.amps = _product(blocks)
-    return state
-
-
-def _block(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes of ``qubits``, a factor of the product state ``amps``:
-    its slice through the largest amplitude, normalized."""
-    base = int(np.argmax(np.abs(amps))) & ~sum(1 << q for q in qubits)
-    out = np.array([
-        amps[base | sum(((j >> k) & 1) << q for k, q in enumerate(qubits))]
-        for j in range(1 << len(qubits))
-    ])
-    return out / np.linalg.norm(out)
+def _rows(amps: np.ndarray) -> np.ndarray:
+    """A block's amplitudes as rows indexed by its own bit, over its
+    partner's bit (one column for a single qubit)."""
+    return amps.reshape(-1, 2).T
 
 
 def _phase_key(amps: np.ndarray) -> tuple:
@@ -83,7 +64,9 @@ def _phase_key(amps: np.ndarray) -> tuple:
 
 class _Tables:
     """Block states by id and their transition tables, filled on demand
-    under a lock. Ids follow discovery order, which may differ between
+    under a lock: gate entries through DenseState's gate methods, Z and
+    Bell entries from the block amplitudes alone (no DenseState
+    measurement). Ids follow discovery order, which may differ between
     processes; outcomes do not, as each entry depends only on the states."""
 
     def __init__(self) -> None:
@@ -115,31 +98,25 @@ class _Tables:
     def _fill(self, sid: int) -> None:
         amps = self.vecs[sid]
         for g, table in self.gate.items():
-            state = _state([(amps, _OWN_QUBITS[amps.size])])
+            state = DenseState(amps.size // 2, None)
+            state.amps = amps
             getattr(state, f"apply_{g}")(0)
             table[sid] = self.intern(state.amps)
         if amps.size == 4:
             self.swap[sid] = self.intern(amps.reshape(2, 2).T.ravel())
 
-    def _split(self, state: DenseState, blocks: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-        """Ids of the one or two ``blocks`` whose product is ``state``,
-        padded with -1."""
-        amps = state.amps
-        vecs = [_block(amps, qubits) for qubits in blocks]
-        if abs(abs(np.vdot(_product(list(zip(vecs, blocks))), amps)) - 1.0) > _TOL:
-            raise RuntimeError("operation left the pair-block form")
-        ids = [self.intern(v) for v in vecs] + [-1]
-        return ids[0], ids[1]
-
     def z_entry(self, sid: int) -> tuple:
-        """(fixed outcome or -1, per outcome (own id, partner id or -1))."""
+        """(fixed outcome or -1, per outcome (own id, partner id or -1)).
+        Outcome j leaves the qubit in |j> and its partner in row j."""
         with self._lock:
-            state = _state([(self.vecs[sid], _OWN_QUBITS[self.vecs[sid].size])])
-            blocks = ((0,), (1,))[: state.n]
-            branches = [state.copy(), state.copy()]
-            results = [self._split(br, blocks) if br.project(0, outcome) > _TOL else None
-                       for outcome, br in enumerate(branches)]
-            entry = self.z[sid] = (_det(state.prob_one(0)), results)
+            rows = _rows(self.vecs[sid])
+            probs = (abs(rows) ** 2).sum(axis=1).tolist()
+            results = [None, None]
+            for j, (row, prob) in enumerate(zip(rows, probs)):
+                if prob > _TOL:
+                    results[j] = (self.intern(_BASES[1][0][j]),
+                                  self.intern(row / np.sqrt(prob)) if row.size > 1 else -1)
+            entry = self.z[sid] = (_det(probs[1]), results)
         return entry
 
     def bell_entry(self, sa: int, sb: int) -> tuple:
@@ -147,21 +124,25 @@ class _Tables:
         partner (``sb`` = -1) or with a qubit in block state ``sb``:
         (fixed sign bit or -1, per sign bit the fixed parity bit or -1,
         per code (p << 1) | s the ids of the measured pair and of the
-        leftover partners' block, or -1)."""
+        leftover partners' block, or -1). Outcome k = 2s + p leaves the
+        pair in Bell state k and the partners in overlap row k."""
         with self._lock:
-            parts, rest = [(self.vecs[sa], (0, 1))], ()
-            if sb >= 0:
-                # Dense layout: a=0, b=1, then a's partner, then b's partner.
-                parts = []
-                for q, vec in ((0, self.vecs[sa]), (1, self.vecs[sb])):
-                    if vec.size == 4:
-                        rest += (2 + len(rest),)
-                    parts.append((vec, (q, rest[-1]) if vec.size == 4 else (q,)))
-            blocks = ((0, 1), rest) if rest else ((0, 1),)
+            rows = _rows(self.vecs[sa])
+            if sb < 0:
+                amps = rows.reshape(4, 1)  # rows (a, b), a major
+            else:
+                # Rows (a, b), a major, over the partners' bits, a's
+                # partner lowest: the leftover block as seen from it.
+                amps = np.einsum("ip,jq->ijqp", rows, _rows(self.vecs[sb])).reshape(4, -1)
+            basis, codes = _BASES[2]
             joint, results = [0.0] * 4, [None] * 4
-            for code, prob, branch in _state(parts).bell_branches(0, 1):
-                joint[code] = prob
-                results[code] = self._split(branch, blocks)
+            for k, row in enumerate(basis @ amps):
+                prob = float(np.vdot(row, row).real)
+                if prob > _TOL:
+                    joint[codes[k]] = prob
+                    # Bell state k, a major, transposed to a's view.
+                    results[codes[k]] = (self.intern(basis[k].reshape(2, 2).T.ravel()),
+                                         self.intern(row / np.sqrt(prob)) if row.size > 1 else -1)
             sign = [joint[s] + joint[2 | s] for s in (0, 1)]
             parity = [_det(joint[2 | s] / sign[s]) if sign[s] else -1 for s in (0, 1)]
             entry = self.bell[sa, sb] = (_det(sign[1]), parity, results)
@@ -170,6 +151,15 @@ class _Tables:
 
 _TABLES = _Tables()
 _SWAP, _Z, _BELL = _TABLES.swap, _TABLES.z, _TABLES.bell
+
+
+def _gate(table: list[int]):
+    """The method that applies the gate of ``table`` to a qubit."""
+    def apply(self, q: int) -> None:
+        new = self._sid[q] = table[self._sid[q]]
+        if self._partner[q] >= 0:
+            self._sid[self._partner[q]] = _SWAP[new]
+    return apply
 
 
 class PairBlockState:
@@ -193,15 +183,10 @@ class PairBlockState:
             bits += (raw.view(np.uint8) >> 7).tolist()
         return bits.pop()
 
-    def _gate(self, table: list[int], q: int) -> None:
-        new = self._sid[q] = table[self._sid[q]]
-        if self._partner[q] >= 0:
-            self._sid[self._partner[q]] = _SWAP[new]
-
-    apply_x = partialmethod(_gate, _TABLES.gate["x"])
-    apply_y = partialmethod(_gate, _TABLES.gate["y"])
-    apply_z = partialmethod(_gate, _TABLES.gate["z"])
-    apply_h = partialmethod(_gate, _TABLES.gate["h"])
+    apply_x = _gate(_TABLES.gate["x"])
+    apply_y = _gate(_TABLES.gate["y"])
+    apply_z = _gate(_TABLES.gate["z"])
+    apply_h = _gate(_TABLES.gate["h"])
 
     def prepare_bell(self, a: int, b: int) -> None:
         """phi+ on (a, b), both fresh (ValueError otherwise)."""

@@ -24,7 +24,7 @@ from mrsqkd.engine import (
     new_register,
     philox,
 )
-from mrsqkd.pairblock import _TABLES, PairBlockState, _state
+from mrsqkd.pairblock import _TABLES, PairBlockState, _Tables
 
 BOTH = [Backend.DENSE, Backend.TABLEAU]
 
@@ -753,6 +753,18 @@ def _block_setups():
     return setups
 
 
+def _state(blocks):
+    """Product state of ``blocks``, each (amplitudes, qubits it covers)."""
+    n = sum(len(qubits) for _, qubits in blocks)
+    idx = np.arange(1 << n)
+    amps = np.ones(idx.size, dtype=np.complex128)
+    for vec, qubits in blocks:
+        amps *= vec[sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))]
+    state = DenseState(n, None)
+    state.amps = amps
+    return state
+
+
 def _pairblock_amplitudes(state, lower):
     """Statevector of a pair-block state, rebuilt from its blocks, each
     pair as seen from its lower or its higher qubit."""
@@ -801,6 +813,87 @@ def test_pairblock_bell_measurement_of_every_block_combination():
             _assert_same_state(fast, exact)
             assert exact.project(2, fast.measure_z(2)) > 1e-9
             _assert_same_state(fast, exact)
+
+
+def _fill_every_entry(tables):
+    """Every Z entry and every Bell entry (sa, sb) of ``tables``, with
+    sb = -1 for a pair block, until no new block state appears."""
+    sid = 0
+    while sid < len(tables.vecs):
+        tables.z_entry(sid)
+        if tables.vecs[sid].size == 4:
+            tables.bell_entry(sid, -1)
+        for other in range(sid + 1):
+            tables.bell_entry(sid, other)
+            tables.bell_entry(other, sid)
+        sid += 1
+
+
+def test_pairblock_tables_need_no_dense_measurement(monkeypatch):
+    """Every Z and Bell entry comes from the block amplitudes: filling the
+    whole table calls no DenseState measurement, nor ``copy``."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pair-block tables called a DenseState measurement")
+
+    for name in ("bell_branches", "project", "prob_one", "copy", "measure_z", "measure_bell"):
+        monkeypatch.setattr(DenseState, name, forbidden)
+    tables = _Tables()
+    _fill_every_entry(tables)
+    assert len(tables.vecs) == 13  # fresh |0>, 4 single states, 8 pair states
+    assert len(tables.bell) == 177  # 13 x 13 pairs of blocks, 8 pairs measured together
+    assert None not in tables.z
+
+
+def _flag_matches(flag, p_one):
+    """A table's fixed outcome (or -1 for a fair coin) agrees with the
+    probability of outcome 1."""
+    return p_one == pytest.approx(0.5 if flag < 0 else flag, abs=1e-9)
+
+
+def _blocks_hold(blocks, exact):
+    """The product of ``blocks``, each (amplitudes, qubits it covers), is
+    the dense state up to global phase."""
+    return abs(np.vdot(_state(blocks).amps, exact.amps)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
+    """The converse of the sampled check: for every block state and every
+    pair of them, each entry's possible outcomes are exactly DENSE's
+    branches, each leaving the blocks DENSE's branch holds, and its
+    fixed-or-random flags match DENSE's probabilities."""
+    tables = _Tables()
+    _fill_every_entry(tables)
+    vecs = tables.vecs
+    for sid, (outcome, results) in enumerate(tables.z):
+        paired = vecs[sid].size == 4
+        exact = _state([(vecs[sid], (0, 1) if paired else (0,))])
+        assert _flag_matches(outcome, exact.prob_one(0))
+        for j, result in enumerate(results):
+            branch = exact.copy()
+            assert (branch.project(0, j) > 1e-9) == (result is not None)
+            if result is not None:
+                own, partner = result
+                assert _blocks_hold([(vecs[own], (0,))] + [(vecs[partner], (1,))] * paired, branch)
+    for (sa, sb), (sign, parity, results) in tables.bell.items():
+        parts, rest = [(vecs[sa], (0, 1))], ()
+        if sb >= 0:  # Dense layout: a=0, b=1, then a's partner, then b's partner.
+            parts = []
+            for q, vec in ((0, vecs[sa]), (1, vecs[sb])):
+                if vec.size == 4:
+                    rest += (2 + len(rest),)
+                parts.append((vec, (q, rest[-1]) if vec.size == 4 else (q,)))
+        branches = {c: (p, br) for c, p, br in _state(parts).bell_branches(0, 1)}
+        assert {c for c, r in enumerate(results) if r is not None} == branches.keys()
+        p_sign = [sum(p for c, (p, _) in branches.items() if c & 1 == s) for s in (0, 1)]
+        assert _flag_matches(sign, p_sign[1])
+        for s in (0, 1):
+            if p_sign[s] > 1e-9:
+                assert _flag_matches(parity[s], branches.get(2 | s, (0.0,))[0] / p_sign[s])
+        for code, (_, branch) in branches.items():
+            ab, left = results[code]
+            assert (left >= 0) == bool(rest)
+            assert _blocks_hold([(vecs[ab], (0, 1))] + [(vecs[left], rest)] * bool(rest), branch)
 
 
 @settings(max_examples=100, deadline=None)
