@@ -7,14 +7,15 @@ and a Bell measurement of a and b pairs them and joins their former
 partners, if any, into one block (a lone partner stays single). So each
 qubit holds its partner (-1 if none) and the id of its block's state
 seen from itself (bit 0; the partner is bit 1), and every operation is a
-table lookup. Each entry is computed once, when first needed, from the
-block amplitudes as rows indexed by the qubit's own bit: a Z outcome j
-leaves the qubit in |j> and its partner in row j, and a Bell outcome k
-of a and b (entanglement swapping) leaves them in Bell state k of
-``dense._BASES`` and their former partners in the overlap of that state
-with the product of their blocks. A gate entry runs the DenseState gate
-on the block. So the block form holds by construction. States are
-identified up to global phase.
+table lookup, in tables built at import (``_Tables``). A gate entry runs
+the DenseState gate on the block. A Z or Bell outcome c leaves the
+measured qubits in basis state c (|j>, or Bell state c of
+``dense._BASES``) and the rest in row c of the basis times the block
+amplitudes, as rows indexed by the measured bits: a Z outcome leaves the
+partner in its row of the block, and a Bell outcome (entanglement
+swapping) the former partners in the overlap of the Bell state with the
+product of their blocks. So the block form holds by construction. States
+are identified up to global phase.
 
 Random bits follow a fixed order, so a seed fixes every outcome: one bit
 per random outcome and none for a deterministic one, popped from the end
@@ -28,7 +29,7 @@ law with the dense oracle.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,70 +63,73 @@ def _phase_key(amps: np.ndarray) -> tuple:
     return tuple(np.round(amps * (abs(ref) / ref), 6).tolist())
 
 
+# Basis rows by outcome code: |j> for Z, Bell state (p << 1) | s, a major
+# (each is its own transpose up to sign, so also the pair seen from a).
+_BASIS = {size: basis[np.argsort(codes)] for size, (basis, codes) in _BASES.items()}
+
+
 class _Tables:
-    """Block states by id and their transition tables, filled on demand
-    under a lock: gate entries through DenseState's gate methods, Z and
-    Bell entries from the block amplitudes alone (no DenseState
-    measurement). Ids follow discovery order, which may differ between
-    processes; outcomes do not, as each entry depends only on the states."""
+    """Block states by id and their transition tables. The constructor
+    takes the closure of FRESH and phi+ in one worklist, each state's
+    gate entries (DenseState's gate methods), swap and Z entry, until no
+    new state appears: 13 states, so ids are fixed at import. Bell
+    entries (177 possible, within those states) fill on first use under
+    a lock, as filling them all would add about 20 ms to every command's
+    start and a trial reads a few. Z and Bell entries come from the block
+    amplitudes alone (``_outcomes``), with no DenseState measurement."""
 
     def __init__(self) -> None:
+        # FRESH stays out of ``_ids``: a measured |0> gets an id of its own.
         self.vecs: list[np.ndarray] = [np.array([1.0, 0.0], dtype=np.complex128)]
         self._ids: dict[tuple, int] = {}
         # gate -> [id -> id after the gate acts on bit 0]
-        self.gate: dict[str, list[int]] = {g: [-1] for g in "xyzh"}
-        self.swap: list[int] = [FRESH]  # id -> the same block seen from bit 1
-        self.z: list[Optional[tuple]] = [None]  # id -> Z entry, None until needed
+        self.gate: dict[str, list[int]] = {g: [] for g in "xyzh"}
+        self.swap: list[int] = []  # id -> the same block seen from bit 1
+        self.z: list[tuple] = []  # id -> Z entry
         self.bell: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
-        self._fill(FRESH)
-        pair = DenseState(2, None)
-        pair.prepare_bell(0, 1)
-        self.phi_plus = self.intern(pair.amps)
+        self.phi_plus = self.intern(_BASIS[2][0])
+        for sid, amps in enumerate(self.vecs):  # grows as new states are interned
+            for g, table in self.gate.items():
+                state = DenseState(amps.size // 2, None)
+                state.amps = amps
+                getattr(state, f"apply_{g}")(0)
+                table.append(self.intern(state.amps))
+            self.swap.append(self.intern(amps.reshape(2, 2).T.ravel()) if amps.size == 4 else sid)
+            # Z entry: (fixed outcome or -1, per outcome (own id, partner id or -1)).
+            probs, results = self._outcomes(1, _rows(amps))
+            self.z.append((_det(probs[1]), results))
 
     def intern(self, amps: np.ndarray) -> int:
         key = _phase_key(amps)
         if key not in self._ids:
-            sid = self._ids[key] = len(self.vecs)
+            self._ids[key] = len(self.vecs)
             self.vecs.append(amps)
-            for table in self.gate.values():
-                table.append(-1)
-            self.swap.append(sid)
-            self.z.append(None)
-            self._fill(sid)
         return self._ids[key]
 
-    def _fill(self, sid: int) -> None:
-        amps = self.vecs[sid]
-        for g, table in self.gate.items():
-            state = DenseState(amps.size // 2, None)
-            state.amps = amps
-            getattr(state, f"apply_{g}")(0)
-            table[sid] = self.intern(state.amps)
-        if amps.size == 4:
-            self.swap[sid] = self.intern(amps.reshape(2, 2).T.ravel())
-
-    def z_entry(self, sid: int) -> tuple:
-        """(fixed outcome or -1, per outcome (own id, partner id or -1)).
-        Outcome j leaves the qubit in |j> and its partner in row j."""
-        with self._lock:
-            rows = _rows(self.vecs[sid])
-            probs = (abs(rows) ** 2).sum(axis=1).tolist()
-            results = [None, None]
-            for j, (row, prob) in enumerate(zip(rows, probs)):
-                if prob > _TOL:
-                    results[j] = (self.intern(_BASES[1][0][j]),
-                                  self.intern(row / np.sqrt(prob)) if row.size > 1 else -1)
-            entry = self.z[sid] = (_det(probs[1]), results)
-        return entry
+    def _outcomes(self, size: int, amps: np.ndarray) -> tuple[list[float], list]:
+        """Per outcome code of measuring ``size`` qubits of ``amps`` (rows
+        indexed by their bits, over the rest's bits): its probability and,
+        if it can occur, (the measured block's id, the rest's or -1)."""
+        probs, results = [], []
+        # Row k is sum_i basis[k, i] * amps[i], elementwise: a first BLAS
+        # call (``@``, ``vdot``) would cost every process about 0.5 MB.
+        for basis, row in zip(_BASIS[size], (_BASIS[size][:, :, None] * amps).sum(axis=1)):
+            prob = float((abs(row) ** 2).sum())
+            probs.append(prob)
+            if prob > _TOL:
+                rest = self.intern(row / np.sqrt(prob)) if row.size > 1 else -1
+                results.append((self.intern(basis), rest))
+            else:
+                results.append(None)
+        return probs, results
 
     def bell_entry(self, sa: int, sb: int) -> tuple:
         """Bell measurement of a qubit in block state ``sa`` with its
         partner (``sb`` = -1) or with a qubit in block state ``sb``:
         (fixed sign bit or -1, per sign bit the fixed parity bit or -1,
         per code (p << 1) | s the ids of the measured pair and of the
-        leftover partners' block, or -1). Outcome k = 2s + p leaves the
-        pair in Bell state k and the partners in overlap row k."""
+        leftover partners' block, or -1)."""
         with self._lock:
             rows = _rows(self.vecs[sa])
             if sb < 0:
@@ -134,15 +138,7 @@ class _Tables:
                 # Rows (a, b), a major, over the partners' bits, a's
                 # partner lowest: the leftover block as seen from it.
                 amps = np.einsum("ip,jq->ijqp", rows, _rows(self.vecs[sb])).reshape(4, -1)
-            basis, codes = _BASES[2]
-            joint, results = [0.0] * 4, [None] * 4
-            for k, row in enumerate(basis @ amps):
-                prob = float(np.vdot(row, row).real)
-                if prob > _TOL:
-                    joint[codes[k]] = prob
-                    # Bell state k, a major, transposed to a's view.
-                    results[codes[k]] = (self.intern(basis[k].reshape(2, 2).T.ravel()),
-                                         self.intern(row / np.sqrt(prob)) if row.size > 1 else -1)
+            joint, results = self._outcomes(2, amps)
             sign = [joint[s] + joint[2 | s] for s in (0, 1)]
             parity = [_det(joint[2 | s] / sign[s]) if sign[s] else -1 for s in (0, 1)]
             entry = self.bell[sa, sb] = (_det(sign[1]), parity, results)
@@ -198,7 +194,7 @@ class PairBlockState:
 
     def measure_z(self, q: int) -> int:
         sid, partner, bits = self._sid, self._partner, self._bits
-        outcome, results = _Z[sid[q]] or _TABLES.z_entry(sid[q])
+        outcome, results = _Z[sid[q]]
         if outcome < 0:
             outcome = bits.pop() if bits else self._rand_bit()
         sid[q], other = results[outcome]

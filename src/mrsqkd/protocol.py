@@ -193,7 +193,6 @@ class ProtocolConfig:
 
 @dataclass
 class PartyState:
-    role: Role
     measured_positions: tuple[int, ...]
     send_order: tuple[int, ...]
     z_results: dict[int, int] = field(default_factory=dict)
@@ -338,7 +337,7 @@ class RunResult:
 # Protocol steps
 
 
-def party_step2(rng: np.random.Generator, n: int, role: Role = Role.ALICE) -> PartyState:
+def party_step2(rng: np.random.Generator, n: int) -> PartyState:
     """Choose a uniform n/2 subset to measure and an independent uniform
     order for the retained qubits."""
     if n < 2 or n % 2:
@@ -347,7 +346,7 @@ def party_step2(rng: np.random.Generator, n: int, role: Role = Role.ALICE) -> Pa
     perm = rng.permutation(n)
     measured = tuple(np.sort(perm[:half]).tolist())
     send_order = tuple(np.sort(perm[half:])[rng.permutation(half)].tolist())
-    return PartyState(role=role, measured_positions=measured, send_order=send_order)
+    return PartyState(measured_positions=measured, send_order=send_order)
 
 
 def tp_step1(engine: Register, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -522,8 +521,8 @@ def run_protocol(config: ProtocolConfig, strategy, trial_id: int = 0) -> RunResu
     marks.append(perf_counter_ns())
 
     # Step 2: each user measures half and returns the rest reordered.
-    alice = party_step2(alice_rng, n, Role.ALICE)
-    bob = party_step2(bob_rng, n, Role.BOB)
+    alice = party_step2(alice_rng, n)
+    bob = party_step2(bob_rng, n)
     marks.append(perf_counter_ns())
     for party, wire in ((alice, wire_a), (bob, wire_b)):
         positions = party.measured_positions

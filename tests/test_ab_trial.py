@@ -23,9 +23,11 @@ def ab():
     return module
 
 
-def stage_args(stages=3, **kw):
-    args = dict(base="HEAD", attack="parity-measure", n=16, stages=stages, backend="tableau",
-                batches=0, batch=2, exact=0, verify=0, json=None)
+def stage_args(stages=3, attack="parity-measure", n=16, backend="tableau", campaign=(), **kw):
+    """The tool's own flags, and ``mrsqkd campaign`` flags for what it times."""
+    flags = ["--attack", attack, "--n", str(n), "--backend", backend, *campaign]
+    args = dict(base="HEAD", campaign=flags, stages=stages, batches=0, batch=2, exact=0,
+                verify=0, json=None)
     return argparse.Namespace(**{**args, **kw})
 
 
@@ -64,11 +66,22 @@ def test_stages_time_dense_runs(ab, capsys, monkeypatch):
     assert len(preps) == 4 * runs
 
 
+def test_batches_time_the_modify_campaign(ab, capsys):
+    work = ab.modules("mrsqkd")
+    args = stage_args(stages=0, batches=2, attack="modify", campaign=["--gate", "x", "--m", "2"])
+    assert ab.compare(work, work, args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("modify:gate=x,m=2 n=16: base ")
+    assert captured.out.endswith(" batches\n")
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
     (dict(stages=0, n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
     (dict(n=7), "n must be even and >= 2, got 7"),
-], ids=["stages dense n=14", "batches dense n=14", "n=7"])
+    (dict(campaign=["--bogus"]), "unrecognized arguments: --bogus"),
+], ids=["stages dense n=14", "batches dense n=14", "n=7", "unknown flag"])
 def test_a_run_that_cannot_be_made_is_one_error_line(ab, capsys, kw, message):
     work = ab.modules("mrsqkd")
     assert ab.compare(work, work, stage_args(**kw)) == 2

@@ -251,14 +251,12 @@ def test_chain_oracle_soundness_exhaustive_small(pairs):
         _check_chain_config(is_codes)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("k", [4, 5])
 def test_cycle_oracle_soundness_exhaustive_large(k):
     for is_codes in itertools.product(range(4), repeat=k):
         _check_cycle_config(is_codes)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("pairs", [4, 5])
 def test_chain_oracle_soundness_exhaustive_large(pairs):
     for is_codes in itertools.product(range(4), repeat=pairs):

@@ -816,17 +816,29 @@ def test_pairblock_bell_measurement_of_every_block_combination():
 
 
 def _fill_every_entry(tables):
-    """Every Z entry and every Bell entry (sa, sb) of ``tables``, with
-    sb = -1 for a pair block, until no new block state appears."""
-    sid = 0
-    while sid < len(tables.vecs):
-        tables.z_entry(sid)
-        if tables.vecs[sid].size == 4:
+    """Every Bell entry (sa, sb) of ``tables``, with sb = -1 for a pair
+    block; the constructor made every other entry."""
+    for sid, vec in enumerate(tables.vecs):
+        if vec.size == 4:
             tables.bell_entry(sid, -1)
-        for other in range(sid + 1):
+        for other in range(len(tables.vecs)):
             tables.bell_entry(sid, other)
-            tables.bell_entry(other, sid)
-        sid += 1
+
+
+def test_pairblock_table_is_complete_but_for_bell_entries():
+    """A fresh table holds the 13 block states, the gate, swap and Z
+    entries of each, and no Bell entry; filling every Bell entry adds no
+    state, so every id a Bell entry holds has entries of its own."""
+    tables = _Tables()
+    assert len(tables.vecs) == 13  # fresh |0>, 4 single states, 8 pair states
+    assert len(tables.z) == len(tables.swap) == 13
+    assert all(len(table) == 13 for table in tables.gate.values())
+    assert None not in tables.z
+    assert all(outcome in (-1, 0, 1) and len(results) == 2 for outcome, results in tables.z)
+    assert tables.bell == {}
+    _fill_every_entry(tables)
+    assert len(tables.bell) == 177
+    assert len(tables.vecs) == 13
 
 
 def test_pairblock_tables_need_no_dense_measurement(monkeypatch):

@@ -185,8 +185,8 @@ def test_classify_rejects_inconsistent_inputs():
 # Step 4 evaluation
 
 
-def _party(role, measured, order, z):
-    return PartyState(role, tuple(measured), tuple(order), dict(z))
+def _party(measured, order, z):
+    return PartyState(tuple(measured), tuple(order), dict(z))
 
 
 def test_invariant_violations_raise_value_error():
@@ -202,16 +202,16 @@ def test_invariant_violations_raise_value_error():
     with pytest.raises(ValueError, match="amplification parameters"):
         Outcome(RunStatus.COMPLETED, raw_key_alice=(0, 1), raw_key_bob=(0, 1))
     no_ends = Classification((), (Component(ComponentKind.CHAIN, (0,)),))
-    alice = _party(Role.ALICE, (0,), (1,), {0: 0})
-    bob = _party(Role.BOB, (1,), (0,), {1: 0})
+    alice = _party((0,), (1,), {0: 0})
+    bob = _party((1,), (0,), {1: 0})
     with pytest.raises(ValueError):
         evaluate_step4(no_ends, (PHI_P,), alice, bob)
 
 
 def test_evaluate_cycle_check_passes_on_phi_plus():
     cls = classify_components({0}, {0}, (1,), (1,), 2)
-    alice = _party(Role.ALICE, (0,), (1,), {0: 1})
-    bob = _party(Role.BOB, (0,), (1,), {0: 1})
+    alice = _party((0,), (1,), {0: 1})
+    bob = _party((0,), (1,), {0: 1})
     result = evaluate_step4(cls, (PHI_P,), alice, bob)
     assert result.abort is None
     assert result.verdicts == (True,)
@@ -220,8 +220,8 @@ def test_evaluate_cycle_check_passes_on_phi_plus():
 
 def test_evaluate_cycle_check_aborts_on_psi_plus():
     cls = classify_components({0}, {0}, (1,), (1,), 2)
-    alice = _party(Role.ALICE, (0,), (1,), {0: 0})
-    bob = _party(Role.BOB, (0,), (1,), {0: 0})
+    alice = _party((0,), (1,), {0: 0})
+    bob = _party((0,), (1,), {0: 0})
     result = evaluate_step4(cls, (PSI_P,), alice, bob)
     assert result.abort == ("CASE2", 0)
 
@@ -232,8 +232,8 @@ def test_evaluate_group4_chain_disclosure_and_pass():
     assert cls.case1_positions == (3,)
     (chain,) = cls.components
     assert chain.kind is ComponentKind.CHAIN and chain.length == 2
-    alice = _party(Role.ALICE, (0, 3), (1, 2), {0: 0, 3: 1})
-    bob = _party(Role.BOB, (1, 3), (2, 0), {1: 1, 3: 1})
+    alice = _party((0, 3), (1, 2), {0: 0, 3: 1})
+    bob = _party((1, 3), (2, 0), {1: 1, 3: 1})
     result = evaluate_step4(cls, (PHI_P, PSI_P), alice, bob)
     assert result.abort is None
     assert [d.bit for d in result.disclosures] == [0, 1]
@@ -247,8 +247,8 @@ def test_evaluate_group4_chain_disclosure_and_pass():
 
 def test_evaluate_case3_inference():
     cls = classify_components({0, 1}, {0, 2}, (2, 3), (1, 3), 4)
-    alice = _party(Role.ALICE, (0, 1), (2, 3), {0: 1, 1: 1})
-    bob = _party(Role.BOB, (0, 2), (1, 3), {0: 1, 2: 0})
+    alice = _party((0, 1), (2, 3), {0: 1, 1: 1})
+    bob = _party((0, 2), (1, 3), {0: 1, 2: 0})
     # Chain slot 0 joins collapsed halves with values z_b(2)=0 and z_a(1)=1:
     # a psi-type result; Bob infers Alice's bit from his own plus the parity.
     result = evaluate_step4(cls, (PSI_P, PHI_P), alice, bob)
@@ -266,8 +266,8 @@ def test_raw_key_is_case1_by_position_then_case3_by_slot(n, seed):
     slot whose two returned qubits were both collapsed by the other user."""
     g = rng(seed)
     half = n // 2
-    alice = party_step2(g, n, Role.ALICE)
-    bob = party_step2(g, n, Role.BOB)
+    alice = party_step2(g, n)
+    bob = party_step2(g, n)
     for party in (alice, bob):
         bits = g.integers(0, 2, size=half).tolist()
         party.z_results.update(zip(party.measured_positions, bits))
@@ -304,8 +304,8 @@ def test_component_verdicts_match_a_plain_int_reference(n, seed):
     RunStats group counters agree with the run's per-component verdicts."""
     g = rng(seed)
     half = n // 2
-    alice = party_step2(g, n, Role.ALICE)
-    bob = party_step2(g, n, Role.BOB)
+    alice = party_step2(g, n)
+    bob = party_step2(g, n)
     for party in (alice, bob):
         bits = g.integers(0, 2, size=half).tolist()
         party.z_results.update(zip(party.measured_positions, bits))

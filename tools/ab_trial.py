@@ -4,8 +4,17 @@ working tree.
 Run from the root of a checkout:
 
     python tools/ab_trial.py --base HEAD --attack honest --n 256 --batches 40 --batch 100
+    python tools/ab_trial.py --base HEAD --attack modify --gate x --m 4 --n 256 --batches 20
     python tools/ab_trial.py --base HEAD --attack honest --n 256 --stages 500
     python tools/ab_trial.py --base HEAD --attack honest --n 10 --backend dense --stages 50
+
+Every flag the tool does not define is a flag of ``mrsqkd campaign``
+(``--attack``, ``--gate``, ``--m``, ``--n``, ``--seed``, ``--backend``,
+``--pa-ratio``), read by each side's own ``cli.build_parser()``: the
+trials timed are those of ``campaign`` with these flags, its defaults
+included (n=64, seed 1). ``--trials``, ``--out``, ``--workers`` and
+``--config`` are read but not used. A bad flag, or a run that the backend
+cannot hold, ends the tool with the CLI's one ``error:`` line and exit 2.
 
 ``git archive`` extracts the base revision's ``src/mrsqkd`` into a
 temporary directory, where it is imported as ``mrsqkd_base`` beside the
@@ -16,17 +25,14 @@ output gives the median ms per trial of each side, the median of the
 per-batch speedups with its quartiles, and how many batches the working
 tree won.
 
-Before any timing, in either mode, each side renders the CSV of trials
-0..299 of ``--attack`` at ``--n`` with its own ``harness.render_csv``;
-if the two differ, the tool prints one line and exits 1, so a speedup
-it reports comes with byte-identical rows.
+Before any timing, in either mode, each side renders the CSV of the
+campaign's trials 0..299 with its own ``harness.render_csv``; if the two
+differ, the tool prints one line and exits 1, so a speedup it reports
+comes with byte-identical rows.
 
-``--backend`` picks the engine of every run on both sides: ``tableau``
-(the default) or ``dense``. A run that the backend cannot hold, or any
-other bad ``--n``, ends the tool with one ``error:`` line and exit 2.
-
-``--stages K`` instead times K ``run_protocol`` calls of ``--attack`` at
-``--n``, alternating the two copies call by call, and prints the median
+``--stages K`` instead times K ``run_protocol`` calls of the campaign's
+strategy at its n and backend, with seeds 1000 to 1000 + K - 1,
+alternating the two copies call by call, and prints the median
 µs of each stage. The stages come from the run's own marks: each side's
 ``RunResult.stage_ns`` bounds the stages named by its ``protocol.STAGES``.
 A revision without ``stage_ns`` cannot be timed this way, and the tool
@@ -48,7 +54,8 @@ report lines; if not, the tool prints one line and exits 1. It runs after
 every other timing asked for.
 
 ``--json PATH`` also writes what was timed to PATH: the command, the
-machine, the base commit, then under ``batches`` each side's ms per trial
+machine, the base commit, the campaign's strategy (as ``describe()``
+gives it), n and backend, then under ``batches`` each side's ms per trial
 in every batch and their medians, the median speedup with its quartiles
 and the batches won, under ``stages`` the median µs of each stage and
 their totals, and under ``exact`` and ``verify`` each side's ms per
@@ -82,8 +89,6 @@ IDENTITY_TRIALS = 300
 EXACT_PAIRS = 4  # --exact: every Bell-code configuration of 4-pair cycles and chains
 EXACT_TOLERANCE = 1e-12
 VERIFY_SAMPLES = 1000  # --verify: verify_backends as the oracle benchmark runs it
-STRATEGIES = {"honest": "honest", "naive-measure": "naive_measure",
-              "parity-measure": "parity_aware_measure"}
 
 
 def load_base(rev: str, into: str):
@@ -99,19 +104,28 @@ def load_base(rev: str, into: str):
 
 def modules(pkg: str) -> dict:
     return {m: importlib.import_module(f"{pkg}.{m}")
-            for m in ("adversary", "engine", "harness", "protocol", "verify")}
+            for m in ("cli", "engine", "harness", "protocol", "verify")}
 
 
-def strategy(mods: dict, attack: str):
-    return getattr(mods["adversary"], STRATEGIES[attack])()
+def campaign(mods: dict, flags: list[str]):
+    """The side's ``CampaignConfig`` of ``mrsqkd campaign`` with ``flags``,
+    one trial long, as its own CLI reads them."""
+    cli = mods["cli"]
+    run = cli.build_parser().parse_args(["campaign", *flags])
+    return mods["harness"].CampaignConfig(
+        n=run.n, trials=1, strategy=cli._strategy(run), master_seed=run.seed,
+        backend=mods["engine"].Backend(run.backend), pa_ratio=run.pa_ratio)
 
 
 def trial_runner(mods: dict, args):
-    h = mods["harness"]
-    config = h.CampaignConfig(n=args.n, trials=1, master_seed=12345,
-                              strategy=strategy(mods, args.attack),
-                              backend=mods["engine"].Backend(args.backend))
-    return lambda i: h.run_trial(config, i)
+    config, run_trial = campaign(mods, args.campaign), mods["harness"].run_trial
+    return lambda i: run_trial(config, i)
+
+
+def title(mods: dict, args) -> str:
+    """The campaign's strategy and n, as the side reads them."""
+    config = campaign(mods, args.campaign)
+    return f"{config.strategy.describe()} n={config.n}"
 
 
 def same_rows(base: dict, work: dict, args) -> bool:
@@ -158,7 +172,7 @@ def ab_batches(base: dict, work: dict, args) -> dict:
           for side, times in alternate(args.batches, batch).items()}
     timed = {"batches": args.batches, "batch": args.batch, **speedups(ms["base"], ms["work"]),
              "base_ms_per_batch": ms["base"], "work_ms_per_batch": ms["work"]}
-    print(f"{args.attack} n={args.n}: base {timed['base_ms']:.3f} ms/trial, "
+    print(f"{title(work, args)}: base {timed['base_ms']:.3f} ms/trial, "
           f"work {timed['work_ms']:.3f} ms/trial, speedup "
           f"{timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
           f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{args.batches} batches")
@@ -224,26 +238,29 @@ def ab_verify(base: dict, work: dict, args) -> dict:
                         samples=VERIFY_SAMPLES)
 
 
-def stage_us(mods: dict, args, seed: int) -> dict[str, float]:
-    """µs per stage of one ``run_protocol`` call, from its own marks."""
+def stage_us(mods: dict, config, seed: int) -> dict[str, float]:
+    """µs per stage of one ``run_protocol`` call of the campaign
+    ``config`` at ``seed``, from its own marks."""
     pr = mods["protocol"]
-    config = pr.ProtocolConfig(n=args.n, seed=seed, backend=mods["engine"].Backend(args.backend))
-    marks = pr.run_protocol(config, strategy(mods, args.attack)).stage_ns
+    run = pr.ProtocolConfig(n=config.n, seed=seed, backend=config.backend,
+                            pa_ratio=config.pa_ratio)
+    marks = pr.run_protocol(run, config.strategy).stage_ns
     return {stage: (end - start) / 1e3 for stage, start, end in zip(pr.STAGES, marks, marks[1:])}
 
 
 def ab_stages(base: dict, work: dict, args) -> dict:
     """Median µs per stage, the two sides alternating call by call."""
     runs = {"base": base, "work": work}
+    configs = {side: campaign(mods, args.campaign) for side, mods in runs.items()}
     spans = {side: [] for side in runs}
     for k, seed in enumerate(range(1000 - 50, 1000 + args.stages)):
         for side in ("base", "work") if k % 2 == 0 else ("work", "base"):
-            stages = stage_us(runs[side], args, seed)
+            stages = stage_us(runs[side], configs[side], seed)
             if seed >= 1000:  # the first 50 calls warm both copies
                 spans[side].append(stages)
     medians = [{stage: statistics.median(s[stage] for s in rows) for stage in rows[0]}
                for rows in spans.values()]
-    print(f"{args.attack} n={args.n}")
+    print(title(work, args))
     print(f"{'stage':10s} {'base_us':>9s} {'work_us':>9s}")
     for stage in dict.fromkeys([*medians[0], *medians[1]]):  # a stage one side lacks reads -
         cells = [f"{m[stage]:9.1f}" if stage in m else f"{'-':>9s}" for m in medians]
@@ -262,16 +279,15 @@ def compare(base: dict, work: dict, args) -> int:
                 print(f"error: {name} has no RunResult.stage_ns to time --stages from",
                       file=sys.stderr)
                 return 2
-    for mods in (base, work):
+    for mods in (base, work):  # leaves the working tree's config
         try:
-            trial_runner(mods, args)
+            config = campaign(mods, args.campaign)
         except (ValueError, mods["engine"].CapacityError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if not same_rows(base, work, args):
         print(f"error: base {args.base} and the working tree write different CSV rows "
-              f"for trials 0..{IDENTITY_TRIALS - 1} of {args.attack} n={args.n}",
-              file=sys.stderr)
+              f"for trials 0..{IDENTITY_TRIALS - 1} of {title(work, args)}", file=sys.stderr)
         return 1
     if args.exact and not same_laws(base, work):
         print(f"error: base {args.base} and the working tree give different exact laws "
@@ -291,18 +307,19 @@ def compare(base: dict, work: dict, args) -> int:
     if args.verify:
         timed["verify"] = ab_verify(base, work, args)
     if args.json:
-        write_json(args, timed)
+        write_json(args, config, timed)
     return 0
 
 
-def write_json(args, timed: dict) -> None:
-    """What was timed, with the command and the machine that timed it."""
+def write_json(args, config, timed: dict) -> None:
+    """What was timed, with the command, the working tree's campaign
+    ``config`` and the machine that timed it."""
     commit = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
                             text=True).stdout.strip()
     record = {
         "command": " ".join(["python", "tools/ab_trial.py", *sys.argv[1:]]),
         "base": args.base, "base_commit": commit,
-        "attack": args.attack, "n": args.n, "backend": args.backend,
+        "attack": config.strategy.describe(), "n": config.n, "backend": config.backend.value,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "platform": platform.platform()},
         **timed,
@@ -313,11 +330,10 @@ def write_json(args, timed: dict) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False,
+        epilog="Any other flag is a flag of `mrsqkd campaign` and picks the trials timed.")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--attack", default="honest", choices=tuple(STRATEGIES))
-    parser.add_argument("--n", type=int, default=256)
-    parser.add_argument("--backend", default="tableau", choices=("tableau", "dense"))
     parser.add_argument("--batches", type=int, help="alternating batches (default 40, or 0 "
                         "with --stages, --exact or --verify)")
     parser.add_argument("--batch", type=int, default=100, help="trials per batch")
@@ -327,7 +343,8 @@ def main() -> int:
     parser.add_argument("--verify", type=int, default=0,
                         help=f"time K rounds of verify_backends at {VERIFY_SAMPLES} samples")
     parser.add_argument("--json", help="also write what was timed to this file")
-    args = parser.parse_args()
+    args, flags = parser.parse_known_args()
+    args.campaign = flags
     if args.batches is None:
         args.batches = 0 if args.stages or args.exact or args.verify else 40
     if 1 in (args.batches, args.exact, args.verify):  # a median's quartiles need two of them
