@@ -193,13 +193,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError(f"--max must be >= 0, got {args.max}")
     if args.empirical_trials < 0:
         raise ValueError(f"--empirical-trials must be >= 0, got {args.empirical_trials}")
+    ProtocolConfig(n=args.n, seed=args.seed)  # --n is checked even when no campaign runs
     header = "x,detect_measure_analytic,detect_modify_analytic"
     campaigns: dict[int, CampaignConfig] = {}  # x -> its empirical campaign
     if args.empirical_trials > 0:
         header += ",detect_modify_empirical"
-        # --n and every point are checked before the first campaign runs;
-        # no qubit is attacked at x = 0, so it needs none.
-        ProtocolConfig(n=args.n, seed=args.seed)
+        # Every point is checked before the first campaign runs; no qubit
+        # is attacked at x = 0, so it needs none.
         campaigns = {
             x: CampaignConfig(
                 n=args.n,

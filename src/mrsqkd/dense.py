@@ -1,26 +1,36 @@
 """Dense statevector backend: the exact, small-register ground truth.
 
-The state is a product of factors, each the amplitudes over the qubits
-that two-qubit operations have joined (qubit ``qubits[i]`` at bit i of
-its index), times one global phase. A qubit in no factor is one bit of
-an int, its Z state: 0 when fresh, the outcome once Z-measured. ``amps``
-reads the full 2^n vector, qubit q at bit q of the index.
+The state is a product of factors, each the amplitudes over a few qubits
+(qubit ``qubits[i]`` at bit i of its index), times one global phase. A
+qubit in no factor is one bit of an int, its Z state: 0 when fresh, the
+outcome once Z-measured. ``amps`` reads the full 2^n vector, qubit q at
+bit q of the index.
 
-- ``prepare_bell`` makes a new factor, phi+ over its two qubits.
-- ``measure_bell`` and ``bell_branches`` merge the factors of their two
-  qubits by outer product; a gate or either of them gives a qubit in no
-  factor a factor of its own, in its Z state.
-- ``measure_z`` keeps the outcome's half of the qubit's factor and drops
-  the qubit; a factor left with no qubits folds into the global phase.
+- ``prepare_bell`` makes a new factor, phi+ (Bell row 0) over its two
+  qubits. A gate or measurement first gives a qubit in no factor a
+  factor of its own, in its Z state.
+- ``measure_z`` and ``measure_bell`` follow one rule, ``_measure``, which
+  the pair-block tables follow too. A Bell pair's two factors are merged
+  by outer product. The factor, its measured qubits first, is one row per
+  value of their bits over the rest; times the basis of ``_BASES`` (the
+  identity for Z, the Bell rows for Bell) row k is outcome k's overlap,
+  and its squared norm the outcome's probability. The outcome is drawn
+  bit by bit, highest first: one draw for Z, the sign bit and then the
+  parity bit for Bell. The measured qubits leave the factor in the
+  outcome's basis state, a Z qubit as a known bit and a Bell pair as a
+  factor of its own; the rest keeps row k, normalized, and a factor left
+  with no qubits folds into the phase.
 
-Factors are never split by reading amplitudes, so a protocol run costs
-its largest component, not 2^(2n). The state also enumerates outcomes
-exactly: every oracle check runs on that, and the pair-block tests
-compare every table entry with ``bell_branches``.
-
-A Bell outcome of the pair (a, b) is the Bell state
-(|0,p> + (-1)^s |1,1-p>)/sqrt(2), with code (p << 1) | s: ``measure_bell``
-samples it by projection, in place, and ``prepare_bell`` writes phi+.
+That split is the projection onto the outcome's basis state, written as
+a product: it follows from the outcome drawn, as the Z bit always has,
+never from reading amplitudes for a product form, so the oracle stays
+independent of the pair-block backend it checks. It also bounds every
+factor a run builds at 2 qubits: a preparation makes 2, a Bell
+measurement merges at most 2 + 2 and leaves 2 and at most 2, and a Z
+measurement only removes. (Assigning ``amps`` puts every qubit in one
+factor; the rule holds for any factor.) ``branches`` lists every outcome
+of a Z or Bell measurement with a copy collapsed by the same rule: the
+enumeration and pair-block tests compare against it.
 
 Enumeration (``outcome_law``) computes a plan's law directly. It
 joins the factors the plan reaches, by outer product, into one row of
@@ -63,6 +73,7 @@ a dict of cached keys (one per group, joined, for a plan of more groups).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -99,25 +110,16 @@ def _front_order(w: int, bits: Sequence[int]) -> tuple[int, ...]:
     return (0, *front, *(ax for ax in range(1, w + 1) if ax not in front))
 
 
-def _pair(f: "_Factor", a: int, b: int) -> np.ndarray:
-    """Factor ``f`` as a (2, 2, ..., 2) view, qubit a on axis 0 and b on axis 1."""
-    w = len(f.qubits)
-    order = _front_order(w, (f.qubits.index(a), f.qubits.index(b)))
-    return f.psi.reshape((1,) + (2,) * w).transpose(order)[0]
-
-
-def _collapse(pair: np.ndarray, rows: np.ndarray, joint: list[float], k: int) -> None:
-    """Write Bell outcome 2s + p = ``k`` into ``pair``, from ``_bell_overlaps``."""
-    rest = rows[k] * (_SQRT1_2 / np.sqrt(joint[k]))
-    pair[...] = (_BELL_SIGNS[k][:, None] * rest).reshape(pair.shape)
-
-
-def _norm2(half: np.ndarray) -> float:
-    """Squared norm of a half of the state. ``np.vdot(half, half)`` would
-    flatten each argument, copying the half twice; flattening it once as
-    vdot does (a view where one exists) keeps the sum's rounding."""
-    flat = half.reshape(-1)
-    return float(np.vdot(flat, flat).real)
+def _draw(rng: np.random.Generator, joint: list[float]) -> int:
+    """The index of an outcome of probabilities ``joint``, drawn bit by
+    bit, highest first: each draw sets the bit with the share of the
+    upper half in the indices left."""
+    k, half = 0, len(joint)
+    while half > 1:
+        half //= 2
+        upper = sum(joint[k + half:k + 2 * half])
+        k += half * (rng.random() < upper / (upper + sum(joint[k:k + half])))
+    return k
 
 
 @lru_cache(maxsize=_SCHEDULES)
@@ -230,8 +232,10 @@ class DenseState:
         self._touched = (1 << self.n) - 1
 
     def _factor(self, q: int) -> _Factor:
-        """The factor of qubit q. A qubit in none first gets a factor of
-        its own, its Z state."""
+        """The factor of qubit q, for a gate or measurement on q, which is
+        then no longer fresh. A qubit in none first gets a factor of its
+        own, its Z state."""
+        self._touched |= 1 << q
         f = self._of.get(q)
         if f is None:
             psi = _BASES[1][0][(self._known >> q) & 1].astype(np.complex128)
@@ -252,9 +256,6 @@ class DenseState:
     # -- gates ---------------------------------------------------------
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        # Every gate on q and every measurement of q in a factor passes
-        # here: q is no longer fresh.
-        self._touched |= 1 << q
         # View q's factor as (high, qubit q, low); low block size 2^bit.
         f = self._factor(q)
         v = f.psi.reshape(-1, 2, 1 << f.qubits.index(q))
@@ -295,9 +296,7 @@ class DenseState:
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
         self._touched |= (1 << a) | (1 << b)
-        psi = np.zeros(4, dtype=np.complex128)
-        psi[0] = psi[3] = _SQRT1_2
-        self._of[a] = self._of[b] = _Factor(psi, [a, b])
+        self._of[a] = self._of[b] = _Factor(_BASES[2][0][0].copy(), [a, b])
 
     def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
         """phi+ on each pair (wire_a[i], wire_b[i]). Every qubit must be
@@ -313,73 +312,66 @@ class DenseState:
 
     # -- measurement ---------------------------------------------------
 
-    def prob_one(self, q: int) -> float:
-        if q not in self._of:
-            return float((self._known >> q) & 1)
-        return _norm2(self._halves(q)[1])
-
-    def project(self, q: int, outcome: int, p: float | None = None) -> float:
-        """Project qubit q onto |outcome> and renormalize; returns the
-        branch probability ``p``, computed unless given (state left
-        untouched if it is ~ 0). Only the kept half is rescaled, and q
-        leaves its factor with the outcome as its Z state."""
-        self._touched |= 1 << q
-        f = self._of.get(q)
-        if f is None:
-            return float((self._known >> q) & 1 == outcome)
-        keep = self._halves(q)[outcome]
-        if p is None:
-            p = _norm2(keep)
-        if p > _MIN_PROB:
-            f.psi = (keep / np.sqrt(p)).reshape(-1)
-            f.qubits.remove(q)
-            del self._of[q]
-            self._known |= outcome << q
-            if not f.qubits:
-                self._phase *= complex(f.psi[0])
-        return p
+    def _measure(self, qubits: tuple[int, ...], k: int | None = None) -> tuple[int, float]:
+        """Measure ``qubits``, Z for one qubit and Bell for a pair: the
+        outcome's row k of ``_BASES`` (drawn unless given) and its
+        probability. The measured qubits leave their factor in basis
+        state k, a Z qubit as a known bit and a Bell pair as a factor of
+        its own, and the rest keeps row k's overlap, normalized. A given
+        k that cannot occur leaves the state's amplitudes as they are."""
+        basis = _BASES[len(qubits)][0]
+        if len(qubits) == 1:
+            f = self._factor(qubits[0])
+            # The basis is the identity: rows are a view, (outcome, high bits, low bits).
+            rows = f.psi.reshape(-1, 2, 1 << f.qubits.index(qubits[0])).swapaxes(0, 1)
+        else:
+            f = self._merged(*qubits)
+            w = len(f.qubits)
+            order = _front_order(w, [f.qubits.index(q) for q in qubits])
+            rows = basis @ f.psi.reshape((1,) + (2,) * w).transpose(order).reshape(4, -1)
+        # Squared norms of the rows. Their last axis is contiguous, so they
+        # view as floats; a run's rows hold at most 8 floats, which Python
+        # sums faster than a numpy reduction would.
+        parts = rows.view(np.float64)
+        joint = [sum(row) for row in (parts * parts).reshape(len(basis), -1).tolist()]
+        if k is None:
+            k = _draw(self.rng, joint)
+        elif joint[k] <= _MIN_PROB:
+            return k, joint[k]
+        rest = (rows[k] / math.sqrt(joint[k])).reshape(-1)
+        kept = [q for q in f.qubits if q not in qubits]
+        if kept:
+            f.psi, f.qubits = rest, kept
+        else:
+            self._phase *= complex(rest[0])
+        if len(qubits) == 1:
+            del self._of[qubits[0]]
+            self._known |= k << qubits[0]
+        else:
+            a, b = qubits
+            self._of[a] = self._of[b] = _Factor(basis[k].copy(), [b, a])
+        return k, joint[k]
 
     def measure_z(self, q: int) -> int:
-        """One norm for the draw, a second only for outcome 0. A qubit in
-        no factor still takes its draw, which cannot change it."""
-        p1 = self.prob_one(q)
-        outcome = 1 if self.rng.random() < p1 else 0
-        self.project(q, outcome, p1 if outcome else None)
-        return outcome
-
-    def _bell_overlaps(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """The pair view of the one factor of a and b, its overlaps with the
-        Bell states and their joint probabilities. Row 2s + p is the overlap
-        with Bell state (s, p): (pair[0, p] + (-1)^s pair[1, 1-p]) / sqrt(2)."""
-        pair = _pair(self._merged(a, b), a, b)
-        rows = _BELL_SIGNS @ pair.reshape(4, -1)
-        rows *= _SQRT1_2
-        return pair, rows, (rows.real**2 + rows.imag**2).sum(axis=1).tolist()
+        """One draw, also for a qubit in no factor: its Z state, which the
+        draw cannot change, has probability exactly 1."""
+        return self._measure((q,))[0]
 
     def measure_bell(self, a: int, b: int) -> int:
-        """Bell-measure (a, b) by projection and return the code (p << 1) | s.
-        One draw gives the sign bit s, a second the parity bit p given s;
-        the pair is left, in place, on the reported Bell state."""
-        self._touched |= (1 << a) | (1 << b)
-        pair, rows, joint = self._bell_overlaps(a, b)
-        sign = joint[2] + joint[3]
-        s = int(self.rng.random() < sign / (sign + (joint[0] + joint[1])))
-        p = int(self.rng.random() < joint[2 * s + 1] / (joint[2 * s] + joint[2 * s + 1]))
-        _collapse(pair, rows, joint, 2 * s + p)
-        return (p << 1) | s
+        """Bell-measure (a, b) and return the code (p << 1) | s: one draw
+        gives the sign bit s, a second the parity bit p given s."""
+        return int(_BASES[2][1][self._measure((a, b))[0]])
 
-    def bell_branches(self, a: int, b: int) -> Iterator[tuple[int, float, "DenseState"]]:
-        """(code (p << 1) | s, probability, collapsed copy) for every Bell
-        outcome of (a, b) that can occur, sign bit first; this state is
-        left as it is. The reference the pair-block tests compare the
-        backend's Bell entries against; those tests are its only callers."""
-        _, rows, joint = self._bell_overlaps(a, b)
-        for k, prob in enumerate(joint):
+    def branches(self, qubits: tuple[int, ...]) -> Iterator[tuple[int, float, "DenseState"]]:
+        """(outcome code, probability, collapsed copy) for every outcome of
+        measuring ``qubits`` (as ``_measure``) that can occur, in the
+        order of the draws; this state is left as it is. The reference
+        the pair-block and enumeration tests compare against."""
+        for k, code in enumerate(_BASES[len(qubits)][1]):
+            branch = self.copy()
+            prob = branch._measure(qubits, k)[1]
             if prob > _MIN_PROB:
-                branch = self.copy()
-                _collapse(_pair(branch._of[a], a, b), rows, joint, k)
-                branch._touched |= (1 << a) | (1 << b)
-                yield int(_BASES[2][1][k]), prob, branch
+                yield int(code), prob, branch
 
     # -- exact enumeration ---------------------------------------------
 

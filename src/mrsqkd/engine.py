@@ -1,12 +1,14 @@
 """Quantum sampling engine with two interchangeable backends.
 
-DENSE stores its statevector as a product of factors, one per group of
-qubits that two-qubit operations have joined (a fresh or Z-measured
-qubit is one bit), and doubles as the exact oracle: its
-``outcome_distribution`` gives a measurement plan's outcomes with exact
-probabilities. It joins the factors the plan reaches into one amplitude
-tensor and changes basis on each step's qubits, with the tensor shapes
-and the outcome keys compiled once per plan shape (see ``dense``).
+DENSE stores its statevector as a product of factors of at most two
+qubits (a fresh or Z-measured qubit is one bit): a Z or Bell measurement
+projects onto its outcome's basis state, and the measured qubits leave
+their factor, a Z qubit as a bit and a Bell pair as a factor of its own.
+It doubles as the exact oracle: its ``outcome_distribution`` gives a
+measurement plan's outcomes with exact probabilities. It joins the
+factors the plan reaches into one amplitude tensor and changes basis on
+each step's qubits, with the tensor shapes and the outcome keys compiled
+once per plan shape (see ``dense``).
 TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
 Monte Carlo campaigns. Both expose the same operation set: phi+ pair
 preparation on fresh qubits, the single-qubit gates X, Y (as i*sigma_y),

@@ -81,7 +81,9 @@ def test_batches_time_the_modify_campaign(ab, capsys):
     (dict(stages=0, n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
     (dict(n=7), "n must be even and >= 2, got 7"),
     (dict(campaign=["--bogus"]), "unrecognized arguments: --bogus"),
-], ids=["stages dense n=14", "batches dense n=14", "n=7", "unknown flag"])
+    (dict(campaign=["--config", "run.cfg"]), "--config does not pick the trials timed; leave it out"),
+    (dict(campaign=["--work=2"]), "--workers does not pick the trials timed; leave it out"),
+], ids=["stages dense n=14", "batches dense n=14", "n=7", "unknown flag", "config", "workers"])
 def test_a_run_that_cannot_be_made_is_one_error_line(ab, capsys, kw, message):
     work = ab.modules("mrsqkd")
     assert ab.compare(work, work, stage_args(**kw)) == 2

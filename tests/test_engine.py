@@ -341,12 +341,8 @@ def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
         return dist
     step, rest = plan[0], plan[1:]
     if isinstance(step, ZMeasure):
-        p1 = state.prob_one(step.qubit)
-        for outcome, p in ((0, 1.0 - p1), (1, p1)):
-            if p > 1e-12:
-                branch = state.copy()
-                branch.project(step.qubit, outcome)
-                _reference_distribution(branch, rest, prefix + (outcome,), prob * p, dist)
+        for outcome, p, branch in state.branches((step.qubit,)):
+            _reference_distribution(branch, rest, prefix + (outcome,), prob * p, dist)
     else:
         for s in (0, 1):
             for p in (0, 1):
@@ -497,7 +493,7 @@ def test_the_schedule_caches_stay_within_their_bounds():
 def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed, data):
     """Each of 1 to 3 Bell measurements in a row draws exactly two
     numbers (a twin generator advanced twice gives the next draw), returns
-    the code those two numbers pick from the bell_branches law (s = 1 when
+    the code those two numbers pick from the ``branches`` law (s = 1 when
     the first is below P(s=1), then p = 1 when the second is below
     P(p=1 | s)), and leaves the state of that code's branch, up to global
     phase."""
@@ -505,7 +501,7 @@ def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed,
     state.rng, twin = philox(seed), philox(seed)
     for _ in range(data.draw(st.integers(1, 3))):
         a, b = data.draw(st.permutations(range(state.n)))[:2]
-        law = {c: (prob, br) for c, prob, br in state.bell_branches(a, b)}
+        law = {c: (prob, br) for c, prob, br in state.branches((a, b))}
         prob = {c: law[c][0] if c in law else 0.0 for c in range(4)}
         code = state.measure_bell(a, b)
         s = int(twin.random() < prob[1] + prob[3])
@@ -627,6 +623,25 @@ def test_dense_live_set_matches_a_full_width_reference(script, seed):
     assert list(dist) == list(expected)
     for key, p in expected.items():
         assert dist[key] == pytest.approx(p, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(live_set_scripts(), st.integers(0, 2**32))
+def test_dense_factors_hold_at_most_two_qubits(script, seed):
+    """Every state these operations reach is a product of blocks of at
+    most two qubits, and the register stores it so: after every
+    preparation, gate, Z or Bell measurement each factor holds at most 2
+    qubits, its 2^w amplitudes, and is the factor of each of them."""
+    n, ops, _ = script
+    reg = new_register(n, Backend.DENSE, seed)
+    run = {"prep": reg.prepare_bell_phi_plus, "gate": reg.apply_gate,
+           "z": reg.measure_z, "bell": reg.measure_bell}
+    for op in ops:
+        run[op[0]](*op[1:])
+        for q, f in reg._state._of.items():
+            assert q in f.qubits and len(f.qubits) <= 2
+            assert f.psi.shape == (1 << len(f.qubits),)
+            assert all(reg._state._of[other] is f for other in f.qubits)
 
 
 def test_distribution_validates_plan():
@@ -784,6 +799,14 @@ def _assert_same_state(fast, exact):
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
+def _branch(exact, qubits, code):
+    """The dense branch of outcome ``code`` of measuring ``qubits``,
+    which must have nonzero probability."""
+    law = {c: (p, br) for c, p, br in exact.branches(qubits)}
+    assert law.get(code, (0.0,))[0] > 1e-9
+    return law[code][1]
+
+
 def test_pairblock_bell_measurement_of_every_block_combination():
     """Qubit 0 (partner 2, if paired) and qubit 1 (partner 3) in every
     combination of block states, or partners of each other; each seed's
@@ -806,12 +829,9 @@ def test_pairblock_bell_measurement_of_every_block_combination():
                 for q, word in ((0, word_a), (1, word_b)):
                     for g in word:
                         getattr(state, f"apply_{g}")(q)
-            code = fast.measure_bell(0, 1)
-            branches = {c: br for c, _, br in exact.bell_branches(0, 1)}
-            assert code in branches
-            exact = branches[code]
+            exact = _branch(exact, (0, 1), fast.measure_bell(0, 1))
             _assert_same_state(fast, exact)
-            assert exact.project(2, fast.measure_z(2)) > 1e-9
+            exact = _branch(exact, (2,), fast.measure_z(2))
             _assert_same_state(fast, exact)
 
 
@@ -848,7 +868,7 @@ def test_pairblock_tables_need_no_dense_measurement(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pair-block tables called a DenseState measurement")
 
-    for name in ("bell_branches", "project", "prob_one", "copy", "measure_z", "measure_bell"):
+    for name in ("branches", "_measure", "copy", "measure_z", "measure_bell"):
         monkeypatch.setattr(DenseState, name, forbidden)
     tables = _Tables()
     _fill_every_entry(tables)
@@ -880,13 +900,13 @@ def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
     for sid, (outcome, results) in enumerate(tables.z):
         paired = vecs[sid].size == 4
         exact = _state([(vecs[sid], (0, 1) if paired else (0,))])
-        assert _flag_matches(outcome, exact.prob_one(0))
+        law = {c: (p, br) for c, p, br in exact.branches((0,))}
+        assert _flag_matches(outcome, law.get(1, (0.0,))[0])
         for j, result in enumerate(results):
-            branch = exact.copy()
-            assert (branch.project(0, j) > 1e-9) == (result is not None)
+            assert (law.get(j, (0.0,))[0] > 1e-9) == (result is not None)
             if result is not None:
                 own, partner = result
-                assert _blocks_hold([(vecs[own], (0,))] + [(vecs[partner], (1,))] * paired, branch)
+                assert _blocks_hold([(vecs[own], (0,))] + [(vecs[partner], (1,))] * paired, law[j][1])
     for (sa, sb), (sign, parity, results) in tables.bell.items():
         parts, rest = [(vecs[sa], (0, 1))], ()
         if sb >= 0:  # Dense layout: a=0, b=1, then a's partner, then b's partner.
@@ -895,7 +915,7 @@ def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
                 if vec.size == 4:
                     rest += (2 + len(rest),)
                 parts.append((vec, (q, rest[-1]) if vec.size == 4 else (q,)))
-        branches = {c: (p, br) for c, p, br in _state(parts).bell_branches(0, 1)}
+        branches = {c: (p, br) for c, p, br in _state(parts).branches((0, 1))}
         assert {c for c, r in enumerate(results) if r is not None} == branches.keys()
         p_sign = [sum(p for c, (p, _) in branches.items() if c & 1 == s) for s in (0, 1)]
         assert _flag_matches(sign, p_sign[1])
@@ -926,14 +946,11 @@ def test_pairblock_follows_dense_branch_by_branch(data):
             exact.prepare_bell(a, b)
         elif op == "bell_measure":
             a, b = data.draw(st.permutations(range(n)))[:2]
-            code = fast.measure_bell(a, b)
-            branches = {c: br for c, _, br in exact.bell_branches(a, b)}
-            assert code in branches
-            exact = branches[code]
+            exact = _branch(exact, (a, b), fast.measure_bell(a, b))
         else:
             a = b = data.draw(st.integers(0, n - 1))
             if op == "z":
-                assert exact.project(a, fast.measure_z(a)) > 1e-9
+                exact = _branch(exact, (a,), fast.measure_z(a))
             else:
                 gate = data.draw(st.sampled_from("xyzh"))
                 getattr(fast, f"apply_{gate}")(a)

@@ -368,6 +368,7 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["curves", "--max", "-1"],
         ["curves", "--empirical-trials", "-3"],
         ["curves", "--max", "0", "--n", "7", "--empirical-trials", "5"],
+        ["curves", "--n", "7"],
         ["simulate", "--pa-ratio", "2"],
         ["campaign", "--pa-ratio", "0"],
         # The value after --config is written to a file, whose path replaces it.

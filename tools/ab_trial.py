@@ -13,8 +13,9 @@ Every flag the tool does not define is a flag of ``mrsqkd campaign``
 ``--pa-ratio``), read by each side's own ``cli.build_parser()``: the
 trials timed are those of ``campaign`` with these flags, its defaults
 included (n=64, seed 1). ``--trials``, ``--out``, ``--workers`` and
-``--config`` are read but not used. A bad flag, or a run that the backend
-cannot hold, ends the tool with the CLI's one ``error:`` line and exit 2.
+``--config`` do not pick the trials, so the tool refuses them, written
+out or abbreviated. Such a flag, a bad flag, or a run that the backend
+cannot hold ends the tool with the CLI's one ``error:`` line and exit 2.
 
 ``git archive`` extracts the base revision's ``src/mrsqkd`` into a
 temporary directory, where it is imported as ``mrsqkd_base`` beside the
@@ -89,6 +90,7 @@ IDENTITY_TRIALS = 300
 EXACT_PAIRS = 4  # --exact: every Bell-code configuration of 4-pair cycles and chains
 EXACT_TOLERANCE = 1e-12
 VERIFY_SAMPLES = 1000  # --verify: verify_backends as the oracle benchmark runs it
+UNUSED = ("--config", "--out", "--trials", "--workers")  # campaign flags that pick no trial
 
 
 def load_base(rev: str, into: str):
@@ -109,9 +111,16 @@ def modules(pkg: str) -> dict:
 
 def campaign(mods: dict, flags: list[str]):
     """The side's ``CampaignConfig`` of ``mrsqkd campaign`` with ``flags``,
-    one trial long, as its own CLI reads them."""
+    one trial long, as its own CLI reads them; ValueError for a flag of
+    ``UNUSED``. After the parse every token that starts with ``--`` is a
+    flag, or a prefix of one that the CLI took as that flag."""
     cli = mods["cli"]
     run = cli.build_parser().parse_args(["campaign", *flags])
+    for flag in flags:
+        name = flag.partition("=")[0]
+        unused = [u for u in UNUSED if len(name) > 2 and u.startswith(name)]
+        if unused:
+            raise ValueError(f"{unused[0]} does not pick the trials timed; leave it out")
     return mods["harness"].CampaignConfig(
         n=run.n, trials=1, strategy=cli._strategy(run), master_seed=run.seed,
         backend=mods["engine"].Backend(run.backend), pa_ratio=run.pa_ratio)
