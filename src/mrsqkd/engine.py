@@ -12,7 +12,9 @@ once per plan shape (see ``dense``).
 TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
 Monte Carlo campaigns. Both expose the same operation set: phi+ pair
 preparation on fresh qubits, the single-qubit gates X, Y (as i*sigma_y),
-Z, H, Z-basis measurement, and Bell measurement.
+Z, H, Z-basis measurement, and Bell measurement. Each gate is one row of
+``dense._GATES``, named by its ``GateName`` value, and each state applies
+every gate by one method, ``apply_gate(name, q)``.
 
 The protocol drives the register a whole wire at a time:
 ``prepare_pairs(wire_a, wire_b)``, ``measure_z_many(qubits)`` and
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, eq
+from operator import eq
 from typing import Sequence, Union
 
 import numpy as np
@@ -60,11 +62,6 @@ class GateName(Enum):
     Y = "y"
     Z = "z"
     H = "h"
-
-    def __init__(self, value: str) -> None:
-        # The state's method for the gate, looked up on the state of the
-        # call; held by the member, so a call hashes no enum.
-        self._apply = attrgetter("apply_" + value)
 
 
 _PAIR_ERROR = "qubits ({}, {}) are not two distinct qubits of a size-{} register"
@@ -90,7 +87,6 @@ class BellMeasure:
 
 
 PlanStep = Union[ZMeasure, BellMeasure]
-PlanOutcome = tuple  # mixed tuple of 0/1 bits and BellType values
 
 
 class _PhiloxKey(ISeedSequence):
@@ -164,7 +160,8 @@ class Register:
     def apply_gate(self, gate: GateName, q: int) -> None:
         if not 0 <= q < self.size:
             raise ValueError(f"qubit {q} out of range for size-{self.size} register")
-        gate._apply(self._state)(q)
+        # The member's plain value, the state's gate name: a call hashes no enum.
+        self._state.apply_gate(gate._value_, q)
 
     def measure_z(self, q: int) -> int:
         if not 0 <= q < self.size:
@@ -227,7 +224,7 @@ class Register:
 
     # -- exact oracle ------------------------------------------------------
 
-    def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[PlanOutcome, float]:
+    def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[tuple, float]:
         """Exact outcome probabilities of running ``plan`` from the current
         state, keyed in depth-first order; the live register is not
         collapsed. ValueError unless each step measures distinct qubits of

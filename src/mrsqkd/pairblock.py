@@ -7,8 +7,9 @@ and a Bell measurement of a and b pairs them and joins their former
 partners, if any, into one block (a lone partner stays single). So each
 qubit holds its partner (-1 if none) and the id of its block's state
 seen from itself (bit 0; the partner is bit 1), and every operation is a
-table lookup, in tables built at import (``_Tables``). A gate entry runs
-the DenseState gate on the block. A Z or Bell outcome c leaves the
+table lookup, in tables built at import (``_Tables``). A gate entry is
+the gate's signs of ``dense._GATES`` times the block's rows by the
+qubit's bit, then its scale. A Z or Bell outcome c leaves the
 measured qubits in basis state c (|j>, or Bell state c of
 ``dense._BASES``) and the rest in row c of the basis times the block
 amplitudes, as rows indexed by the measured bits: a Z outcome leaves the
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import _BASES, DenseState
+from .dense import _BASES, _GATES
 
 FRESH = 0  # |0>, untouched since the register was made
 
@@ -71,33 +72,34 @@ _BASIS = {size: basis[np.argsort(codes)] for size, (basis, codes) in _BASES.item
 class _Tables:
     """Block states by id and their transition tables. The constructor
     takes the closure of FRESH and phi+ in one worklist, each state's
-    gate entries (DenseState's gate methods), swap and Z entry, until no
-    new state appears: 13 states, so ids are fixed at import. Bell
-    entries (177 possible, within those states) fill on first use under
-    a lock, as filling them all would add about 20 ms to every command's
-    start and a trial reads a few. Z and Bell entries come from the block
-    amplitudes alone (``_outcomes``), with no DenseState measurement."""
+    gate entries, swap and Z entry, until no new state appears: 13
+    states, so ids are fixed at import. Bell entries (177 possible,
+    within those states) fill on first use under a lock, as filling them
+    all would add about 20 ms to every command's start and a trial reads
+    a few. Every entry comes from the block amplitudes alone, with no
+    dense-oracle state: a gate's rows of ``_GATES``, and for Z and Bell
+    the basis rows of ``_outcomes``."""
 
     def __init__(self) -> None:
         # FRESH stays out of ``_ids``: a measured |0> gets an id of its own.
         self.vecs: list[np.ndarray] = [np.array([1.0, 0.0], dtype=np.complex128)]
         self._ids: dict[tuple, int] = {}
         # gate -> [id -> id after the gate acts on bit 0]
-        self.gate: dict[str, list[int]] = {g: [] for g in "xyzh"}
+        self.gate: dict[str, list[int]] = {g: [] for g in _GATES}
         self.swap: list[int] = []  # id -> the same block seen from bit 1
         self.z: list[tuple] = []  # id -> Z entry
         self.bell: dict[tuple[int, int], tuple] = {}
         self._lock = threading.Lock()
         self.phi_plus = self.intern(_BASIS[2][0])
         for sid, amps in enumerate(self.vecs):  # grows as new states are interned
-            for g, table in self.gate.items():
-                state = DenseState(amps.size // 2, None)
-                state.amps = amps
-                getattr(state, f"apply_{g}")(0)
-                table.append(self.intern(state.amps))
+            rows = _rows(amps)
+            for g, (signs, scale) in _GATES.items():
+                # Elementwise, as in ``_outcomes``: signs @ rows, then the scale.
+                gated = (signs[:, :, None] * rows).sum(axis=1) * scale
+                self.gate[g].append(self.intern(gated.T.ravel()))
             self.swap.append(self.intern(amps.reshape(2, 2).T.ravel()) if amps.size == 4 else sid)
             # Z entry: (fixed outcome or -1, per outcome (own id, partner id or -1)).
-            probs, results = self._outcomes(1, _rows(amps))
+            probs, results = self._outcomes(1, rows)
             self.z.append((_det(probs[1]), results))
 
     def intern(self, amps: np.ndarray) -> int:
@@ -146,16 +148,7 @@ class _Tables:
 
 
 _TABLES = _Tables()
-_SWAP, _Z, _BELL = _TABLES.swap, _TABLES.z, _TABLES.bell
-
-
-def _gate(table: list[int]):
-    """The method that applies the gate of ``table`` to a qubit."""
-    def apply(self, q: int) -> None:
-        new = self._sid[q] = table[self._sid[q]]
-        if self._partner[q] >= 0:
-            self._sid[self._partner[q]] = _SWAP[new]
-    return apply
+_GATE, _SWAP, _Z, _BELL = _TABLES.gate, _TABLES.swap, _TABLES.z, _TABLES.bell
 
 
 class PairBlockState:
@@ -179,10 +172,11 @@ class PairBlockState:
             bits += (raw.view(np.uint8) >> 7).tolist()
         return bits.pop()
 
-    apply_x = _gate(_TABLES.gate["x"])
-    apply_y = _gate(_TABLES.gate["y"])
-    apply_z = _gate(_TABLES.gate["z"])
-    apply_h = _gate(_TABLES.gate["h"])
+    def apply_gate(self, gate: str, q: int) -> None:
+        """Apply gate ``gate`` of ``dense._GATES`` to qubit q."""
+        new = self._sid[q] = _GATE[gate][self._sid[q]]
+        if self._partner[q] >= 0:
+            self._sid[self._partner[q]] = _SWAP[new]
 
     def prepare_bell(self, a: int, b: int) -> None:
         """phi+ on (a, b), both fresh (ValueError otherwise)."""

@@ -27,9 +27,13 @@ from .engine import (
     derive_seed,
     new_register,
 )
+from .dense import DENSE_QUBIT_CAP
 from .pairblock import PairBlockState
 
 TOLERANCE = 1e-12  # largest |pair-block - dense| probability of an outcome
+# Seeded shots per ``sample_tableau`` call of ``verify_backends``, so its
+# memory does not grow with the sample count.
+_SHOT_CHUNK = 4096
 
 PrepOp = tuple  # ("bell", a, b) or ("gate", GateName, q)
 
@@ -255,11 +259,13 @@ def verify_backends(
 ) -> VerifyReport:
     """Compare the pair-block law with dense enumeration circuit by
     circuit, draw ``samples`` seeded pair-block shots into the exact
-    support, and check the swap algebra on every outcome seen."""
+    support, and check the swap algebra on every outcome seen. The shots
+    come in chunks of _SHOT_CHUNK, chunk k seeded by stream k of the
+    circuit's seed."""
     scripts = scripted_circuits()
     smallest = min(script.qubits for script in scripts)
-    if not smallest <= max_qubits <= 24:
-        raise ValueError(f"max_qubits must be in {smallest}..24, got {max_qubits}")
+    if not smallest <= max_qubits <= DENSE_QUBIT_CAP:
+        raise ValueError(f"max_qubits must be in {smallest}..{DENSE_QUBIT_CAP}, got {max_qubits}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -270,7 +276,10 @@ def verify_backends(
         circuit_seed = derive_seed(seed, idx)
         exact = exact_distribution(script, circuit_seed)
         law = tableau_distribution(script)
-        drawn = Counter(sample_tableau(script, samples, circuit_seed))  # outcome -> shots
+        drawn: Counter = Counter()  # outcome -> shots
+        for k, start in enumerate(range(0, samples, _SHOT_CHUNK)):
+            shots = min(_SHOT_CHUNK, samples - start)
+            drawn.update(sample_tableau(script, shots, derive_seed(circuit_seed, k)))
         relation = script.relation or (lambda outcome: True)
         reports.append(
             CircuitReport(

@@ -70,8 +70,8 @@ def test_criterion_2_qubit_efficiency(tmp_path):
         rows = read_csv(str(out))
         raw = np.array([int(r["raw_key_len"]) for r in rows], dtype=float)
         sem = raw.std(ddof=1) / len(raw) ** 0.5
-        # Exact honest mean 3n/8 + n/(8(n-1)), derived in
-        # perfbench/README.md; 3n/8 (QE 3/16) is its large-n limit.
+        # Exact honest mean 3n/8 + n/(8(n-1)), derived in README.md
+        # ("The honest raw-key mean"); 3n/8 (QE 3/16) is its large-n limit.
         target = 3 * 256 / 8 + 256 / (8 * 255)
         assert abs(raw.mean() - target) <= 3 * sem, (raw.mean(), sem)
         qe = raw.mean() / 512

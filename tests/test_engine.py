@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import numpy.random.bit_generator as bit_generator
@@ -704,6 +705,20 @@ def test_tableau_samples_repeat_for_a_seed_and_share_the_exact_keys_types():
     assert set(shots) <= exact.keys()
 
 
+def test_verify_backends_memory_stays_flat_in_the_sample_count():
+    """Shots are drawn a chunk at a time: the traced peak of a run at 4x
+    the samples stays within 1.5x of the peak at 1x."""
+    peaks = []
+    for samples in (verify._SHOT_CHUNK, 4 * verify._SHOT_CHUNK):
+        tracemalloc.start()
+        try:
+            assert verify.verify_backends(max_qubits=2, samples=samples, seed=5).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):
     """Flipping the sign bit of chain_3_between's last Bell result on the
     all-ones bit path moves one 2^-9 leaf onto an outcome in the dense
@@ -761,7 +776,7 @@ def _block_setups():
                 if paired:
                     probe.prepare_bell(0, 1)
                 for g in word:
-                    getattr(probe, f"apply_{g}")(0)
+                    probe.apply_gate(g, 0)
                 if probe._sid[0] not in seen:
                     seen.add(probe._sid[0])
                     setups.append((paired, word))
@@ -828,7 +843,7 @@ def test_pairblock_bell_measurement_of_every_block_combination():
                     state.prepare_bell(a, b)
                 for q, word in ((0, word_a), (1, word_b)):
                     for g in word:
-                        getattr(state, f"apply_{g}")(q)
+                        state.apply_gate(g, q)
             exact = _branch(exact, (0, 1), fast.measure_bell(0, 1))
             _assert_same_state(fast, exact)
             exact = _branch(exact, (2,), fast.measure_z(2))
@@ -862,13 +877,14 @@ def test_pairblock_table_is_complete_but_for_bell_entries():
 
 
 def test_pairblock_tables_need_no_dense_measurement(monkeypatch):
-    """Every Z and Bell entry comes from the block amplitudes: filling the
-    whole table calls no DenseState measurement, nor ``copy``."""
+    """Every entry comes from the block amplitudes: filling the whole
+    table builds no DenseState and calls no DenseState measurement, nor
+    ``copy``."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("pair-block tables called a DenseState measurement")
+        raise AssertionError("pair-block tables used a DenseState")
 
-    for name in ("branches", "_measure", "copy", "measure_z", "measure_bell"):
+    for name in ("__init__", "branches", "_measure", "copy", "measure_z", "measure_bell"):
         monkeypatch.setattr(DenseState, name, forbidden)
     tables = _Tables()
     _fill_every_entry(tables)
@@ -891,12 +907,20 @@ def _blocks_hold(blocks, exact):
 
 def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
     """The converse of the sampled check: for every block state and every
-    pair of them, each entry's possible outcomes are exactly DENSE's
-    branches, each leaving the blocks DENSE's branch holds, and its
-    fixed-or-random flags match DENSE's probabilities."""
+    gate, the gate entry's block is DENSE's ``apply_gate`` on the block;
+    for every block state and every pair of them, each measurement
+    entry's possible outcomes are exactly DENSE's branches, each leaving
+    the blocks DENSE's branch holds, and its fixed-or-random flags match
+    DENSE's probabilities."""
     tables = _Tables()
     _fill_every_entry(tables)
     vecs = tables.vecs
+    for sid, vec in enumerate(vecs):
+        qubits = (0, 1) if vec.size == 4 else (0,)
+        for gate, table in tables.gate.items():
+            exact = _state([(vec, qubits)])
+            exact.apply_gate(gate, 0)
+            assert _blocks_hold([(vecs[table[sid]], qubits)], exact), (sid, gate)
     for sid, (outcome, results) in enumerate(tables.z):
         paired = vecs[sid].size == 4
         exact = _state([(vecs[sid], (0, 1) if paired else (0,))])
@@ -953,8 +977,8 @@ def test_pairblock_follows_dense_branch_by_branch(data):
                 exact = _branch(exact, (a,), fast.measure_z(a))
             else:
                 gate = data.draw(st.sampled_from("xyzh"))
-                getattr(fast, f"apply_{gate}")(a)
-                getattr(exact, f"apply_{gate}")(a)
+                fast.apply_gate(gate, a)
+                exact.apply_gate(gate, a)
         fresh -= {a, b}
     _assert_same_state(fast, exact)
 
