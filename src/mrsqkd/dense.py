@@ -3,8 +3,7 @@
 The state is a product of factors, each the amplitudes over a few qubits
 (qubit ``qubits[i]`` at bit i of its index), times one global phase. A
 qubit in no factor is one bit of an int, its Z state: 0 when fresh, the
-outcome once Z-measured. ``amps`` reads the full 2^n vector, qubit q at
-bit q of the index.
+outcome once Z-measured.
 
 - ``prepare_bell`` makes a new factor, phi+ (Bell row 0) over its two
   qubits. A gate or measurement first gives a qubit in no factor a
@@ -29,12 +28,18 @@ That split is the projection onto the outcome's basis state, written as
 a product: it follows from the outcome drawn, as the Z bit always has,
 never from reading amplitudes for a product form, so the oracle stays
 independent of the pair-block backend it checks. It also bounds every
-factor a run builds at 2 qubits: a preparation makes 2, a Bell
+factor of every state this module builds at 2 qubits after each
+operation: a preparation makes 2, a gate acts inside one factor, a Bell
 measurement merges at most 2 + 2 and leaves 2 and at most 2, and a Z
-measurement only removes. (Assigning ``amps`` puts every qubit in one
-factor; the rule holds for any factor.) ``branches`` lists every outcome
-of a Z or Bell measurement with a copy collapsed by the same rule: the
-enumeration and pair-block tests compare against it.
+measurement only removes. No operation makes a wider factor, as no
+state this physics reaches needs one.
+
+Two names have no caller in a run. ``copy`` is a span of the
+``perfbench`` tracer (``dense.copy``). ``_measure``'s given outcome k
+collapses a state onto a chosen outcome: the tests list every branch of
+a measurement by it, on copies, and an oracle that follows a run's drawn
+outcomes in lockstep can use it. A given k that cannot occur returns
+before the split, so the state it leaves is a branch to discard.
 
 Enumeration (``outcome_law``) computes a plan's law directly. It
 joins the factors the plan reaches, by outer product, into one row of
@@ -79,7 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,36 +219,6 @@ class DenseState:
         self._known = 0  # bit q: the Z state of qubit q while q is in no factor
         self._touched = 0  # bit q set once any operation has acted on qubit q
 
-    @property
-    def amps(self) -> np.ndarray:
-        """The full 2^n statevector, qubit q at bit q of the index; read
-        only, as it is built on each read. Assigning one puts every
-        qubit in one factor and marks it touched."""
-        factors = list(dict.fromkeys(self._of.values()))  # each factor once
-        if [f.qubits for f in factors] == [list(range(self.n))]:  # one factor, in qubit order
-            full = factors[0].psi * self._phase
-        else:
-            vals = np.array([self._phase])
-            pos = np.array([self._known])  # index of each amplitude in the full vector
-            for f in factors:
-                offsets = np.zeros(1, dtype=np.int64)
-                for q in f.qubits:
-                    offsets = np.concatenate((offsets, offsets | (1 << q)))
-                vals = np.outer(f.psi, vals).reshape(-1)
-                pos = (offsets[:, None] | pos[None, :]).reshape(-1)
-            full = np.zeros(1 << self.n, dtype=np.complex128)
-            full[pos] = vals
-        full.flags.writeable = False
-        return full
-
-    @amps.setter
-    def amps(self, amps: np.ndarray) -> None:
-        f = _Factor(np.array(amps, dtype=np.complex128).reshape(-1), list(range(self.n)))
-        self._of = dict.fromkeys(f.qubits, f)
-        self._phase = 1.0 + 0.0j
-        self._known = 0
-        self._touched = (1 << self.n) - 1
-
     def _factor(self, q: int) -> _Factor:
         """The factor of qubit q, for a gate or measurement on q, which is
         then no longer fresh. A qubit in none first gets a factor of its
@@ -349,17 +324,6 @@ class DenseState:
         """Bell-measure (a, b) and return the code (p << 1) | s: one draw
         gives the sign bit s, a second the parity bit p given s."""
         return int(_BASES[2][1][self._measure((a, b))[0]])
-
-    def branches(self, qubits: tuple[int, ...]) -> Iterator[tuple[int, float, "DenseState"]]:
-        """(outcome code, probability, collapsed copy) for every outcome of
-        measuring ``qubits`` (as ``_measure``) that can occur, in the
-        order of the draws; this state is left as it is. The reference
-        the pair-block and enumeration tests compare against."""
-        for k, code in enumerate(_BASES[len(qubits)][1]):
-            branch = self.copy()
-            prob = branch._measure(qubits, k)[1]
-            if prob > _MIN_PROB:
-                yield int(code), prob, branch
 
     # -- exact enumeration ---------------------------------------------
 

@@ -72,7 +72,7 @@ def test_batches_time_the_modify_campaign(ab, capsys):
     assert ab.compare(work, work, args) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.startswith("modify:gate=x,m=2 n=16: base ")
+    assert captured.out.startswith("modify:gate=x,m=2 n=16: speedup ")
     assert captured.out.endswith(" batches\n")
 
 
@@ -132,8 +132,8 @@ def test_json_records_the_batches_and_the_stage_table(ab, capsys, tmp_path):
     assert (record["attack"], record["n"], record["backend"]) == ("parity-measure", 16, "tableau")
     assert set(record["machine"]) == {"cpus", "python", "numpy", "platform"}
     batches = record["batches"]
-    assert set(batches) == {"batches", "batch", "base_ms", "work_ms", "speedup", "speedup_q1",
-                            "speedup_q3", "work_won", "base_ms_per_batch", "work_ms_per_batch"}
+    assert set(batches) == {"batches", "batch", "speedup", "speedup_q1", "speedup_q3",
+                            "work_won", "base_ms_per_batch", "work_ms_per_batch"}
     assert len(batches["base_ms_per_batch"]) == len(batches["work_ms_per_batch"]) == 4
     assert batches["speedup_q1"] <= batches["speedup"] <= batches["speedup_q3"]
     assert 0 <= batches["work_won"] <= 4
@@ -157,9 +157,8 @@ def test_json_records_the_exact_rounds_beside_the_batches(ab, capsys, tmp_path):
     assert set(record) == {"command", "base", "base_commit", "attack", "n", "backend", "machine",
                            "batches", "exact"}
     exact = record["exact"]
-    assert set(exact) == {"rounds", "configurations", "base_ms", "work_ms", "speedup",
-                          "speedup_q1", "speedup_q3", "work_won", "base_ms_per_round",
-                          "work_ms_per_round"}
+    assert set(exact) == {"rounds", "configurations", "speedup", "speedup_q1", "speedup_q3",
+                          "work_won", "base_ms_per_round", "work_ms_per_round"}
     assert (exact["rounds"], exact["configurations"]) == (3, 2 * 4**4)
     assert len(exact["base_ms_per_round"]) == len(exact["work_ms_per_round"]) == 3
     assert exact["speedup_q1"] <= exact["speedup"] <= exact["speedup_q3"]
@@ -193,15 +192,29 @@ def test_json_records_the_verify_rounds(ab, capsys, tmp_path):
     assert set(record) == {"command", "base", "base_commit", "attack", "n", "backend", "machine",
                            "verify"}
     timed = record["verify"]
-    assert set(timed) == {"rounds", "samples", "base_ms", "work_ms", "speedup", "speedup_q1",
-                          "speedup_q3", "work_won", "base_ms_per_round", "work_ms_per_round"}
+    assert set(timed) == {"rounds", "samples", "speedup", "speedup_q1", "speedup_q3",
+                          "work_won", "base_ms_per_round", "work_ms_per_round"}
     assert (timed["rounds"], timed["samples"]) == (2, 1000)
     assert len(timed["base_ms_per_round"]) == len(timed["work_ms_per_round"]) == 2
     assert timed["speedup_q1"] <= timed["speedup"] <= timed["speedup_q3"]
-    assert printed == [f"verify_backends at 1000 samples: base {timed['base_ms']:.1f} ms/round, "
-                       f"work {timed['work_ms']:.1f} ms/round, speedup {timed['speedup']:.3f} "
+    assert printed == [f"verify_backends at 1000 samples: speedup {timed['speedup']:.3f} "
                        f"(quartiles {timed['speedup_q1']:.3f}-{timed['speedup_q3']:.3f}), "
                        f"work won {timed['work_won']}/2 rounds"]
+
+
+def test_a_change_of_speed_mid_run_reports_only_paired_figures(ab, capsys):
+    """The VM slows down during the run: each side's median over its own
+    rounds (10 and 45 ms) lands in another phase and reads 4.5x slower,
+    while every round but one, run in one phase, reads 1.11x faster.
+    Neither the line nor the record holds a per-side figure."""
+    base, work = [10.0, 10.0, 10.0, 50.0, 50.0], [9.0, 9.0, 45.0, 45.0, 45.0]
+    timed = ab.rounds_timed("phases", {"base": base, "work": work})
+    assert capsys.readouterr().out.splitlines() == [
+        "phases: speedup 1.111 (quartiles 0.667-1.111), work won 4/5 rounds"]
+    assert timed == {"rounds": 5, "speedup": pytest.approx(10 / 9),
+                     "speedup_q1": pytest.approx(2 / 3),
+                     "speedup_q3": pytest.approx(10 / 9), "work_won": 4,
+                     "base_ms_per_round": base, "work_ms_per_round": work}
 
 
 def test_verify_reports_that_differ_are_refused_before_timing(ab, capsys):

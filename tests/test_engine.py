@@ -315,13 +315,53 @@ def test_distribution_rejects_tableau():
         reg.outcome_distribution([ZMeasure(0)])
 
 
+def _amps(state):
+    """The full 2^n statevector of a DenseState, qubit q at bit q of the
+    index, global phase included: the outer product of its factors, each
+    qubit in no factor at its Z bit."""
+    vals = np.array([state._phase])
+    pos = np.array([state._known])  # index of each amplitude in the full vector
+    for f in dict.fromkeys(state._of.values()):  # each factor once
+        offsets = np.zeros(1, dtype=np.int64)
+        for q in f.qubits:
+            offsets = np.concatenate((offsets, offsets | (1 << q)))
+        vals = np.outer(f.psi, vals).reshape(-1)
+        pos = (offsets[:, None] | pos[None, :]).reshape(-1)
+    full = np.zeros(1 << state.n, dtype=np.complex128)
+    full[pos] = vals
+    return full
+
+
+def _set_amps(state, amps):
+    """Put every qubit of ``state`` in one factor holding ``amps`` (qubit q
+    at bit q of the index), all of them touched: a state wider than any
+    the library builds, which the oracle's rules must handle too."""
+    f = dense._Factor(np.array(amps, dtype=np.complex128).reshape(-1), list(range(state.n)))
+    state._of = dict.fromkeys(f.qubits, f)
+    state._phase = 1.0 + 0.0j
+    state._known = 0
+    state._touched = (1 << state.n) - 1
+
+
+def _branches(state, qubits):
+    """(outcome code, probability, collapsed copy) for every outcome of
+    measuring ``qubits`` (Z for one, Bell for a pair) that can occur, in
+    the order of the draws, each from ``_measure`` given that outcome on a
+    copy; ``state`` is left as it is."""
+    for k, code in enumerate(dense._BASES[len(qubits)][1]):
+        branch = state.copy()
+        prob = branch._measure(qubits, k)[1]
+        if prob > dense._MIN_PROB:
+            yield int(code), prob, branch
+
+
 def _bell_project(state, a, b, s, p):
     """Collapsed copy of ``state`` (None if it cannot occur) and the
     probability of Bell outcome (s, p) on (a, b), straight from the
     definition: the overlap with (|0,p> + (-1)^s |1,1-p>)/sqrt(2) on the
     pair's tensor axes."""
     n = state.n
-    t = np.moveaxis(state.amps.reshape([2] * n), (n - 1 - a, n - 1 - b), (0, 1))
+    t = np.moveaxis(_amps(state).reshape([2] * n), (n - 1 - a, n - 1 - b), (0, 1))
     rest = (t[0, p] + (-1) ** s * t[1, 1 - p]) / np.sqrt(2)
     prob = float(np.sum(np.abs(rest) ** 2))
     if prob <= 1e-12:
@@ -330,7 +370,7 @@ def _bell_project(state, a, b, s, p):
     out[0, p] = rest / np.sqrt(2 * prob)
     out[1, 1 - p] = (-1) ** s * rest / np.sqrt(2 * prob)
     branch = state.copy()
-    branch.amps = np.moveaxis(out, (0, 1), (n - 1 - a, n - 1 - b)).reshape(-1)
+    _set_amps(branch, np.moveaxis(out, (0, 1), (n - 1 - a, n - 1 - b)).reshape(-1))
     return branch, prob
 
 
@@ -342,7 +382,7 @@ def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
         return dist
     step, rest = plan[0], plan[1:]
     if isinstance(step, ZMeasure):
-        for outcome, p, branch in state.branches((step.qubit,)):
+        for outcome, p, branch in _branches(state, (step.qubit,)):
             _reference_distribution(branch, rest, prefix + (outcome,), prob * p, dist)
     else:
         for s in (0, 1):
@@ -494,7 +534,7 @@ def test_the_schedule_caches_stay_within_their_bounds():
 def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed, data):
     """Each of 1 to 3 Bell measurements in a row draws exactly two
     numbers (a twin generator advanced twice gives the next draw), returns
-    the code those two numbers pick from the ``branches`` law (s = 1 when
+    the code those two numbers pick from the ``_branches`` law (s = 1 when
     the first is below P(s=1), then p = 1 when the second is below
     P(p=1 | s)), and leaves the state of that code's branch, up to global
     phase."""
@@ -502,14 +542,14 @@ def test_dense_measure_bell_draws_twice_and_collapses_onto_its_branch(reg, seed,
     state.rng, twin = philox(seed), philox(seed)
     for _ in range(data.draw(st.integers(1, 3))):
         a, b = data.draw(st.permutations(range(state.n)))[:2]
-        law = {c: (prob, br) for c, prob, br in state.branches((a, b))}
+        law = {c: (prob, br) for c, prob, br in _branches(state, (a, b))}
         prob = {c: law[c][0] if c in law else 0.0 for c in range(4)}
         code = state.measure_bell(a, b)
         s = int(twin.random() < prob[1] + prob[3])
         p = int(twin.random() < prob[2 | s] / (prob[s] + prob[2 | s]))
         assert state.rng.random() == twin.random()
         assert code == (p << 1) | s
-        assert abs(np.vdot(law[code][1].amps, state.amps)) == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.vdot(_amps(law[code][1]), _amps(state))) == pytest.approx(1.0, abs=1e-9)
 
 
 class _FullWidth:
@@ -615,10 +655,10 @@ def test_dense_live_set_matches_a_full_width_reference(script, seed):
             assert reg.measure_z(op[1]) == ref.measure_z(op[1])
         else:
             assert reg.measure_bell(*op[1:]) is ref.measure_bell(*op[1:])
-        np.testing.assert_allclose(reg._state.amps, ref.amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_amps(reg._state), ref.amps, rtol=0, atol=1e-12)
     assert reg._state.rng.random() == ref.rng.random()
     full = DenseState(n, None)
-    full.amps = ref.amps
+    _set_amps(full, ref.amps)
     expected = _reference_distribution(full, plan)
     dist = reg.outcome_distribution(plan)
     assert list(dist) == list(expected)
@@ -791,7 +831,7 @@ def _state(blocks):
     for vec, qubits in blocks:
         amps *= vec[sum(((idx >> q) & 1) << k for k, q in enumerate(qubits))]
     state = DenseState(n, None)
-    state.amps = amps
+    _set_amps(state, amps)
     return state
 
 
@@ -804,20 +844,20 @@ def _pairblock_amplitudes(state, lower):
         if p < 0 or (q < p) == lower:
             qubits = (q,) if p < 0 else (q, p)
             blocks.append((_TABLES.vecs[state._sid[q]], qubits))
-    return _state(blocks).amps
+    return _amps(_state(blocks))
 
 
 def _assert_same_state(fast, exact):
     """Equal up to global phase, reading each pair from either half."""
     for lower in (True, False):
-        overlap = abs(np.vdot(_pairblock_amplitudes(fast, lower), exact.amps))
+        overlap = abs(np.vdot(_pairblock_amplitudes(fast, lower), _amps(exact)))
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
 def _branch(exact, qubits, code):
     """The dense branch of outcome ``code`` of measuring ``qubits``,
     which must have nonzero probability."""
-    law = {c: (p, br) for c, p, br in exact.branches(qubits)}
+    law = {c: (p, br) for c, p, br in _branches(exact, qubits)}
     assert law.get(code, (0.0,))[0] > 1e-9
     return law[code][1]
 
@@ -884,7 +924,7 @@ def test_pairblock_tables_need_no_dense_measurement(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pair-block tables used a DenseState")
 
-    for name in ("__init__", "branches", "_measure", "copy", "measure_z", "measure_bell"):
+    for name in ("__init__", "_measure", "copy", "measure_z", "measure_bell"):
         monkeypatch.setattr(DenseState, name, forbidden)
     tables = _Tables()
     _fill_every_entry(tables)
@@ -902,7 +942,7 @@ def _flag_matches(flag, p_one):
 def _blocks_hold(blocks, exact):
     """The product of ``blocks``, each (amplitudes, qubits it covers), is
     the dense state up to global phase."""
-    return abs(np.vdot(_state(blocks).amps, exact.amps)) == pytest.approx(1.0, abs=1e-9)
+    return abs(np.vdot(_amps(_state(blocks)), _amps(exact))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
@@ -924,7 +964,7 @@ def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
     for sid, (outcome, results) in enumerate(tables.z):
         paired = vecs[sid].size == 4
         exact = _state([(vecs[sid], (0, 1) if paired else (0,))])
-        law = {c: (p, br) for c, p, br in exact.branches((0,))}
+        law = {c: (p, br) for c, p, br in _branches(exact, (0,))}
         assert _flag_matches(outcome, law.get(1, (0.0,))[0])
         for j, result in enumerate(results):
             assert (law.get(j, (0.0,))[0] > 1e-9) == (result is not None)
@@ -939,7 +979,7 @@ def test_pairblock_tables_are_the_dense_law_of_every_block_combination():
                 if vec.size == 4:
                     rest += (2 + len(rest),)
                 parts.append((vec, (q, rest[-1]) if vec.size == 4 else (q,)))
-        branches = {c: (p, br) for c, p, br in _state(parts).branches((0, 1))}
+        branches = {c: (p, br) for c, p, br in _branches(_state(parts), (0, 1))}
         assert {c for c, r in enumerate(results) if r is not None} == branches.keys()
         p_sign = [sum(p for c, (p, _) in branches.items() if c & 1 == s) for s in (0, 1)]
         assert _flag_matches(sign, p_sign[1])
@@ -996,7 +1036,7 @@ def _snapshot(reg):
         bits = list(state._bits) or rng.integers(0, 2, size=512, dtype=np.uint8).tolist()
         return list(state._sid), list(state._partner), bits[-1]
     rng = pickle.loads(pickle.dumps(state.rng))
-    return state.amps.tolist(), state._touched, rng.random()
+    return _amps(state).tolist(), state._touched, rng.random()
 
 
 def _twins(backend, n, seed, data):

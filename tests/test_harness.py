@@ -5,6 +5,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import hashlib
+import inspect
 import os
 import pathlib
 import pickle
@@ -27,7 +28,9 @@ from mrsqkd.harness import (
     run_trial,
     summarize,
 )
-from mrsqkd.engine import GateName
+from mrsqkd.dense import DenseState
+from mrsqkd.engine import GateName, Register
+from mrsqkd.pairblock import PairBlockState
 from mrsqkd.protocol import ProtocolConfig, RunStats, RunStatus, run_protocol
 
 
@@ -589,6 +592,38 @@ def test_library_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _references(path):
+    """(name, line) of every attribute (``.name``) and quoted string in ``path``."""
+    return [
+        (node.attr if isinstance(node, ast.Attribute) else node.value, node.lineno)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+
+
+@pytest.mark.parametrize("cls", [DenseState, PairBlockState, Register])
+def test_library_holds_no_name_only_tests_call(cls):
+    """No library code exists only for tests: every public name of a
+    state or the register is referenced from ``src/`` outside its own
+    definition, or from ``tools/`` or ``perfbench/``."""
+    root = pathlib.Path(mrsqkd.__file__).resolve().parents[2]
+    source = pathlib.Path(inspect.getsourcefile(cls)).resolve()
+    refs = {path: _references(path) for folder in ("src/mrsqkd", "tools", "perfbench")
+            for path in sorted((root / folder).glob("*.py"))}
+    body = next(node.body for node in ast.parse(source.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef) and node.name == cls.__name__)
+    unused = []
+    for name in (name for name in vars(cls) if not name.startswith("_")):
+        # Every def of the name, a property's setter too, with its decorators.
+        own = [(min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno)
+               for node in body if isinstance(node, ast.FunctionDef) and node.name == name]
+        if not any(ref == name and not (path == source and any(a <= line <= b for a, b in own))
+                   for path, found in refs.items() for ref, line in found):
+            unused.append(name)
+    assert unused == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

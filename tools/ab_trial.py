@@ -22,9 +22,11 @@ temporary directory, where it is imported as ``mrsqkd_base`` beside the
 working tree's ``mrsqkd``. Separate processes on a shared VM drift by
 tens of percent, so both copies run in one process, in alternating
 batches of ``harness.run_trial`` (which goes first alternates too). The
-output gives the median ms per trial of each side, the median of the
-per-batch speedups with its quartiles, and how many batches the working
-tree won.
+output gives the median of the per-batch speedups with its quartiles,
+and how many batches the working tree won. It gives no median ms of
+either side: when the VM changes speed during a run, each side's median
+can land in a different phase and contradict the paired speedup beside
+it, while each batch's speedup compares two runs of the same phase.
 
 Before any timing, in either mode, each side renders the CSV of the
 campaign's trials 0..299 with its own ``harness.render_csv``; if the two
@@ -57,11 +59,11 @@ every other timing asked for.
 ``--json PATH`` also writes what was timed to PATH: the command, the
 machine, the base commit, the campaign's strategy (as ``describe()``
 gives it), n and backend, then under ``batches`` each side's ms per trial
-in every batch and their medians, the median speedup with its quartiles
-and the batches won, under ``stages`` the median µs of each stage and
-their totals, and under ``exact`` and ``verify`` each side's ms per
-round, their medians, the median speedup with its quartiles and the
-rounds won. This is how a ``BENCH_*.json`` at the root is made:
+in every batch, the median speedup with its quartiles and the batches
+won, under ``stages`` the median µs of each stage and their totals, and
+under ``exact`` and ``verify`` each side's ms in every round, the median
+speedup with its quartiles and the rounds won. This is how a
+``BENCH_*.json`` at the root is made:
 
     python tools/ab_trial.py --base HEAD --batches 20 --batch 50 --stages 500 --json BENCH.json
     python tools/ab_trial.py --base HEAD --backend dense --n 10 --batches 20 --exact 20 \
@@ -151,8 +153,7 @@ def speedups(base_ms: list[float], work_ms: list[float]) -> dict:
     and the rounds the working tree won."""
     ratios = [b / w for b, w in zip(base_ms, work_ms)]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    return {"base_ms": statistics.median(base_ms), "work_ms": statistics.median(work_ms),
-            "speedup": statistics.median(ratios), "speedup_q1": q1, "speedup_q3": q3,
+    return {"speedup": statistics.median(ratios), "speedup_q1": q1, "speedup_q3": q3,
             "work_won": sum(r > 1 for r in ratios)}
 
 
@@ -168,6 +169,23 @@ def alternate(rounds: int, run) -> dict[str, list[float]]:
     return ms
 
 
+def rounds_timed(what: str, ms: dict[str, list[float]],
+                 noun: tuple[str, str] = ("round", "rounds"), **extra) -> dict:
+    """The record of alternating rounds (``noun``: one, many), printed as
+    one line. Both hold only paired figures: the median of the per-round
+    speedups, its quartiles and the rounds won, and in the record each
+    side's ms in every round, paired by index. Neither holds a side's
+    median over its own rounds, which can fall in another phase of the
+    VM's speed than the other side's."""
+    one, many = noun
+    rounds = len(ms["work"])
+    timed = {many: rounds, **extra, **speedups(ms["base"], ms["work"]),
+             f"base_ms_per_{one}": ms["base"], f"work_ms_per_{one}": ms["work"]}
+    print(f"{what}: speedup {timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
+          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{rounds} {many}")
+    return timed
+
+
 def ab_batches(base: dict, work: dict, args) -> dict:
     runs = {"base": trial_runner(base, args), "work": trial_runner(work, args)}
     for i in range(50):  # warm the pair-block tables and caches of both
@@ -179,13 +197,7 @@ def ab_batches(base: dict, work: dict, args) -> dict:
 
     ms = {side: [t / args.batch for t in times]
           for side, times in alternate(args.batches, batch).items()}
-    timed = {"batches": args.batches, "batch": args.batch, **speedups(ms["base"], ms["work"]),
-             "base_ms_per_batch": ms["base"], "work_ms_per_batch": ms["work"]}
-    print(f"{title(work, args)}: base {timed['base_ms']:.3f} ms/trial, "
-          f"work {timed['work_ms']:.3f} ms/trial, speedup "
-          f"{timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
-          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{args.batches} batches")
-    return timed
+    return rounds_timed(title(work, args), ms, ("batch", "batches"), batch=args.batch)
 
 
 def exact_scripts(mods: dict) -> list:
@@ -207,17 +219,6 @@ def same_laws(base: dict, work: dict) -> bool:
         if max(abs(p - q) for p, q in zip(b.values(), w.values())) > EXACT_TOLERANCE:
             return False
     return True
-
-
-def rounds_timed(what: str, ms: dict[str, list[float]], **extra) -> dict:
-    """The record of alternating rounds, printed as one line."""
-    rounds = len(ms["work"])
-    timed = {"rounds": rounds, **extra, **speedups(ms["base"], ms["work"]),
-             "base_ms_per_round": ms["base"], "work_ms_per_round": ms["work"]}
-    print(f"{what}: base {timed['base_ms']:.1f} ms/round, work {timed['work_ms']:.1f} ms/round, "
-          f"speedup {timed['speedup']:.3f} (quartiles {timed['speedup_q1']:.3f}-"
-          f"{timed['speedup_q3']:.3f}), work won {timed['work_won']}/{rounds} rounds")
-    return timed
 
 
 def ab_exact(base: dict, work: dict, args) -> dict:
