@@ -13,12 +13,10 @@ from .bell_algebra import (
 )
 from .engine import (
     Backend,
-    BellMeasure,
     CapacityError,
     GateName,
     Register,
     UnsupportedOperationError,
-    ZMeasure,
     derive_seed,
     new_register,
 )
@@ -27,13 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backend",
-    "BellMeasure",
     "BellType",
     "CapacityError",
     "GateName",
     "Register",
     "UnsupportedOperationError",
-    "ZMeasure",
     "bm_parity",
     "chain_relation_holds",
     "collapse_partner",

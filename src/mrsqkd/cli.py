@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NoReturn, Optional
 
 from .adversary import StrategyKind, TpStrategy, modification
-from .engine import Backend, CapacityError, GateName
+from .engine import Backend, GateName
 from .harness import (
     CampaignConfig,
     default_workers,
@@ -242,7 +242,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify-backends":
             return cmd_verify_backends(args)
         return cmd_curves(args)
-    except (CapacityError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,9 +41,11 @@ a measurement by it, on copies, and an oracle that follows a run's drawn
 outcomes in lockstep can use it. A given k that cannot occur returns
 before the split, so the state it leaves is a branch to discard.
 
-Enumeration (``outcome_law``) computes a plan's law directly. It
-joins the factors the plan reaches, by outer product, into one row of
-2^w amplitudes (the register's factors stay as they are). Each step
+Enumeration (``outcome_law``) computes a plan's law directly. A plan
+is a tuple of steps, each a tuple of qubits: (q,) measures Z and (a, b)
+Bell, the basis ``_BASES[len(step)]``. It joins the factors the plan
+reaches, by outer product, into one row of 2^w amplitudes (the
+register's factors stay as they are). Each step
 changes basis on its qubits' bits, the identity for Z and the four Bell
 rows for Bell, and moves them into the row index as one outcome digit,
 so a row is one outcome string and its squared norm the string's
@@ -57,9 +59,14 @@ then parity bit (Bell) first: the order of a depth-first walk.
   measures fewer than 40 qubit slots (a Bell step counts two) has joint
   probability 0 or at least 2^-39. So the joint cut keeps what a walk
   that drops a branch at conditional probability <= 1e-12 keeps. Every
-  plan within the qubit cap that measures each qubit once qualifies.
+  plan within the join bound that measures each qubit once qualifies.
 - Memory: such a plan holds at most the joined 2^w amplitudes. Each
-  step whose qubits are measured again multiplies them by 2 or 4.
+  step whose qubits are measured again multiplies them by 2 or 4. The
+  row is the only place memory grows with the qubits held, so it alone
+  is bounded: w is counted from the factors' widths before the first
+  outer product, and a plan whose w exceeds DENSE_QUBIT_CAP = 24 raises
+  ``CapacityError`` there. A register of any size runs, as its factors
+  hold at most 2 qubits each.
 
 All of it but the amplitudes depends only on the joined layout (the
 qubit at each bit of the row) and the steps, so ``_schedule`` compiles
@@ -90,7 +97,13 @@ import numpy as np
 
 from .bell_algebra import _BELL_BY_CODE
 
+# The most qubits ``outcome_law`` joins into one row of amplitudes.
 DENSE_QUBIT_CAP = 24
+
+
+class CapacityError(Exception):
+    """A plan's law would join more qubits than DENSE_QUBIT_CAP."""
+
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _MIN_PROB = 1e-12
@@ -114,7 +127,7 @@ _GATES = {
 _VALUES = {size: tuple(_BELL_BY_CODE[c] if size == 2 else int(c) for c in codes)
            for size, (_, codes) in _BASES.items()}
 
-_PLAN_ERROR = "plan step {}: not distinct qubits of 0..{}"
+_PLAN_ERROR = "plan step {}: not 1 or 2 distinct qubits of 0..{}"
 # Bounds of the compiled enumeration's caches (see the module docstring).
 _SCHEDULES = 64
 _KEY_TABLES = 16
@@ -155,7 +168,7 @@ def _schedule(n: int, layout: tuple[int, ...],
     schedule = []
     groups: list[tuple[int, ...]] = [()]  # consecutive steps, <= _KEY_ROWS outcomes each
     for i, qubits in enumerate(steps):
-        if len(set(qubits)) < len(qubits):
+        if len(qubits) not in _BASES or len(set(qubits)) < len(qubits):
             raise ValueError(_PLAN_ERROR.format(qubits, n - 1))
         basis, codes = _BASES[len(qubits)]
         w, k = len(held), len(codes)
@@ -208,8 +221,8 @@ class _Factor:
 
 
 class DenseState:
-    """Pure state of up to DENSE_QUBIT_CAP qubits: a product of factors,
-    a Z basis state for each qubit in none, and a global phase."""
+    """Pure state of n qubits: a product of factors, a Z basis state for
+    each qubit in none, and a global phase."""
 
     def __init__(self, n: int, rng: np.random.Generator) -> None:
         self.n = n
@@ -331,19 +344,27 @@ class DenseState:
         """Every outcome of measuring ``steps`` in turn, each (q,) for Z or
         (a, b) for Bell, with its probability: keyed by one value per step
         (the Z bit, or the Bell outcome as its ``BellType``), in the order
-        of the module docstring. ValueError unless each step holds distinct
-        qubits of the register. This state is left as it is."""
-        held: list[int] = []  # qubit at each index bit of a row
-        amps = np.ones((1, 1), dtype=np.complex128)  # one row per outcome string
+        of the module docstring. ValueError unless each step holds 1 or 2
+        distinct qubits of the register; CapacityError if the factors the
+        plan reaches hold more than DENSE_QUBIT_CAP qubits, before any is
+        joined. This state is left as it is."""
+        held: list[int] = []  # qubit at each index bit of the joined row
+        reached: list[np.ndarray] = []  # the amplitudes of each factor the plan reaches
         for qubits in steps:
             for q in qubits:
                 if q not in held:
                     if not 0 <= q < self.n:
                         raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
                     f = self._of.get(q) or _Factor(_BASES[1][0][(self._known >> q) & 1], [q])
-                    amps = (f.psi[:, None] * amps).reshape(1, -1)
+                    reached.append(f.psi)
                     held += f.qubits
+        if len(held) > DENSE_QUBIT_CAP:
+            raise CapacityError(f"a plan's law joins at most {DENSE_QUBIT_CAP} qubits, "
+                                f"this one {len(held)}")
         schedule, groups = _schedule(self.n, tuple(held), steps)
+        amps = np.ones((1, 1), dtype=np.complex128)  # one row per outcome string
+        for psi in reached:
+            amps = (psi[:, None] * amps).reshape(1, -1)
         for shape, order, split, basis, again, joined in schedule:
             parts = amps.reshape(shape).transpose(order).reshape(split)
             if basis is not None:

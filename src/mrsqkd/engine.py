@@ -4,11 +4,16 @@ DENSE stores its statevector as a product of factors of at most two
 qubits (a fresh or Z-measured qubit is one bit): a Z or Bell measurement
 projects onto its outcome's basis state, and the measured qubits leave
 their factor, a Z qubit as a bit and a Bell pair as a factor of its own.
+So a DENSE register of any size holds O(n) amplitudes.
 It doubles as the exact oracle: its ``outcome_distribution`` gives a
-measurement plan's outcomes with exact probabilities. It joins the
-factors the plan reaches into one amplitude tensor and changes basis on
-each step's qubits, with the tensor shapes and the outcome keys compiled
-once per plan shape (see ``dense``).
+measurement plan's outcomes with exact probabilities. A plan is a
+sequence of steps, each a tuple of qubits: (q,) measures Z and (a, b)
+Bell. It joins the factors the plan reaches into one amplitude tensor
+and changes basis on each step's qubits, with the tensor shapes and the
+outcome keys compiled once per plan shape (see ``dense``). That tensor
+is the one place memory grows exponentially, so it alone is bounded: a
+plan that reaches more than ``dense.DENSE_QUBIT_CAP`` qubits raises
+``CapacityError`` before any is joined.
 TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
 Monte Carlo campaigns. Both expose the same operation set: phi+ pair
 preparation on fresh qubits, the single-qubit gates X, Y (as i*sigma_y),
@@ -39,16 +44,15 @@ entropy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import eq
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .bell_algebra import _BELL_BY_CODE, BellType
-from .dense import DENSE_QUBIT_CAP, DenseState
+from .dense import CapacityError, DenseState  # noqa: F401  CapacityError: re-exported
 from .pairblock import PairBlockState
 
 
@@ -67,26 +71,8 @@ class GateName(Enum):
 _PAIR_ERROR = "qubits ({}, {}) are not two distinct qubits of a size-{} register"
 
 
-class CapacityError(Exception):
-    """A register cannot hold the requested number of qubits."""
-
-
 class UnsupportedOperationError(RuntimeError):
     """The operation is not available on this backend."""
-
-
-@dataclass(frozen=True)
-class ZMeasure:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class BellMeasure:
-    a: int
-    b: int
-
-
-PlanStep = Union[ZMeasure, BellMeasure]
 
 
 class _PhiloxKey(ISeedSequence):
@@ -128,12 +114,6 @@ def _span(qubits: Sequence[int]) -> tuple[int, int]:
     return min(ends), max(ends)
 
 
-def check_capacity(size: int, backend: Backend) -> None:
-    """CapacityError if ``backend`` cannot hold ``size`` qubits."""
-    if backend is Backend.DENSE and size > DENSE_QUBIT_CAP:
-        raise CapacityError(f"dense backend holds at most {DENSE_QUBIT_CAP} qubits, got {size}")
-
-
 class Register:
     """A register of qubits on one backend. Single-threaded; independent
     registers can be used concurrently."""
@@ -141,7 +121,6 @@ class Register:
     def __init__(self, size: int, backend: Backend, seed: int) -> None:
         if size < 1:
             raise ValueError(f"register size must be >= 1, got {size}")
-        check_capacity(size, backend)
         self.size = size
         state = DenseState if backend is Backend.DENSE else PairBlockState
         self._state = state(size, philox(seed))
@@ -224,17 +203,18 @@ class Register:
 
     # -- exact oracle ------------------------------------------------------
 
-    def outcome_distribution(self, plan: Sequence[PlanStep]) -> dict[tuple, float]:
+    def outcome_distribution(self, plan: Sequence[tuple[int, ...]]) -> dict[tuple, float]:
         """Exact outcome probabilities of running ``plan`` from the current
         state, keyed in depth-first order; the live register is not
-        collapsed. ValueError unless each step measures distinct qubits of
-        the register. DENSE backend only."""
+        collapsed. Each step is a tuple of qubits, (q,) for Z and (a, b)
+        for Bell: ValueError unless it holds 1 or 2 distinct qubits of the
+        register, CapacityError if the plan reaches more than
+        ``dense.DENSE_QUBIT_CAP`` qubits. DENSE backend only."""
         if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"
             )
-        steps = tuple([(s.qubit,) if isinstance(s, ZMeasure) else (s.a, s.b) for s in plan])
-        dist = self._state.outcome_law(steps)
+        dist = self._state.outcome_law(tuple(plan))
         total = sum(dist.values())
         if abs(total - 1.0) >= 1e-9:
             raise RuntimeError(f"outcome probabilities sum to {total}")

@@ -40,7 +40,6 @@ from .engine import (
     Backend,
     CapacityError,
     Register,
-    check_capacity,
     derive_seed,
     new_register,
     philox,
@@ -188,7 +187,6 @@ class ProtocolConfig:
         object.__setattr__(self, "pa_ratio", Fraction(self.pa_ratio))
         if not (0 < self.pa_ratio <= 1):
             raise ValueError(f"pa_ratio must be in (0, 1], got {self.pa_ratio}")
-        check_capacity(2 * self.n, self.backend)  # the run's register
 
 
 @dataclass

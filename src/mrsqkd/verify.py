@@ -17,16 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bell_algebra import _BELL_BY_CODE, BellType, chain_relation_holds, xor_rule_holds
-from .engine import (
-    Backend,
-    BellMeasure,
-    GateName,
-    PlanStep,
-    Register,
-    ZMeasure,
-    derive_seed,
-    new_register,
-)
+from .engine import Backend, GateName, Register, derive_seed, new_register
 from .dense import DENSE_QUBIT_CAP
 from .pairblock import PairBlockState
 
@@ -36,6 +27,7 @@ TOLERANCE = 1e-12  # largest |pair-block - dense| probability of an outcome
 _SHOT_CHUNK = 4096
 
 PrepOp = tuple  # ("bell", a, b) or ("gate", GateName, q)
+Step = tuple  # (q,) for Z or (a, b) for Bell
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,7 @@ class CircuitScript:
     name: str
     qubits: int
     prep: tuple[PrepOp, ...]
-    plan: tuple[PlanStep, ...]
+    plan: tuple[Step, ...]
     relation: Optional[Callable[[tuple], bool]]
 
 
@@ -65,7 +57,7 @@ def make_cycle(is_codes: Sequence[int], name: str) -> CircuitScript:
     pair i with the second qubit of pair i+1 (mod k)."""
     k = len(is_codes)
     prep = _prep_pairs(is_codes)
-    plan = tuple(BellMeasure(2 * i, 2 * ((i + 1) % k) + 1) for i in range(k))
+    plan = tuple((2 * i, 2 * ((i + 1) % k) + 1) for i in range(k))
     initials = tuple(is_codes)
 
     def relation(outcome: tuple) -> bool:
@@ -82,9 +74,7 @@ def make_chain(is_codes: Sequence[int], name: str) -> CircuitScript:
     if k < 2:
         raise ValueError(f"a chain needs at least 2 pairs, got {k}")
     prep = _prep_pairs(is_codes)
-    plan: tuple[PlanStep, ...] = (ZMeasure(0), ZMeasure(2 * k - 1)) + tuple(
-        BellMeasure(2 * i + 1, 2 * i + 2) for i in range(k - 1)
-    )
+    plan = ((0,), (2 * k - 1,)) + tuple((2 * i + 1, 2 * i + 2) for i in range(k - 1))
     is1, *mids, is2 = is_codes
 
     def relation(outcome: tuple) -> bool:
@@ -98,12 +88,12 @@ def _gate_on_half(gate: GateName, expected: Optional[BellType]) -> CircuitScript
     relation = None
     if expected is not None:
         relation = lambda outcome: outcome[0] is expected  # noqa: E731
-    return CircuitScript(f"half_{gate.value}", 2, ops, (BellMeasure(0, 1),), relation)
+    return CircuitScript(f"half_{gate.value}", 2, ops, ((0, 1),), relation)
 
 
 def scripted_circuits() -> list[CircuitScript]:
     return [
-        CircuitScript("empty", 2, (), (ZMeasure(0), ZMeasure(1)), None),
+        CircuitScript("empty", 2, (), ((0,), (1,)), None),
         make_cycle([0], "original_pair"),
         _gate_on_half(GateName.X, BellType.PSI_PLUS),
         _gate_on_half(GateName.Y, BellType.PSI_MINUS),
@@ -113,7 +103,7 @@ def scripted_circuits() -> list[CircuitScript]:
             "product_01",
             2,
             (("gate", GateName.X, 1),),
-            (BellMeasure(0, 1),),
+            ((0, 1),),
             lambda out: out[0] in (BellType.PSI_PLUS, BellType.PSI_MINUS),
         ),
         make_cycle([0, 0], "crossed_pairs"),
@@ -140,9 +130,9 @@ def _apply_prep(reg: Register, prep: Sequence[PrepOp]) -> None:
             reg.apply_gate(op[1], op[2])
 
 
-def _run_plan(reg: Register, plan: Sequence[PlanStep]) -> tuple:
-    return tuple(reg.measure_z(step.qubit) if isinstance(step, ZMeasure)
-                 else reg.measure_bell(step.a, step.b) for step in plan)
+def _run_plan(reg: Register, plan: Sequence[Step]) -> tuple:
+    return tuple(reg.measure_z(*step) if len(step) == 1 else reg.measure_bell(*step)
+                 for step in plan)
 
 
 def sample_tableau(script: CircuitScript, samples: int, seed: int) -> list[tuple]:
@@ -161,11 +151,11 @@ def sample_tableau(script: CircuitScript, samples: int, seed: int) -> list[tuple
                 reg.apply_gate(op[1], op[2] + offset)
     columns = []
     for step in script.plan:
-        if isinstance(step, ZMeasure):
-            columns.append(reg.measure_z_many(range(step.qubit, size, q)))
+        wires = [range(first, size, q) for first in step]
+        if len(step) == 1:
+            columns.append(reg.measure_z_many(*wires))
         else:
-            codes = reg.measure_bell_many(range(step.a, size, q), range(step.b, size, q))
-            columns.append(map(_BELL_BY_CODE.__getitem__, codes))
+            columns.append(map(_BELL_BY_CODE.__getitem__, reg.measure_bell_many(*wires)))
     return list(zip(*columns)) if columns else [()] * samples
 
 

@@ -77,8 +77,10 @@ def test_batches_time_the_modify_campaign(ab, capsys):
 
 
 @pytest.mark.parametrize("kw, message", [
-    (dict(n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
-    (dict(stages=0, n=14, backend="dense"), "dense backend holds at most 24 qubits, got 28"),
+    (dict(n=14, backend="dense", attack="modify", campaign=["--m", "99"]),
+     "cannot attack 99 of 14 qubits"),
+    (dict(stages=0, n=14, backend="dense", attack="modify", campaign=["--m", "99"]),
+     "cannot attack 99 of 14 qubits"),
     (dict(n=7), "n must be even and >= 2, got 7"),
     (dict(campaign=["--bogus"]), "unrecognized arguments: --bogus"),
     (dict(campaign=["--config", "run.cfg"]), "--config does not pick the trials timed; leave it out"),

@@ -15,11 +15,9 @@ from mrsqkd.bell_algebra import BellType
 from mrsqkd.dense import DenseState
 from mrsqkd.engine import (
     Backend,
-    BellMeasure,
     CapacityError,
     GateName,
     UnsupportedOperationError,
-    ZMeasure,
     derive_seed,
     Register,
     new_register,
@@ -44,9 +42,12 @@ def test_tableau_scales_to_huge_registers():
 
 
 def test_dense_capacity_cap():
-    with pytest.raises(CapacityError):
-        new_register(30, Backend.DENSE, 1)
-    new_register(24, Backend.DENSE, 1)
+    """A DENSE register has no qubit cap, as its factors hold at most 2
+    qubits each: a 30-qubit register builds and runs. The cap bounds only
+    the row an exact law joins (the join-bound tests below)."""
+    reg = new_register(30, Backend.DENSE, 1)
+    reg.prepare_bell_phi_plus(28, 29)
+    assert reg.measure_bell(28, 29) is BellType.PHI_PLUS
 
 
 @pytest.mark.parametrize("backend", BOTH)
@@ -280,21 +281,21 @@ def test_trials_and_registers_read_no_os_entropy(monkeypatch):
 def test_distribution_phi_plus_z_pair():
     reg = new_register(2, Backend.DENSE, 1)
     reg.prepare_bell_phi_plus(0, 1)
-    dist = reg.outcome_distribution([ZMeasure(0), ZMeasure(1)])
+    dist = reg.outcome_distribution([(0,), (1,)])
     assert dist == {(0, 0): pytest.approx(0.5), (1, 1): pytest.approx(0.5)}
 
 
 def test_distribution_phi_plus_bell():
     reg = new_register(2, Backend.DENSE, 1)
     reg.prepare_bell_phi_plus(0, 1)
-    dist = reg.outcome_distribution([BellMeasure(0, 1)])
+    dist = reg.outcome_distribution([(0, 1)])
     assert dist == {(BellType.PHI_PLUS,): pytest.approx(1.0)}
 
 
 def test_distribution_product_01_bell():
     reg = new_register(2, Backend.DENSE, 1)
     reg.apply_gate(GateName.X, 1)
-    dist = reg.outcome_distribution([BellMeasure(0, 1)])
+    dist = reg.outcome_distribution([(0, 1)])
     assert dist == {
         (BellType.PSI_PLUS,): pytest.approx(0.5),
         (BellType.PSI_MINUS,): pytest.approx(0.5),
@@ -304,7 +305,7 @@ def test_distribution_product_01_bell():
 def test_distribution_does_not_collapse_live_register():
     reg = new_register(2, Backend.DENSE, 3)
     reg.prepare_bell_phi_plus(0, 1)
-    reg.outcome_distribution([ZMeasure(0)])
+    reg.outcome_distribution([(0,)])
     # Still the entangled pair: Bell measurement stays deterministic.
     assert reg.measure_bell(0, 1) is BellType.PHI_PLUS
 
@@ -312,7 +313,7 @@ def test_distribution_does_not_collapse_live_register():
 def test_distribution_rejects_tableau():
     reg = new_register(2, Backend.TABLEAU, 1)
     with pytest.raises(UnsupportedOperationError):
-        reg.outcome_distribution([ZMeasure(0)])
+        reg.outcome_distribution([(0,)])
 
 
 def _amps(state):
@@ -381,13 +382,13 @@ def _reference_distribution(state, plan, prefix=(), prob=1.0, dist=None):
         dist[prefix] = prob
         return dist
     step, rest = plan[0], plan[1:]
-    if isinstance(step, ZMeasure):
-        for outcome, p, branch in _branches(state, (step.qubit,)):
+    if len(step) == 1:
+        for outcome, p, branch in _branches(state, step):
             _reference_distribution(branch, rest, prefix + (outcome,), prob * p, dist)
     else:
         for s in (0, 1):
             for p in (0, 1):
-                branch, q = _bell_project(state, step.a, step.b, s, p)
+                branch, q = _bell_project(state, *step, s, p)
                 if q > 1e-12:
                     bell = BellType((p << 1) | s)
                     _reference_distribution(branch, rest, prefix + (bell,), prob * q, dist)
@@ -420,8 +421,8 @@ def oracle_cases(draw):
     reg = draw(prepared_registers())
     n = reg.size
     qubit = st.integers(0, n - 1)
-    pairs = st.permutations(range(n)).map(lambda qs: BellMeasure(qs[0], qs[1]))
-    plan = draw(st.lists(st.one_of(qubit.map(ZMeasure), pairs), min_size=1, max_size=6))
+    pairs = st.permutations(range(n)).map(lambda qs: (qs[0], qs[1]))
+    plan = draw(st.lists(st.one_of(st.tuples(qubit), pairs), min_size=1, max_size=6))
     return reg, plan
 
 
@@ -436,8 +437,7 @@ def test_outcome_distribution_matches_recursive_reference(case):
         assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
-REMEASURE_PLAN = [BellMeasure(1, 2), BellMeasure(3, 4), ZMeasure(2), BellMeasure(5, 6),
-                  BellMeasure(2, 7), ZMeasure(0), ZMeasure(4), BellMeasure(1, 3)]
+REMEASURE_PLAN = [(1, 2), (3, 4), (2,), (5, 6), (2, 7), (0,), (4,), (1, 3)]
 
 
 def _four_pairs_with_gates():
@@ -512,12 +512,10 @@ def test_the_schedule_caches_stay_within_their_bounds():
     reg = _four_pairs_with_gates()
     plans = []
     for steps in range(1, 5):
-        for kinds in itertools.product((ZMeasure, BellMeasure), repeat=steps):
+        for sizes in itertools.product((1, 2), repeat=steps):
             for first in (0, 3, 5):
                 qubits = itertools.cycle(range(first, first + 8))
-                plans.append([ZMeasure(next(qubits) % 8) if kind is ZMeasure
-                              else BellMeasure(next(qubits) % 8, next(qubits) % 8)
-                              for kind in kinds])
+                plans.append([tuple(next(qubits) % 8 for _ in range(size)) for size in sizes])
     assert len(plans) > dense._SCHEDULES
     for plan in plans:
         dist = reg.outcome_distribution(plan)
@@ -627,15 +625,15 @@ def live_set_scripts(draw):
             a = b = draw(qubit)
             ops.append(("z", a))
         fresh -= {a, b}
-    pairs = st.permutations(range(n)).map(lambda qs: BellMeasure(qs[0], qs[1]))
-    plan = draw(st.lists(st.one_of(qubit.map(ZMeasure), pairs), min_size=1, max_size=4))
+    pairs = st.permutations(range(n)).map(lambda qs: (qs[0], qs[1]))
+    plan = draw(st.lists(st.one_of(st.tuples(qubit), pairs), min_size=1, max_size=4))
     return n, ops, plan
 
 
 @settings(max_examples=300, deadline=None)
 @given(live_set_scripts(), st.integers(0, 2**32))
-@example((2, [("gate", GateName.X, 0), ("z", 0), ("gate", GateName.H, 0)], [ZMeasure(0)]), 0)
-@example((2, [("gate", GateName.Y, 0), ("z", 0)], [ZMeasure(1)]), 0)  # a phase of -1 left over
+@example((2, [("gate", GateName.X, 0), ("z", 0), ("gate", GateName.H, 0)], [(0,)]), 0)
+@example((2, [("gate", GateName.Y, 0), ("z", 0)], [(1,)]), 0)  # a phase of -1 left over
 def test_dense_live_set_matches_a_full_width_reference(script, seed):
     """After every operation the register's full vector equals the
     reference's at 1e-12, both draw the same numbers (a twin generator),
@@ -688,9 +686,52 @@ def test_dense_factors_hold_at_most_two_qubits(script, seed):
 def test_distribution_validates_plan():
     reg = new_register(2, Backend.DENSE, 1)
     with pytest.raises(ValueError):
-        reg.outcome_distribution([ZMeasure(5)])
+        reg.outcome_distribution([(5,)])
     with pytest.raises(ValueError):
-        reg.outcome_distribution([BellMeasure(1, 1)])
+        reg.outcome_distribution([(1, 1)])
+
+
+def test_a_plan_step_holds_one_or_two_qubits():
+    reg = new_register(3, Backend.DENSE, 1)
+    for step in ((), (0, 1, 2)):
+        with pytest.raises(ValueError, match="not 1 or 2 distinct qubits"):
+            reg.outcome_distribution([step])
+
+
+def _thirty_pairs():
+    """A 60-qubit DENSE register of 30 phi+ pairs (2i, 2i + 1)."""
+    reg = new_register(60, Backend.DENSE, 1)
+    reg.prepare_pairs(range(0, 60, 2), range(1, 60, 2))
+    return reg
+
+
+def test_a_law_over_the_join_bound_fails_before_it_joins():
+    """Z on qubits 0..25 reaches 13 pairs, 26 qubits, past
+    DENSE_QUBIT_CAP: CapacityError before any outer product, where the
+    joined row alone would take 2^26 amplitudes (1 GiB)."""
+    reg = _thirty_pairs()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="at most 24 qubits, this one 26"):
+            reg.outcome_distribution([(q,) for q in range(26)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_law_within_the_join_bound_ignores_the_rest_of_the_register():
+    """A plan that reaches 4 qubits of the 60-qubit register gives, bit
+    for bit and in the same order, the law it gives on a register of
+    just those 4 qubits."""
+    small, big = new_register(4, Backend.DENSE, 1), _thirty_pairs()
+    small.prepare_pairs([0, 2], [1, 3])
+    for reg, at in ((small, 0), (big, 40)):
+        reg.apply_gate(GateName.H, at)
+        reg.apply_gate(GateName.Y, at + 3)
+    law = small.outcome_distribution([(0, 3), (1,), (2,)])
+    assert len(law) > 1
+    assert list(big.outcome_distribution([(40, 43), (41,), (42,)]).items()) == list(law.items())
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +758,7 @@ def fuzz_scripts(draw):
             prep.append(("gate", draw(st.sampled_from(list(GateName))), a))
         fresh = [q for q in fresh if q not in (a, b)]
     pairs = st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1])
-    step = st.one_of(qubit.map(ZMeasure), pairs.map(lambda ab: BellMeasure(*ab)))
+    step = st.one_of(st.tuples(qubit), pairs)
     plan = draw(st.lists(step, min_size=1, max_size=4))
     return verify.CircuitScript("fuzz", n, tuple(prep), tuple(plan), None)
 

@@ -17,7 +17,7 @@ import pytest
 
 import mrsqkd
 
-from mrsqkd import adversary, cli, harness
+from mrsqkd import adversary, cli, harness, protocol
 from mrsqkd.harness import (
     CampaignConfig,
     detection_curves,
@@ -29,7 +29,7 @@ from mrsqkd.harness import (
     summarize,
 )
 from mrsqkd.dense import DenseState
-from mrsqkd.engine import GateName, Register
+from mrsqkd.engine import Backend, GateName, Register
 from mrsqkd.pairblock import PairBlockState
 from mrsqkd.protocol import ProtocolConfig, RunStats, RunStatus, run_protocol
 
@@ -134,11 +134,11 @@ def test_cli_bad_out_path_fails_before_any_trial(argv, tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize(
     "argv, error",
-    [(["campaign", "--backend", "dense", "--n", "14", "--trials", "2"],
-      "error: dense backend holds at most 24 qubits, got 28"),
+    [(["campaign", "--backend", "dense", "--n", "14", "--pa-ratio", "2", "--trials", "2"],
+      "error: pa_ratio must be in (0, 1], got 2"),
      (["curves", "--max", "3", "--n", "2", "--empirical-trials", "2"],
       "error: cannot attack 3 of 2 qubits")],
-    ids=["campaign-dense-over-capacity", "curves-point-over-n"],
+    ids=["campaign-dense-pa-ratio", "curves-point-over-n"],
 )
 def test_cli_config_error_fails_before_any_campaign_or_file(argv, error, tmp_path, capsys,
                                                              monkeypatch):
@@ -151,6 +151,49 @@ def test_cli_config_error_fails_before_any_campaign_or_file(argv, error, tmp_pat
     assert captured.err.splitlines() == [error]
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, strategy", [
+    (64, adversary.honest()),
+    (64, adversary.parity_aware_measure()),
+    (64, adversary.modification(GateName.X, 8)),
+    (256, adversary.honest()),
+], ids=["honest-n64", "parity-measure-n64", "modify-x-m8-n64", "honest-n256"])
+def test_dense_campaigns_at_the_paper_n_write_the_pair_block_rows(n, strategy):
+    """DENSE runs whole campaigns at the paper's n, and its CSV equals the
+    pair-block backend's byte for byte. Naive-measure is left out: its
+    rows depend on the engine's own draws, and the two backends draw
+    different streams."""
+    rows = {backend: render_csv(run_campaign(_campaign(
+        n=n, trials=200, strategy=strategy, master_seed=77, backend=backend))[0])
+        for backend in (Backend.DENSE, Backend.TABLEAU)}
+    assert rows[Backend.DENSE] == rows[Backend.TABLEAU]
+
+
+def _dense_run(monkeypatch, n, strategy):
+    """The register of one DENSE run at ``n``, after the run."""
+    made = []
+    real = protocol.new_register
+    monkeypatch.setattr(protocol, "new_register", lambda *a: made.append(real(*a)) or made[-1])
+    run_protocol(ProtocolConfig(n=n, seed=5, backend=Backend.DENSE), strategy)
+    return made[0]
+
+
+def test_a_dense_run_at_the_paper_n_keeps_every_factor_within_two_qubits(monkeypatch):
+    reg = _dense_run(monkeypatch, 256, adversary.modification(GateName.H, 8))
+    assert reg.size == 512 and reg._state._of
+    assert max(len(f.qubits) for f in reg._state._of.values()) <= 2
+
+
+def test_a_dense_run_at_n_1024_stays_small(monkeypatch):
+    """Memory O(n): a DENSE run of 2048 qubits peaks under 2 MB."""
+    tracemalloc.start()
+    try:
+        _dense_run(monkeypatch, 1024, adversary.honest())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_package_exports_resolve():
@@ -556,7 +599,7 @@ GOLDEN = [
      "0de047c0154caf11b26b7e2bb1010d5e11d2c66457dff83d2cab2818c1c2566a"),
     (["simulate", "--attack", "parity-measure", "--backend", "dense", "--n", "8", "--seed", "2"],
      "ab061b4fc4e43254810e2222838b1005cb2046c75ab789323824bbd6dae5f1a5"),
-    # Whole DENSE runs at the register's widest, 20 and 24 qubits.
+    # Whole DENSE runs of 24 and 20 qubits.
     (["simulate", "--attack", "modify", "--gate", "h", "--m", "3", "--backend", "dense",
       "--n", "12", "--seed", "23"],
      "3384df4b00951418e8db41750d05ac347d855222dbc0d12c30367e1a97cc2ab0"),

@@ -117,10 +117,11 @@ def test_tp_step1_capacity():
         tp_step1(reg, 4)
 
 
-def test_protocol_config_checks_dense_capacity():
-    with pytest.raises(CapacityError, match="at most 24 qubits, got 28"):
-        ProtocolConfig(n=14, seed=1, backend=Backend.DENSE)
-    ProtocolConfig(n=12, seed=1, backend=Backend.DENSE)
+def test_protocol_config_puts_no_qubit_cap_on_dense():
+    """A DENSE run's register holds 2n qubits at any n, as a pair-block
+    run's does: n=14 (28 qubits) and the paper's n=1024 configure."""
+    for n in (12, 14, 1024):
+        ProtocolConfig(n=n, seed=1, backend=Backend.DENSE)
     ProtocolConfig(n=14, seed=1)
 
 

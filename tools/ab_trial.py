@@ -14,8 +14,9 @@ Every flag the tool does not define is a flag of ``mrsqkd campaign``
 trials timed are those of ``campaign`` with these flags, its defaults
 included (n=64, seed 1). ``--trials``, ``--out``, ``--workers`` and
 ``--config`` do not pick the trials, so the tool refuses them, written
-out or abbreviated. Such a flag, a bad flag, or a run that the backend
-cannot hold ends the tool with the CLI's one ``error:`` line and exit 2.
+out or abbreviated. Such a flag, a bad flag, or a campaign that the CLI
+would refuse (an odd ``--n``, an ``--m`` over n) ends the tool with the
+CLI's one ``error:`` line and exit 2.
 
 ``git archive`` extracts the base revision's ``src/mrsqkd`` into a
 temporary directory, where it is imported as ``mrsqkd_base`` beside the
@@ -292,7 +293,7 @@ def compare(base: dict, work: dict, args) -> int:
     for mods in (base, work):  # leaves the working tree's config
         try:
             config = campaign(mods, args.campaign)
-        except (ValueError, mods["engine"].CapacityError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if not same_rows(base, work, args):
