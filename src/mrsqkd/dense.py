@@ -43,12 +43,15 @@ before the split, so the state it leaves is a branch to discard.
 
 Enumeration (``outcome_law``) computes a plan's law directly. A plan
 is a tuple of steps, each a tuple of qubits: (q,) measures Z and (a, b)
-Bell, the basis ``_BASES[len(step)]``. It joins the factors the plan
-reaches, by outer product, into one row of 2^w amplitudes (the
-register's factors stay as they are). Each step
-changes basis on its qubits' bits, the identity for Z and the four Bell
-rows for Bell, and moves them into the row index as one outcome digit,
-so a row is one outcome string and its squared norm the string's
+Bell, the basis ``_BASES[len(step)]``. Any other step raises the
+ValueError of ``_PLAN_ERROR``: ``outcome_law``'s loop over the steps
+refuses a step that is no tuple (a list, an int) and a qubit outside the
+register, and ``_schedule`` a tuple that is not 1 or 2 distinct qubits.
+The law joins the factors the plan reaches, by outer product, into one
+row of 2^w amplitudes (the register's factors stay as they are). Each
+step changes basis on its qubits' bits, the identity for Z and the four
+Bell rows for Bell, and moves them into the row index as one outcome
+digit, so a row is one outcome string and its squared norm the string's
 probability. A qubit that a later step measures again gets its bit back,
 in the outcome's basis state; the others are summed out at the end.
 Outcomes above 1e-12 are kept in step order, outcome 0 (Z) or sign bit,
@@ -344,13 +347,15 @@ class DenseState:
         """Every outcome of measuring ``steps`` in turn, each (q,) for Z or
         (a, b) for Bell, with its probability: keyed by one value per step
         (the Z bit, or the Bell outcome as its ``BellType``), in the order
-        of the module docstring. ValueError unless each step holds 1 or 2
-        distinct qubits of the register; CapacityError if the factors the
-        plan reaches hold more than DENSE_QUBIT_CAP qubits, before any is
-        joined. This state is left as it is."""
+        of the module docstring. ValueError unless each step is a tuple of
+        1 or 2 distinct qubits of the register; CapacityError if the
+        factors the plan reaches hold more than DENSE_QUBIT_CAP qubits,
+        before any is joined. This state is left as it is."""
         held: list[int] = []  # qubit at each index bit of the joined row
         reached: list[np.ndarray] = []  # the amplitudes of each factor the plan reaches
         for qubits in steps:
+            if not isinstance(qubits, tuple):  # before it is iterated or hashed
+                raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
             for q in qubits:
                 if q not in held:
                     if not 0 <= q < self.n:

@@ -13,7 +13,9 @@ and changes basis on each step's qubits, with the tensor shapes and the
 outcome keys compiled once per plan shape (see ``dense``). That tensor
 is the one place memory grows exponentially, so it alone is bounded: a
 plan that reaches more than ``dense.DENSE_QUBIT_CAP`` qubits raises
-``CapacityError`` before any is joined.
+``CapacityError`` before any is joined; nothing else raises it. A
+malformed step raises ValueError there too, and a register's own ops
+raise ValueError for a qubit outside it.
 TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
 Monte Carlo campaigns. Both expose the same operation set: phi+ pair
 preparation on fresh qubits, the single-qubit gates X, Y (as i*sigma_y),
@@ -207,9 +209,11 @@ class Register:
         """Exact outcome probabilities of running ``plan`` from the current
         state, keyed in depth-first order; the live register is not
         collapsed. Each step is a tuple of qubits, (q,) for Z and (a, b)
-        for Bell: ValueError unless it holds 1 or 2 distinct qubits of the
-        register, CapacityError if the plan reaches more than
-        ``dense.DENSE_QUBIT_CAP`` qubits. DENSE backend only."""
+        for Bell. The oracle, ``DenseState.outcome_law``, makes every
+        check on the plan: ValueError unless each step is a tuple of 1 or
+        2 distinct qubits of the register, CapacityError if the plan
+        reaches more than ``dense.DENSE_QUBIT_CAP`` qubits. DENSE backend
+        only."""
         if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"

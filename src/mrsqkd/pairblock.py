@@ -228,11 +228,13 @@ class PairBlockState:
         fresh and in one pair only; otherwise ValueError, with no qubit
         changed."""
         sid, partner = self._sid, self._partner
-        if (type(wire_a) is range is type(wire_b) and wire_a.step == wire_b.step == 1
-                and len(wire_a) == len(wire_b)
-                and (wire_a.stop <= wire_b.start or wire_b.stop <= wire_a.start)):
-            # Two disjoint runs of consecutive qubits: one slice per list.
-            a, b = slice(wire_a.start, wire_a.stop), slice(wire_b.start, wire_b.stop)
+        if (type(wire_a) is range is type(wire_b) and wire_a.step == wire_b.step > 0
+                and len(wire_a) == len(wire_b) > 0
+                and ((wire_a.start - wire_b.start) % wire_a.step
+                     or wire_a[-1] < wire_b.start or wire_b[-1] < wire_a.start)):
+            # Two ranges of one step that share no qubit (their starts differ
+            # modulo the step, or their spans are apart): one slice per list.
+            a, b = (slice(wire.start, wire.stop, wire.step) for wire in (wire_a, wire_b))
             if sid[a].count(FRESH) == len(wire_a) == sid[b].count(FRESH):
                 sid[a] = sid[b] = [_TABLES.phi_plus] * len(wire_a)
                 partner[a], partner[b] = wire_b, wire_a

@@ -79,6 +79,7 @@ def amplify(raw: Sequence[int], params: PAParams) -> list[int]:
     # Row i of T reads seed bits inp-1+i down to i: with seed_bits[k] at
     # bit k, shifting the packed seed right by i lines them up with the
     # packed key, raw[0] highest, so each row is one AND and a popcount.
-    seed_int = _pack(_bytes(params.seed_bits[::-1], "seed bits"))
+    # ``PAParams`` has checked that every seed bit is 0 or 1.
+    seed_int = _pack(bytes(params.seed_bits[::-1]))
     out = output_length(len(raw), params.ratio)
     return [((seed_int >> i) & raw_rev).bit_count() & 1 for i in range(out)]

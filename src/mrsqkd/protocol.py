@@ -38,7 +38,6 @@ from .bell_algebra import _BELL_BY_CODE, BellType
 from .bell_algebra import chain_relation_holds, infer_remote_bit, xor_rule_holds  # noqa: F401
 from .engine import (
     Backend,
-    CapacityError,
     Register,
     derive_seed,
     new_register,
@@ -348,9 +347,9 @@ def party_step2(rng: np.random.Generator, n: int) -> PartyState:
 
 
 def tp_step1(engine: Register, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prepare n phi+ pairs; first qubits form wire A, second qubits wire B."""
-    if engine.size < 2 * n:
-        raise CapacityError(f"register of {engine.size} qubits cannot hold {n} pairs")
+    """Prepare n phi+ pairs; first qubits form wire A, second qubits wire B.
+    A register under 2n qubits is refused by ``Register.prepare_pairs``,
+    with the ValueError that names the first pair it cannot hold."""
     wire_a, wire_b = range(n), range(n, 2 * n)
     engine.prepare_pairs(wire_a, wire_b)
     return tuple(wire_a), tuple(wire_b)

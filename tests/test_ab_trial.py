@@ -1,8 +1,10 @@
 """tools/ab_trial.py, run in-process with the working tree's package on
 both sides, so the timing tool cannot drift from the run it times."""
 import argparse
+import collections
 import dataclasses
 import importlib.util
+import itertools
 import json
 import pathlib
 import types
@@ -167,6 +169,37 @@ def test_json_records_the_exact_rounds_beside_the_batches(ab, capsys, tmp_path):
     assert 0 <= exact["work_won"] <= 3
     assert printed[-1].startswith("exact laws of 512 configurations: ")
     assert printed[-1].endswith(f"work won {exact['work_won']}/3 rounds")
+
+
+def test_exact_rounds_check_every_outcome_by_its_relation(ab, capsys):
+    """Each round calls every script's relation once per outcome of its
+    law, as the perfbench oracle workload does."""
+    work = ab.modules("mrsqkd")
+    verify = work["verify"]
+    calls = []
+
+    def counted(make):
+        def build(codes, name):
+            script = make(codes, name)
+            relation = script.relation
+
+            def check(outcome):
+                calls.append((name, codes, outcome))
+                return relation(outcome)
+            return dataclasses.replace(script, relation=check)
+        return build
+
+    side = dict(work, verify=types.SimpleNamespace(
+        make_cycle=counted(verify.make_cycle), make_chain=counted(verify.make_chain),
+        exact_distribution=verify.exact_distribution))
+    ab.ab_exact(side, side, stage_args(stages=0, exact=2))
+    capsys.readouterr()
+    outcomes = [(script.name, codes, outcome)
+                for codes in itertools.product(range(4), repeat=ab.EXACT_PAIRS)
+                for script in (verify.make_cycle(codes, "cycle"), verify.make_chain(codes, "chain"))
+                for outcome in verify.exact_distribution(script, 11)]
+    assert len(outcomes) == len(set(outcomes)) > 512
+    assert collections.Counter(calls) == dict.fromkeys(outcomes, 2 * 2)  # two rounds, two sides
 
 
 def test_exact_laws_that_differ_are_refused_before_timing(ab, capsys):

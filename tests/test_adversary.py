@@ -8,7 +8,7 @@ import pytest
 from mrsqkd import adversary
 from mrsqkd.adversary import TpHooks, TpStrategy, StrategyKind
 from mrsqkd.bell_algebra import BellType
-from mrsqkd.engine import GateName
+from mrsqkd.engine import Backend, GateName
 from mrsqkd.protocol import (
     ComponentKind,
     MRAnnounce,
@@ -222,3 +222,52 @@ def test_adversarial_preparation_is_detected_downstream():
         if res.outcome.status is RunStatus.ABORTED or res.stats.keys_match is False:
             detected += 1
     assert detected / trials > 0.95
+
+
+class _SourceMeasureHooks(TpHooks):
+    """A server that Z-measures all of wire A at the source, then
+    Bell-measures the returned wires and announces each slot's true
+    parity bit with sign 0. It prepared wire A, so a qubit's id is its
+    position, and it records each bit by position."""
+
+    def on_outbound(self, engine, wires):
+        self.bits = engine.measure_z_many(wires[0])
+        return wires
+
+    def on_return(self, engine, q1, q2):
+        return [code & 2 for code in engine.measure_bell_many(q1, q2)]
+
+
+class _SourceMeasure:
+    """A stand-in strategy: what ``run_protocol`` reads of one."""
+
+    def check_fits(self, n):
+        pass
+
+    def instantiate(self, rng):
+        return _SourceMeasureHooks(rng)
+
+    def describe(self):
+        return "source-measure"
+
+
+@pytest.mark.parametrize("backend, n, runs", [(Backend.TABLEAU, 64, 100), (Backend.DENSE, 16, 30)],
+                         ids=["pair-block n=64", "dense n=16"])
+def test_a_sign_zero_server_passes_every_check_and_knows_every_raw_key_bit(backend, n, runs):
+    """Every pair starts in phi+, so around a cycle the true parity bits
+    XOR to 0, and so do all-zero signs: a server that knows each slot's
+    parity and announces sign 0 passes every cycle and every chain. Z on
+    wire A at the source tells it every bit Alice measures, so every raw
+    key bit: the Case-1 positions, then Alice's end of each single-slot
+    chain, in slot order. No tolerance: every run completes with equal
+    keys, and the server's bits are Alice's raw key exactly."""
+    known = 0
+    for seed in range(50000, 50000 + runs):
+        res = run_protocol(ProtocolConfig(n=n, seed=seed, backend=backend), _SourceMeasure())
+        assert res.outcome.status is RunStatus.COMPLETED and res.stats.keys_match
+        case3 = [end_a for kind, slots, end_a, _ in res.classification.rows
+                 if kind is ComponentKind.CHAIN and len(slots) == 1]
+        positions = [*res.classification.case1_positions, *case3]
+        assert tuple(res.hooks.bits[p] for p in positions) == res.outcome.raw_key_alice
+        known += len(positions)
+    assert known > 2 * runs

@@ -1,8 +1,10 @@
 """Engine contract tests run against both backends wherever possible."""
+import dataclasses
 import hashlib
 import itertools
 import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import numpy.random.bit_generator as bit_generator
@@ -692,9 +694,13 @@ def test_distribution_validates_plan():
 
 
 def test_a_plan_step_holds_one_or_two_qubits():
+    """A step that is not a tuple, a bare int or a list, gets the same
+    ValueError as a tuple of the wrong size, a repeated qubit or one
+    outside the register, before it is iterated or hashed as a cache key."""
     reg = new_register(3, Backend.DENSE, 1)
-    for step in ((), (0, 1, 2)):
-        with pytest.raises(ValueError, match="not 1 or 2 distinct qubits"):
+    reg.prepare_bell_phi_plus(0, 1)
+    for step in ((), (0, 1, 2), 0, [0], (0, 0), (5,)):
+        with pytest.raises(ValueError, match=r"^plan step .*: not 1 or 2 distinct qubits"):
             reg.outcome_distribution([step])
 
 
@@ -798,6 +804,27 @@ def test_verify_backends_memory_stays_flat_in_the_sample_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_verify_backends_checks_each_distinct_outcome_once(monkeypatch):
+    """The relation runs once per distinct outcome, exact or drawn; an
+    outcome that breaks it counts once if exact and once per shot."""
+    script = verify.make_cycle([0, 0, 0], "cycle_3")
+    calls = Counter()
+
+    def sign_bit_0(outcome):  # broken by a first result of sign bit 1
+        calls[outcome] += 1
+        return not int(outcome[0]) & 1
+
+    counted = dataclasses.replace(script, relation=sign_bit_0)
+    monkeypatch.setattr(verify, "scripted_circuits", lambda: [counted])
+    (circuit,) = verify.verify_backends(max_qubits=6, samples=300, seed=7).circuits
+    exact = verify.exact_distribution(script, derive_seed(7, 0))
+    assert calls == Counter(dict.fromkeys(exact, 1))  # the shots fall in the support
+    shots = Counter(verify.sample_tableau(script, 300, derive_seed(derive_seed(7, 0), 0)))
+    broken = [outcome for outcome in exact if int(outcome[0]) & 1]
+    assert circuit.relation_failures == len(broken) + sum(shots[o] for o in broken)
+    assert 0 < sum(shots[o] for o in broken) < 300
 
 
 def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):
@@ -1207,6 +1234,43 @@ def test_whole_wire_pairs_of_unequal_length_fail():
                  lambda: reg.measure_bell_many((0,), (1, 2))):
         with pytest.raises(ValueError, match="wire length mismatch: [12] vs [21]"):
             call()
+
+
+def test_pairblock_prepares_strided_runs_by_slices(monkeypatch):
+    """Two ranges of one step that share no qubit, as ``sample_tableau``'s
+    shots give them (starts apart modulo the step, or spans apart), leave
+    the ``_sid`` and ``_partner`` that per-pair ``prepare_bell`` leaves,
+    with no per-pair call."""
+    runs = [(range(0, 24, 6), range(3, 24, 6)), (range(5, 24, 6), range(1, 24, 6)),
+            (range(0, 8, 2), range(10, 18, 2)), (range(11, 19, 2), range(1, 9, 2))]
+    expected = []
+    for wire_a, wire_b in runs:
+        loop = PairBlockState(24, None)
+        for a, b in zip(wire_a, wire_b):
+            loop.prepare_bell(a, b)
+        expected.append((loop._sid, loop._partner))
+
+    def per_pair(self, a, b):
+        raise AssertionError("a strided run fell back to per-pair preparation")
+
+    monkeypatch.setattr(PairBlockState, "prepare_bell", per_pair)
+    for (wire_a, wire_b), state in zip(runs, expected):
+        sliced = PairBlockState(24, None)
+        sliced.prepare_pairs(wire_a, wire_b)
+        assert (sliced._sid, sliced._partner) == state
+
+
+def test_pairblock_strided_runs_that_share_a_qubit_fail_unchanged():
+    """Ranges of one step and one residue whose spans overlap share a
+    qubit: ValueError, with no qubit changed."""
+    for wire_a, wire_b in ((range(0, 8, 2), range(4, 12, 2)), (range(3, 15, 3), range(0, 12, 3)),
+                           (range(8, 16, 4), range(12, 20, 4))):
+        state = PairBlockState(24, None)
+        state.prepare_bell(22, 23)
+        before = (list(state._sid), list(state._partner))
+        with pytest.raises(ValueError, match="needs two fresh"):
+            state.prepare_pairs(wire_a, wire_b)
+        assert (state._sid, state._partner) == before
 
 
 @pytest.mark.parametrize("backend", BOTH)

@@ -19,7 +19,7 @@ from mrsqkd.bell_algebra import (
     parity,
     xor_rule_holds,
 )
-from mrsqkd.engine import Backend, CapacityError, GateName, new_register
+from mrsqkd.engine import Backend, GateName, new_register
 from mrsqkd.protocol import (
     Case4Disclose,
     Classification,
@@ -112,8 +112,10 @@ def test_tp_step1_honest_bell_results():
 
 
 def test_tp_step1_capacity():
+    """The register refuses the pairs it cannot hold; CapacityError is
+    only the DENSE oracle's join bound."""
     reg = new_register(4, Backend.TABLEAU, 5)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="size-4 register"):
         tp_step1(reg, 4)
 
 

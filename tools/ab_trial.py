@@ -45,8 +45,11 @@ batches first.
 
 ``--exact K`` times the exact oracle instead: K rounds of
 ``verify.exact_distribution`` over every Bell-code configuration of
-4-pair cycles and chains (512 laws), the two copies alternating round by
-round. Before timing, both sides must return the same outcomes in the
+4-pair cycles and chains (512 laws), each law's outcomes then checked by
+its script's ``relation``, one call per outcome, as the ``perfbench``
+oracle workload checks them; the two copies alternate round by round.
+The exact rounds of ``BENCH_25.json`` and ``BENCH_29.json`` timed the
+laws alone. Before timing, both sides must return the same outcomes in the
 same order, each probability within 1e-12 of the other side's; if not,
 the tool prints one line and exits 1. Given with ``--batches`` or
 ``--stages`` too, it times them all, the exact rounds last.
@@ -223,14 +226,16 @@ def same_laws(base: dict, work: dict) -> bool:
 
 
 def ab_exact(base: dict, work: dict, args) -> dict:
-    """ms per round of every --exact law, the two sides alternating."""
+    """ms per round of every --exact law and its relation checks, the
+    two sides alternating."""
     sides = {"base": base, "work": work}
     scripts = {side: exact_scripts(mods) for side, mods in sides.items()}
 
     def laws(side: str, r: int) -> None:
         exact = sides[side]["verify"].exact_distribution
         for script in scripts[side]:
-            exact(script, 11)
+            for outcome in exact(script, 11):
+                script.relation(outcome)
 
     configurations = len(scripts["work"])
     return rounds_timed(f"exact laws of {configurations} configurations",
