@@ -126,7 +126,6 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify-backends", help="exact pair-block law vs exact dense oracle")
     ver.add_argument("--samples", type=int, default=10000,
                      help="seeded pair-block shots per circuit")
-    ver.add_argument("--max-qubits", type=int, default=12, help="largest circuit to include")
     ver.add_argument("--seed", type=int, default=20240, help="master seed of the shots")
 
     cur = sub.add_parser("curves", help="analytic detection curves (CSV)")
@@ -182,7 +181,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_backends(args: argparse.Namespace) -> int:
-    report = verify_backends(max_qubits=args.max_qubits, samples=args.samples, seed=args.seed)
+    report = verify_backends(samples=args.samples, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

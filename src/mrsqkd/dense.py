@@ -43,51 +43,47 @@ before the split, so the state it leaves is a branch to discard.
 
 Enumeration (``outcome_law``) computes a plan's law directly. A plan
 is a tuple of steps, each a tuple of qubits: (q,) measures Z and (a, b)
-Bell, the basis ``_BASES[len(step)]``. Any other step raises the
-ValueError of ``_PLAN_ERROR``: ``outcome_law``'s loop over the steps
-refuses a step that is no tuple (a list, an int) and a qubit outside the
-register, and ``_schedule`` a tuple that is not 1 or 2 distinct qubits.
-The law joins the factors the plan reaches, by outer product, into one
-row of 2^w amplitudes (the register's factors stay as they are). Each
-step changes basis on its qubits' bits, the identity for Z and the four
-Bell rows for Bell, and moves them into the row index as one outcome
-digit, so a row is one outcome string and its squared norm the string's
-probability. A qubit that a later step measures again gets its bit back,
-in the outcome's basis state; the others are summed out at the end.
-Outcomes above 1e-12 are kept in step order, outcome 0 (Z) or sign bit,
-then parity bit (Bell) first: the order of a depth-first walk.
+Bell, the basis ``_BASES[len(step)]``, and it measures each qubit at
+most once. Any other plan raises ValueError naming the step, before any
+join: ``outcome_law``'s loop over the steps refuses a step that is no
+tuple (a list, an int) and a qubit that is not an int of the register,
+``_law_axes`` a tuple that is not 1 or 2 distinct qubits (all with the
+message of ``_PLAN_ERROR``) and a qubit an earlier step measured (that
+of ``_EARLIER_ERROR``). The law joins the factors the plan reaches, by
+outer product, into one row of 2^w amplitudes (the register's factors
+stay as they are), and transposes it once, so that the measured qubits'
+bits come first, in plan order. Each Bell step then multiplies its four
+rows by the Bell rows; a Z step needs no product, as its basis is the
+identity. So a row is one outcome string, and its squared norm, summed
+over the qubits left, the string's probability. Outcomes above 1e-12
+are kept in row order, outcome 0 (Z) or sign bit, then parity bit
+(Bell) first: the order of a depth-first walk.
 
-- Support: every operation is Clifford, so a step's conditional
-  probability is 0, 1/4, 1/2 or 1, and an outcome of a plan that
-  measures fewer than 40 qubit slots (a Bell step counts two) has joint
-  probability 0 or at least 2^-39. So the joint cut keeps what a walk
-  that drops a branch at conditional probability <= 1e-12 keeps. Every
-  plan within the join bound that measures each qubit once qualifies.
-- Memory: such a plan holds at most the joined 2^w amplitudes. Each
-  step whose qubits are measured again multiplies them by 2 or 4. The
-  row is the only place memory grows with the qubits held, so it alone
-  is bounded: w is counted from the factors' widths before the first
-  outer product, and a plan whose w exceeds DENSE_QUBIT_CAP = 24 raises
-  ``CapacityError`` there. A register of any size runs, as its factors
-  hold at most 2 qubits each.
+- Support: every operation is Clifford, so an outcome that can occur
+  has probability at least 2^-m for m measured qubits, and m is at most
+  the join bound, 24: the cut drops only outcomes that cannot occur.
+- Memory: the law holds a few arrays of the joined 2^w amplitudes at a
+  time. The row is the only place memory grows with the qubits held, so
+  it alone is bounded: w is counted from the factors' widths before the
+  first outer product, and a plan whose w exceeds DENSE_QUBIT_CAP = 24
+  raises ``CapacityError`` there. A register of any size runs, as its
+  factors hold at most 2 qubits each.
 
-All of it but the amplitudes depends only on the joined layout (the
-qubit at each bit of the row) and the steps, so ``_schedule`` compiles
-it once per (layout, steps): each step's tensor shape, the axis order
-that brings its qubits first, its basis, and whether a later step
-measures its qubits again. The key of an outcome, one value per step
-(the Z bit, or the Bell outcome as its ``BellType``), comes from tables
-shared by step sizes, not by layout: consecutive steps go in groups of
-at most _KEY_ROWS = 256 outcomes, and ``_key_table`` lists the keys of
-each group by its digit. A law then costs the join, one reshape,
-transpose and product per step, the squared norms, one ``nonzero`` and
-a dict of cached keys (one per group, joined, for a plan of more groups).
+The axis order depends only on the joined layout (the qubit at each bit
+of the row) and the steps, so ``_law_axes`` computes it once per
+(layout, steps). The key of an outcome, one value per step (the Z bit,
+or the Bell outcome as its ``BellType``), comes from tables shared by
+step sizes, not by layout: consecutive steps go in groups of at most
+_KEY_ROWS = 256 outcomes, and ``_key_table`` lists the keys of each
+group by its digit. A law then costs the join, one transpose, one
+product per Bell step, the squared norms, one ``nonzero`` and a dict of
+cached keys (one per group, joined, for a plan of more groups).
 
 - Cache memory: both caches are LRUs of fixed size. A key table holds at
   most 256 tuples of at most 8 shared values, under 30 KB, and at most
-  _KEY_TABLES = 16 are kept: under 0.5 MB. A schedule holds a few small
-  tuples per step, about 1 KB, and at most _SCHEDULES = 64 are kept. The
-  512 four-pair cycles and chains use 2 schedules and 2 tables.
+  _KEY_TABLES = 16 are kept: under 0.5 MB. An axis order holds one int
+  per qubit joined, and at most _LAW_AXES = 64 are kept. The 512
+  four-pair cycles and chains use 2 axis orders and 2 tables.
 """
 from __future__ import annotations
 
@@ -131,17 +127,18 @@ _VALUES = {size: tuple(_BELL_BY_CODE[c] if size == 2 else int(c) for c in codes)
            for size, (_, codes) in _BASES.items()}
 
 _PLAN_ERROR = "plan step {}: not 1 or 2 distinct qubits of 0..{}"
-# Bounds of the compiled enumeration's caches (see the module docstring).
-_SCHEDULES = 64
+_EARLIER_ERROR = "plan step {}: qubit {} is measured by an earlier step"
+# Bounds of the enumeration's caches (see the module docstring).
+_LAW_AXES = 64
 _KEY_TABLES = 16
 _KEY_ROWS = 256
 
 
 def _front_order(w: int, bits: Sequence[int]) -> tuple[int, ...]:
-    """Axis order that moves index bits ``bits`` of a (rows, 2, ..., 2)
-    tensor of w bits onto axes 1, 2, ..., the others after them in order."""
-    front = [w - b for b in bits]  # axis 1 holds index bit w - 1
-    return (0, *front, *(ax for ax in range(1, w + 1) if ax not in front))
+    """Axis order that moves index bits ``bits`` of a (2, ..., 2) tensor
+    of w bits onto axes 0, 1, ..., in order, the others after them in order."""
+    front = [w - 1 - b for b in bits]  # axis 0 holds index bit w - 1
+    return (*front, *(ax for ax in range(w) if ax not in front))
 
 
 def _draw(rng: np.random.Generator, joint: list[float]) -> int:
@@ -156,41 +153,31 @@ def _draw(rng: np.random.Generator, joint: list[float]) -> int:
     return k
 
 
-@lru_cache(maxsize=_SCHEDULES)
-def _schedule(n: int, layout: tuple[int, ...],
-              steps: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """What ``outcome_law`` does, in a register of n qubits, to the row
-    joined in ``layout`` (the qubit at each index bit) for ``steps``. Per
-    step: the tensor shape, the axis order that brings its qubits first,
-    the (rows, outcomes, rest) shape, the Bell basis (None for Z), the
-    outcomes' basis states on new axes if a later step measures its
-    qubits again (else None), and the shape of the result. Then the step
-    sizes of each key group of ``_keys``."""
-    held = list(layout)
-    rows = group_rows = 1
-    schedule = []
+@lru_cache(maxsize=_LAW_AXES)
+def _law_axes(n: int, layout: tuple[int, ...],
+              steps: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple]:
+    """The axis order that brings the qubits of ``steps`` first, in plan
+    order, in the row joined in ``layout`` (the qubit at each index bit)
+    of a register of n qubits; then the step sizes of each key group of
+    ``_keys``. ValueError for a step that is not 1 or 2 distinct qubits,
+    or that measures a qubit an earlier step measured."""
+    measured: list[int] = []
+    group_rows = 1
     groups: list[tuple[int, ...]] = [()]  # consecutive steps, <= _KEY_ROWS outcomes each
-    for i, qubits in enumerate(steps):
+    for qubits in steps:
         if len(qubits) not in _BASES or len(set(qubits)) < len(qubits):
             raise ValueError(_PLAN_ERROR.format(qubits, n - 1))
-        basis, codes = _BASES[len(qubits)]
-        w, k = len(held), len(codes)
-        order = _front_order(w, [held.index(q) for q in qubits])
-        held = [q for q in held if q not in qubits]
-        again = None
-        if any(q in later for later in steps[i + 1:] for q in qubits):
-            # The outcome's basis state, on new top bits, first qubit highest.
-            again = basis[:, :, None]
-            held += reversed(qubits)
-        schedule.append(((rows,) + (2,) * w, order, (rows, k, 1 << (w - len(qubits))),
-                         basis if len(qubits) == 2 else None, again, (rows * k, 1 << len(held))))
-        rows *= k
+        for q in qubits:
+            if q in measured:
+                raise ValueError(_EARLIER_ERROR.format(qubits, q))
+        measured += qubits
+        k = len(_BASES[len(qubits)][1])
         if group_rows * k > _KEY_ROWS:
             groups.append(())
             group_rows = 1
         groups[-1] += (len(qubits),)
         group_rows *= k
-    return tuple(schedule), tuple(groups)
+    return _front_order(len(layout), [layout.index(q) for q in measured]), tuple(groups)
 
 
 @lru_cache(maxsize=_KEY_TABLES)
@@ -271,7 +258,9 @@ class DenseState:
         f.psi = rows.reshape(-1)
 
     def prepare_bell(self, a: int, b: int) -> None:
-        """phi+ on two fresh qubits, as a new factor of 4 amplitudes."""
+        """phi+ on two fresh qubits, as a new factor of 4 amplitudes
+        (ValueError otherwise); that they are two distinct qubits of the
+        register is the ``Register``'s check."""
         if (self._touched >> a) & 1 or (self._touched >> b) & 1:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
         self._touched |= (1 << a) | (1 << b)
@@ -279,8 +268,9 @@ class DenseState:
 
     def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
         """phi+ on each pair (wire_a[i], wire_b[i]). Every qubit must be
-        fresh and in one pair only; otherwise ValueError, with no qubit
-        changed."""
+        fresh and in no other pair; otherwise ValueError, with no qubit
+        changed. That each pair is two distinct qubits of the register is
+        the ``Register``'s check, made before this call."""
         seen = self._touched
         for a, b in zip(wire_a, wire_b):
             if (seen >> a) & 1 or (seen >> b) & 1:
@@ -307,7 +297,7 @@ class DenseState:
             f = self._merged(*qubits)
             w = len(f.qubits)
             order = _front_order(w, [f.qubits.index(q) for q in qubits])
-            rows = basis @ f.psi.reshape((1,) + (2,) * w).transpose(order).reshape(4, -1)
+            rows = basis @ f.psi.reshape((2,) * w).transpose(order).reshape(4, -1)
         # Squared norms of the rows. Their last axis is contiguous, so they
         # view as floats; a run's rows hold at most 8 floats, which Python
         # sums faster than a numpy reduction would.
@@ -348,36 +338,38 @@ class DenseState:
         (a, b) for Bell, with its probability: keyed by one value per step
         (the Z bit, or the Bell outcome as its ``BellType``), in the order
         of the module docstring. ValueError unless each step is a tuple of
-        1 or 2 distinct qubits of the register; CapacityError if the
-        factors the plan reaches hold more than DENSE_QUBIT_CAP qubits,
-        before any is joined. This state is left as it is."""
+        1 or 2 distinct int qubits of the register, none measured by an
+        earlier step; CapacityError if the factors the plan reaches hold
+        more than DENSE_QUBIT_CAP qubits, before any is joined. This state
+        is left as it is."""
         held: list[int] = []  # qubit at each index bit of the joined row
         reached: list[np.ndarray] = []  # the amplitudes of each factor the plan reaches
         for qubits in steps:
             if not isinstance(qubits, tuple):  # before it is iterated or hashed
                 raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
             for q in qubits:
+                # Checked on every call: (1.0,) hashes as (1,) in the cache.
+                if not (isinstance(q, int) and 0 <= q < self.n):
+                    raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
                 if q not in held:
-                    if not 0 <= q < self.n:
-                        raise ValueError(_PLAN_ERROR.format(qubits, self.n - 1))
                     f = self._of.get(q) or _Factor(_BASES[1][0][(self._known >> q) & 1], [q])
                     reached.append(f.psi)
                     held += f.qubits
+        order, groups = _law_axes(self.n, tuple(held), steps)
         if len(held) > DENSE_QUBIT_CAP:
             raise CapacityError(f"a plan's law joins at most {DENSE_QUBIT_CAP} qubits, "
                                 f"this one {len(held)}")
-        schedule, groups = _schedule(self.n, tuple(held), steps)
-        amps = np.ones((1, 1), dtype=np.complex128)  # one row per outcome string
+        amps = np.ones(1, dtype=np.complex128)
         for psi in reached:
-            amps = (psi[:, None] * amps).reshape(1, -1)
-        for shape, order, split, basis, again, joined in schedule:
-            parts = amps.reshape(shape).transpose(order).reshape(split)
-            if basis is not None:
-                parts = basis @ parts
-            if again is not None:
-                parts = parts[:, :, None, :] * again
-            amps = parts.reshape(joined)
-        probs = (amps.real**2 + amps.imag**2).sum(axis=1)
+            amps = (psi[:, None] * amps).reshape(-1)
+        # One row per outcome string: the measured bits, in plan order, first.
+        amps = amps.reshape((2,) * len(held)).transpose(order).reshape(-1)
+        rows = 1
+        for qubits in steps:
+            if len(qubits) == 2:
+                amps = _BASES[2][0] @ amps.reshape(rows, 4, -1)
+            rows <<= len(qubits)
+        probs = (amps.real**2 + amps.imag**2).reshape(rows, -1).sum(axis=1)
         kept = (probs > _MIN_PROB).nonzero()[0]
         return dict(zip(_keys(groups, kept).tolist(), probs[kept].tolist()))
 

@@ -8,13 +8,15 @@ So a DENSE register of any size holds O(n) amplitudes.
 It doubles as the exact oracle: its ``outcome_distribution`` gives a
 measurement plan's outcomes with exact probabilities. A plan is a
 sequence of steps, each a tuple of qubits: (q,) measures Z and (a, b)
-Bell. It joins the factors the plan reaches into one amplitude tensor
-and changes basis on each step's qubits, with the tensor shapes and the
-outcome keys compiled once per plan shape (see ``dense``). That tensor
-is the one place memory grows exponentially, so it alone is bounded: a
-plan that reaches more than ``dense.DENSE_QUBIT_CAP`` qubits raises
-``CapacityError`` before any is joined; nothing else raises it. A
-malformed step raises ValueError there too, and a register's own ops
+Bell, and it measures each qubit at most once. It joins the factors the
+plan reaches into one amplitude tensor, transposes it once to bring the
+measured qubits first, in plan order, and changes basis on each Bell
+step's qubits, with the axis order and the outcome keys cached per plan
+shape (see ``dense``). That tensor is the one place memory grows
+exponentially, so it alone is bounded: a plan that reaches more than
+``dense.DENSE_QUBIT_CAP`` qubits raises ``CapacityError`` before any is
+joined; nothing else raises it. A malformed step, or one that measures
+a qubit again, raises ValueError there too, and a register's own ops
 raise ValueError for a qubit outside it.
 TABLEAU, the pair-block stabilizer state of ``pairblock``, runs the
 Monte Carlo campaigns. Both expose the same operation set: phi+ pair
@@ -211,9 +213,9 @@ class Register:
         collapsed. Each step is a tuple of qubits, (q,) for Z and (a, b)
         for Bell. The oracle, ``DenseState.outcome_law``, makes every
         check on the plan: ValueError unless each step is a tuple of 1 or
-        2 distinct qubits of the register, CapacityError if the plan
-        reaches more than ``dense.DENSE_QUBIT_CAP`` qubits. DENSE backend
-        only."""
+        2 distinct int qubits of the register, none measured by an
+        earlier step, CapacityError if the plan reaches more than
+        ``dense.DENSE_QUBIT_CAP`` qubits. DENSE backend only."""
         if not isinstance(self._state, DenseState):
             raise UnsupportedOperationError(
                 "outcome_distribution needs exact amplitudes (dense backend only)"

@@ -179,7 +179,8 @@ class PairBlockState:
             self._sid[self._partner[q]] = _SWAP[new]
 
     def prepare_bell(self, a: int, b: int) -> None:
-        """phi+ on (a, b), both fresh (ValueError otherwise)."""
+        """phi+ on (a, b), both fresh (ValueError otherwise); that they
+        are two distinct qubits of the register is the ``Register``'s check."""
         sid = self._sid
         if sid[a] != FRESH or sid[b] != FRESH:
             raise ValueError(f"Bell pair ({a}, {b}) needs two fresh |0> qubits")
@@ -225,8 +226,9 @@ class PairBlockState:
 
     def prepare_pairs(self, wire_a: Sequence[int], wire_b: Sequence[int]) -> None:
         """phi+ on each pair (wire_a[i], wire_b[i]). Every qubit must be
-        fresh and in one pair only; otherwise ValueError, with no qubit
-        changed."""
+        fresh and in no other pair; otherwise ValueError, with no qubit
+        changed. That each pair is two distinct qubits of the register is
+        the ``Register``'s check, made before this call."""
         sid, partner = self._sid, self._partner
         if (type(wire_a) is range is type(wire_b) and wire_a.step == wire_b.step > 0
                 and len(wire_a) == len(wire_b) > 0

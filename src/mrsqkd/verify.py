@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 from .bell_algebra import _BELL_BY_CODE, BellType, chain_relation_holds, xor_rule_holds
 from .engine import Backend, GateName, Register, derive_seed, new_register
-from .dense import DENSE_QUBIT_CAP
 from .pairblock import PairBlockState
 
 TOLERANCE = 1e-12  # largest |pair-block - dense| probability of an outcome
@@ -244,26 +243,18 @@ class VerifyReport:
         return out
 
 
-def verify_backends(
-    max_qubits: int = 12, samples: int = 10000, seed: int = 20240
-) -> VerifyReport:
+def verify_backends(samples: int = 10000, seed: int = 20240) -> VerifyReport:
     """Compare the pair-block law with dense enumeration circuit by
     circuit, draw ``samples`` seeded pair-block shots into the exact
     support, and check the swap algebra on every outcome seen: once per
     distinct outcome, exact or drawn, an outcome that breaks it counting
     once if exact and once per shot. The shots come in chunks of
     _SHOT_CHUNK, chunk k seeded by stream k of the circuit's seed."""
-    scripts = scripted_circuits()
-    smallest = min(script.qubits for script in scripts)
-    if not smallest <= max_qubits <= DENSE_QUBIT_CAP:
-        raise ValueError(f"max_qubits must be in {smallest}..{DENSE_QUBIT_CAP}, got {max_qubits}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
     reports = []
-    for idx, script in enumerate(scripts):
-        if script.qubits > max_qubits:
-            continue
+    for idx, script in enumerate(scripted_circuits()):
         circuit_seed = derive_seed(seed, idx)
         exact = exact_distribution(script, circuit_seed)
         law = tableau_distribution(script)

@@ -416,16 +416,26 @@ def prepared_registers(draw):
 
 
 @st.composite
+def distinct_plans(draw, n, max_steps):
+    """1 to ``max_steps`` Z and Bell steps that measure distinct qubits of
+    0..n-1: a drawn permutation split into steps of 1 or 2, up to the
+    steps it holds."""
+    qubits = draw(st.permutations(range(n)))
+    plan = []
+    for size in draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=max_steps)):
+        if size > len(qubits):
+            break
+        plan.append(tuple(qubits[:size]))
+        qubits = qubits[size:]
+    return plan
+
+
+@st.composite
 def oracle_cases(draw):
     """Bell pairs and gates on at most 6 qubits, then 1 to 6 Z and Bell
-    steps on any qubits, so a qubit may be measured again after its
-    first measurement."""
+    steps on distinct qubits."""
     reg = draw(prepared_registers())
-    n = reg.size
-    qubit = st.integers(0, n - 1)
-    pairs = st.permutations(range(n)).map(lambda qs: (qs[0], qs[1]))
-    plan = draw(st.lists(st.one_of(st.tuples(qubit), pairs), min_size=1, max_size=6))
-    return reg, plan
+    return reg, draw(distinct_plans(reg.size, 6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,17 +461,18 @@ def _four_pairs_with_gates():
     return reg
 
 
-def test_outcome_distribution_remeasures_bell_qubits_on_eight_qubits():
-    """Beyond the hypothesis cases' 6 qubits: four prepared pairs, then
-    Bell measurements whose qubits are measured again, by Z and by Bell."""
+def test_outcome_distribution_refuses_a_qubit_measured_again():
+    """A plan measures each qubit at most once: a step whose qubit an
+    earlier step measured, by Z or by Bell, raises the ValueError that
+    names it, also on a plan past the join bound, before any join."""
     reg = _four_pairs_with_gates()
-    plan = REMEASURE_PLAN
-    dist = reg.outcome_distribution(plan)
-    ref = _reference_distribution(reg._state.copy(), plan)
-    assert len(ref) > 64
-    assert list(dist) == list(ref)
-    for key, p in ref.items():
-        assert dist[key] == pytest.approx(p, abs=1e-12)
+    for plan, step, q in ((REMEASURE_PLAN, (2,), 2), ([(0,), (0,)], (0,), 0),
+                          ([(0, 1), (1,)], (1,), 1), ([(0,), (1, 0)], (1, 0), 0)):
+        with pytest.raises(ValueError) as refused:
+            reg.outcome_distribution(plan)
+        assert str(refused.value) == f"plan step {step}: qubit {q} is measured by an earlier step"
+    with pytest.raises(ValueError, match=r"^plan step \(0,\): qubit 0 is measured"):
+        _thirty_pairs().outcome_distribution([(q,) for q in range(26)] + [(0,)])
 
 
 # SHA-256 of every exact law of the 512 four-pair cycle and chain
@@ -489,22 +500,19 @@ def _typed_items(dist):
 
 
 def test_a_law_from_a_cleared_cache_equals_the_cached_law():
-    """Every oracle configuration and the 8-qubit plan that measures
-    qubits again: compiled afresh, then from the cache, bit for bit."""
+    """Every oracle configuration: from cleared caches, then from the
+    caches, bit for bit."""
     codes = list(itertools.product(range(4), repeat=4))
     scripts = [verify.make_cycle(c, "cycle") for c in codes]
     scripts += [verify.make_chain(c, "chain") for c in codes] + verify.scripted_circuits()
-    cases = [(script, lambda s=script: verify.exact_distribution(s, 11)) for script in scripts]
-    reg = _four_pairs_with_gates()
-    cases.append(("remeasure", lambda: reg.outcome_distribution(REMEASURE_PLAN)))
-    assert len(cases) == 529
-    for _, law in cases:
-        dense._schedule.cache_clear()
+    assert len(scripts) == 528
+    for script in scripts:
+        dense._law_axes.cache_clear()
         dense._key_table.cache_clear()
-        cold = law()
-        assert dense._schedule.cache_info().misses == 1
-        hot = law()
-        assert dense._schedule.cache_info().hits == 1
+        cold = verify.exact_distribution(script, 11)
+        assert dense._law_axes.cache_info().misses == 1
+        hot = verify.exact_distribution(script, 11)
+        assert dense._law_axes.cache_info().hits == 1
         assert _typed_items(hot) == _typed_items(cold)
 
 
@@ -518,14 +526,14 @@ def test_the_schedule_caches_stay_within_their_bounds():
             for first in (0, 3, 5):
                 qubits = itertools.cycle(range(first, first + 8))
                 plans.append([tuple(next(qubits) % 8 for _ in range(size)) for size in sizes])
-    assert len(plans) > dense._SCHEDULES
+    assert len(plans) > dense._LAW_AXES
     for plan in plans:
         dist = reg.outcome_distribution(plan)
         ref = _reference_distribution(reg._state.copy(), plan)
         assert list(dist) == list(ref)
         for key, p in ref.items():
             assert dist[key] == pytest.approx(p, abs=1e-12)
-    assert dense._schedule.cache_info().currsize == dense._SCHEDULES
+    assert dense._law_axes.cache_info().currsize == dense._LAW_AXES
     assert dense._key_table.cache_info().currsize == dense._KEY_TABLES
 
 
@@ -627,9 +635,7 @@ def live_set_scripts(draw):
             a = b = draw(qubit)
             ops.append(("z", a))
         fresh -= {a, b}
-    pairs = st.permutations(range(n)).map(lambda qs: (qs[0], qs[1]))
-    plan = draw(st.lists(st.one_of(st.tuples(qubit), pairs), min_size=1, max_size=4))
-    return n, ops, plan
+    return n, ops, draw(distinct_plans(n, 4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -695,11 +701,14 @@ def test_distribution_validates_plan():
 
 def test_a_plan_step_holds_one_or_two_qubits():
     """A step that is not a tuple, a bare int or a list, gets the same
-    ValueError as a tuple of the wrong size, a repeated qubit or one
-    outside the register, before it is iterated or hashed as a cache key."""
+    ValueError as a tuple of the wrong size, a repeated qubit, one outside
+    the register or one that is not an int, before it is iterated or
+    hashed as a cache key. (1.0,) on a qubit held in a factor hashes as
+    (1,), which the law of [(1,)] has just cached."""
     reg = new_register(3, Backend.DENSE, 1)
     reg.prepare_bell_phi_plus(0, 1)
-    for step in ((), (0, 1, 2), 0, [0], (0, 0), (5,)):
+    assert reg.outcome_distribution([(1,)])
+    for step in ((), (0, 1, 2), 0, [0], (0, 0), (5,), (2.0,), ("a",), (None,), (1.0,)):
         with pytest.raises(ValueError, match=r"^plan step .*: not 1 or 2 distinct qubits"):
             reg.outcome_distribution([step])
 
@@ -763,9 +772,7 @@ def fuzz_scripts(draw):
             a = b = draw(qubit)
             prep.append(("gate", draw(st.sampled_from(list(GateName))), a))
         fresh = [q for q in fresh if q not in (a, b)]
-    pairs = st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1])
-    step = st.one_of(st.tuples(qubit), pairs)
-    plan = draw(st.lists(step, min_size=1, max_size=4))
+    plan = draw(distinct_plans(n, 4))
     return verify.CircuitScript("fuzz", n, tuple(prep), tuple(plan), None)
 
 
@@ -792,14 +799,16 @@ def test_tableau_samples_repeat_for_a_seed_and_share_the_exact_keys_types():
     assert set(shots) <= exact.keys()
 
 
-def test_verify_backends_memory_stays_flat_in_the_sample_count():
+def test_verify_backends_memory_stays_flat_in_the_sample_count(monkeypatch):
     """Shots are drawn a chunk at a time: the traced peak of a run at 4x
     the samples stays within 1.5x of the peak at 1x."""
+    two_qubits = [script for script in verify.scripted_circuits() if script.qubits == 2]
+    monkeypatch.setattr(verify, "scripted_circuits", lambda: two_qubits)
     peaks = []
     for samples in (verify._SHOT_CHUNK, 4 * verify._SHOT_CHUNK):
         tracemalloc.start()
         try:
-            assert verify.verify_backends(max_qubits=2, samples=samples, seed=5).passed
+            assert verify.verify_backends(samples=samples, seed=5).passed
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -818,7 +827,7 @@ def test_verify_backends_checks_each_distinct_outcome_once(monkeypatch):
 
     counted = dataclasses.replace(script, relation=sign_bit_0)
     monkeypatch.setattr(verify, "scripted_circuits", lambda: [counted])
-    (circuit,) = verify.verify_backends(max_qubits=6, samples=300, seed=7).circuits
+    (circuit,) = verify.verify_backends(samples=300, seed=7).circuits
     exact = verify.exact_distribution(script, derive_seed(7, 0))
     assert calls == Counter(dict.fromkeys(exact, 1))  # the shots fall in the support
     shots = Counter(verify.sample_tableau(script, 300, derive_seed(derive_seed(7, 0), 0)))
@@ -849,7 +858,7 @@ def test_exact_check_catches_a_leaf_moved_inside_the_support(monkeypatch):
         return code ^ 1 if (a, b) == (7, 8) and self.all_ones else code
 
     monkeypatch.setattr(PairBlockState, "measure_bell", measure_bell)
-    report = verify.verify_backends(max_qubits=10, samples=500, seed=3)
+    report = verify.verify_backends(samples=500, seed=3)
     assert not report.passed
     (faulty,) = [c for c in report.circuits if not c.passed]
     assert faulty.name == "chain_3_between"
@@ -1277,7 +1286,8 @@ def test_pairblock_strided_runs_that_share_a_qubit_fail_unchanged():
 def test_prepare_pairs_of_qubit_runs(backend):
     """Wires given as ranges, as the protocol's step 1 gives them: the same
     pairs as the loop of single preparations, and a used or repeated
-    qubit anywhere in a run fails the call before any pair is made."""
+    qubit anywhere in a run, or a run paired with itself, fails the call
+    before any pair is made."""
     wire, loop = new_register(12, backend, 1), new_register(12, backend, 1)
     for wire_a, wire_b in ((range(2, 6), range(8, 12)), (range(6, 8), range(0, 2))):
         wire.prepare_pairs(wire_a, wire_b)
@@ -1292,3 +1302,8 @@ def test_prepare_pairs_of_qubit_runs(backend):
         with pytest.raises(ValueError):
             used.prepare_pairs(wire_a, wire_b)
         assert _snapshot(used) == before
+    fresh = new_register(4, backend, 1)
+    before = _snapshot(fresh)
+    with pytest.raises(ValueError):
+        fresh.prepare_pairs(range(0, 4, 2), range(0, 4, 2))
+    assert _snapshot(fresh) == before

@@ -406,9 +406,7 @@ def test_cli_config_file_rejects_garbage(tmp_path, capsys):
         ["campaign", "--workers", "0"],
         ["campaign", "--workers", "-3"],
         ["campaign", "--attack", "modify", "--m", "40", "--n", "16"],
-        ["verify-backends", "--max-qubits", "30"],
-        ["verify-backends", "--max-qubits", "0"],
-        ["verify-backends", "--max-qubits", "1"],
+        ["verify-backends", "--max-qubits", "4"],
         ["verify-backends", "--samples", "0"],
         ["verify-backends", "--samples", "-5"],
         ["curves", "--max", "-1"],
@@ -504,7 +502,7 @@ CONFIG_FORMS = [
                   "backend": "dense", "pa-ratio": "3/4"}),
     ("campaign", {"n": "16", "trials": "6", "attack": "parity-measure", "seed": "8",
                   "backend": "tableau", "pa-ratio": "1/4", "workers": "1"}),
-    ("verify-backends", {"samples": "20", "max-qubits": "4", "seed": "3"}),
+    ("verify-backends", {"samples": "20", "seed": "3"}),
     ("curves", {"max": "2", "empirical-trials": "10", "n": "8", "seed": "2"}),
 ]
 
@@ -542,7 +540,7 @@ def test_cli_help_exits_0_with_usage_on_stdout(argv, capsys):
 
 
 def test_cli_verify_backends_small(capsys):
-    rc = cli.main(["verify-backends", "--samples", "500", "--max-qubits", "4"])
+    rc = cli.main(["verify-backends", "--samples", "500"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "overall: PASS" in out
@@ -697,7 +695,7 @@ def test_verify_backends_runs_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys; sys.modules['scipy'] = None; import mrsqkd.cli; "
-        "sys.exit(mrsqkd.cli.main(['verify-backends', '--max-qubits', '4', '--samples', '10']))"
+        "sys.exit(mrsqkd.cli.main(['verify-backends', '--samples', '10']))"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
